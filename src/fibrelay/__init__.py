@@ -9,7 +9,9 @@ calibrates the amplification gain to the zero-growth operating point.
 
 __version__ = "0.1.0"
 
-from .calibrate import CalibrationResult, bracket_expand, find_zero_lyapunov_gain
+# cocycle first: it is the largest module, and when it is compiled from
+# source (no bytecode cache) its parse tree is the biggest transient of the
+# import; compiled before numpy and scipy load, it does not raise peak memory
 from .cocycle import (
     CSV_HEADER,
     InfoCocycleState,
@@ -23,6 +25,7 @@ from .cocycle import (
     step_info,
     step_noise,
 )
+from .calibrate import CalibrationResult, bracket_expand, find_zero_lyapunov_gain
 from .coeffs import (
     CoefficientModel,
     ConstantGain,
@@ -44,6 +47,7 @@ from .coeffs import (
 from .errors import (
     ConfigError,
     DegenerateStateError,
+    NumericalError,
     UnbracketableError,
     ValidationOnlyModelError,
 )
@@ -78,7 +82,7 @@ __all__ = [
     "LogNormal", "PerNodeGain", "Rayleigh", "RngStream", "SignedBernoulli",
     "Uniform", "expected_log_eta", "expected_log_eta_mc", "parse_gains",
     "parse_model", "sample_eta", "sample_eta_batch",
-    "ConfigError", "DegenerateStateError", "UnbracketableError",
+    "ConfigError", "DegenerateStateError", "NumericalError", "UnbracketableError",
     "ValidationOnlyModelError",
     "LawReport", "SlopeFit", "ThetaBandCheck", "check_theta_p",
     "default_burn_in", "simulate_capacity_ensemble", "slope_estimate",

@@ -1,11 +1,15 @@
-"""Sequential recursion kernels, JIT-compiled when numba is available.
+"""Sequential recursion kernels: the compiled path and the test reference.
 
-The recursions are order-dependent and cannot be vectorized over steps;
-these loops are the hot path for long runs.  All kernels carry renormalized
-state: components plus an accumulated log-scale, renormalized by the
-largest component every ``period`` steps (``phase`` counts steps since the
-last renormalization so chunk boundaries do not disturb the cadence).
-Pure-Python execution gives identical IEEE double results, only slower.
+Each kernel walks one cocycle step by step.  State is renormalized:
+components plus an accumulated log-scale, renormalized by the largest
+component every ``period`` steps (``phase`` counts steps since the last
+renormalization so chunk boundaries do not disturb the cadence).
+
+When numba is installed (the optional ``jit`` extra) these loops are
+compiled and the engine in ``cocycle`` runs them instead of its blocked
+numpy path.  Without numba they stay plain Python: too slow for long runs,
+but the sequential reference the engine tests compare against, with
+identical IEEE double results to the compiled build.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is optional: the blocked numpy engine runs instead
     def njit(*args, **kwargs):
         if args and callable(args[0]):
             return args[0]

@@ -2,7 +2,8 @@
 
 Subcommands: lyapunov, simulate, calibrate, verify, sweep.  Exit codes:
 0 success, 1 verify verdict failure, 2 usage or configuration error,
-3 numerical failure (unbracketable calibration or non-convergence).
+3 numerical failure (unbracketable calibration, non-convergence, or a
+recursion state that left double range).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .calibrate import find_zero_lyapunov_gain
 from .coeffs import ConstantGain
 from .cocycle import run_trajectory
 from .config import RunParams, parse_config
-from .errors import ConfigError, UnbracketableError
+from .errors import ConfigError, NumericalError, UnbracketableError
 from .laws import verify_capacity_law, verify_power_law
 from .lyapunov import estimate_lambda
 from .manifest import MANIFEST_FILENAME, RunManifest, dumps_17g
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
     try:
         params = parse_config(args.command, args.config, _overrides(args))
         return run_command(args.command, params, args.output_dir)
-    except UnbracketableError as exc:
+    except (UnbracketableError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError and domain errors

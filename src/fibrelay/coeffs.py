@@ -342,11 +342,11 @@ def hop_coefficient_chunks(model: CoefficientModel, gains: GainPolicy, rng: Gene
     i = 2
     while i <= n_nodes:
         count = min(chunk_steps, n_nodes - i + 1)
-        u = rng.random(2 * count)
-        mags = model.transform_uniforms(u).reshape(count, 2)
-        g = gains.node_gains(i, count)
-        coef = mags * g[:, None]
-        yield i, np.ascontiguousarray(coef[:, 0]), np.ascontiguousarray(coef[:, 1])
+        coef = model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
+        coef *= gains.node_gains(i, count)[:, None]
+        two_back, one_back = coef[:, 0].copy(), coef[:, 1].copy()
+        del coef  # hold no draws while the consumer works on this chunk
+        yield i, two_back, one_back
         i += count
 
 

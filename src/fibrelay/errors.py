@@ -15,3 +15,7 @@ class DegenerateStateError(ValueError):
 
 class UnbracketableError(RuntimeError):
     """Gain expansion found no sign change of the growth-rate estimate."""
+
+
+class NumericalError(ArithmeticError):
+    """A recursion left double range, or a degenerate value persists."""

@@ -64,17 +64,19 @@ def slope_estimate(series, burn_in: int) -> SlopeFit:
     if n <= burn_in + 10:
         raise ConfigError(
             f"series too short for a slope fit: {n} points, burn_in {burn_in}")
+    # plain reductions, not BLAS dot products: a 1-D `@` wakes OpenBLAS
+    # threads that keep spinning after the call
     x = np.arange(burn_in + 1, n + 1, dtype=float)
     y = y[burn_in:]
     m = len(x)
-    xm = x.mean()
+    xm = 0.5 * (burn_in + 1 + n)
     ym = y.mean()
     dx = x - xm
-    sxx = float(dx @ dx)
-    slope = float(dx @ (y - ym)) / sxx
+    sxx = m * (m * m - 1) / 12.0  # sum of squared deviations of m consecutive integers
+    slope = float(np.sum(dx * (y - ym))) / sxx
     intercept = ym - slope * xm
     resid = y - (intercept + slope * x)
-    rss = float(resid @ resid)
+    rss = float(np.sum(resid * resid))
     var = max(rss, 0.0) / (m - 2)
     return SlopeFit(
         slope=slope,

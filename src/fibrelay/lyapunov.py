@@ -21,18 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._parallel import map_ordered
-from .coeffs import (
-    CoefficientModel,
-    Deterministic,
-    GainPolicy,
-    RngStream,
-    first_hop_coefficient,
-    hop_coefficient_chunks,
-)
-from .cocycle import NetworkConfig, init_info
-from .errors import ConfigError, ValidationOnlyModelError
+from .coeffs import CoefficientModel, Deterministic, GainPolicy, RngStream
+from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, logs_at
+from .errors import ConfigError, NumericalError, ValidationOnlyModelError
 
 logger = logging.getLogger("fibrelay")
 
@@ -43,7 +35,6 @@ Z95 = 1.96
 DEFAULT_BURN_IN = 100
 MIN_GROWTH_STEPS = 1000
 
-_CHUNK_STEPS = 1 << 19
 # offset for restarted replicas keeps their stream ids disjoint from all
 # ordinary replica ids
 _RESTART_STRIDE = 1 << 48
@@ -94,96 +85,6 @@ def _reduce(values, n_steps, kind) -> LyapunovEstimate:
 
 
 # ---------------------------------------------------------------------------
-# checkpointed recursion runners
-# ---------------------------------------------------------------------------
-
-
-def _info_logs_at(model, gains, n_steps, stream, checkpoints, i0, period):
-    """Log magnitudes at the requested node indices (all >= 1)."""
-    rng = stream.generator()
-    want = sorted(set(checkpoints))
-    out = {}
-    eta01 = first_hop_coefficient(model, gains, rng)
-    state = init_info(i0, eta01)
-    a, b, ls, phase = state.u_prev, state.u_cur, state.log_scale, 0
-    if want and want[0] == 1:
-        out[1] = ls + math.log(b)
-        want = want[1:]
-    for start, e2, e1 in hop_coefficient_chunks(model, gains, rng, n_steps, _CHUNK_STEPS):
-        end = start + len(e2)
-        pos = 0
-        while want and start <= want[0] < end:
-            cnt = want[0] - start + 1 - pos
-            a, b, ls, phase = _kernels.info_steps(
-                e2[pos:pos + cnt], e1[pos:pos + cnt], a, b, ls, period, phase)
-            pos += cnt
-            out[want[0]] = ls + math.log(b)
-            want = want[1:]
-        if pos < len(e2):
-            a, b, ls, phase = _kernels.info_steps(
-                e2[pos:], e1[pos:], a, b, ls, period, phase)
-    return out
-
-
-def _signed_logs_at(model, gains, n_steps, stream, checkpoints, period):
-    """Signed variant: log |value|; -inf marks an exactly-zero checkpoint."""
-    rng = stream.generator()
-    want = sorted(set(checkpoints))
-    out = {}
-    coeff01 = first_hop_coefficient(model, gains, rng)
-    a, b = 1.0, coeff01
-    m = max(abs(a), abs(b))
-    a, b, ls, phase = a / m, b / m, math.log(m), 0
-
-    def log_abs():
-        return ls + math.log(abs(b)) if b != 0.0 else -math.inf
-
-    if want and want[0] == 1:
-        out[1] = log_abs()
-        want = want[1:]
-    for start, c2, c1 in hop_coefficient_chunks(model, gains, rng, n_steps, _CHUNK_STEPS):
-        end = start + len(c2)
-        pos = 0
-        while want and start <= want[0] < end:
-            cnt = want[0] - start + 1 - pos
-            a, b, ls, phase = _kernels.signed_steps(
-                c2[pos:pos + cnt], c1[pos:pos + cnt], a, b, ls, period, phase)
-            pos += cnt
-            out[want[0]] = log_abs()
-            want = want[1:]
-        if pos < len(c2):
-            a, b, ls, phase = _kernels.signed_steps(
-                c2[pos:], c1[pos:], a, b, ls, period, phase)
-    return out
-
-
-def _noise_logs_at(model, gains, n_steps, stream, checkpoints, n0, period):
-    rng = stream.generator()
-    want = sorted(set(checkpoints))
-    out = {}
-    first_hop_coefficient(model, gains, rng)  # keep stream aligned with the signal run
-    if want and want[0] == 1:
-        out[1] = math.log(n0)
-        want = want[1:]
-    w0, w1, w2, ls, phase = 0.0, 0.0, 1.0, 0.0, 0
-    for start, e2, e1 in hop_coefficient_chunks(model, gains, rng, n_steps, _CHUNK_STEPS):
-        end = start + len(e2)
-        pos = 0
-        q2, q1 = e2 * e2, e1 * e1
-        while want and start <= want[0] < end:
-            cnt = want[0] - start + 1 - pos
-            w0, w1, w2, ls, phase = _kernels.noise_steps(
-                q2[pos:pos + cnt], q1[pos:pos + cnt], n0, w0, w1, w2, ls, period, phase)
-            pos += cnt
-            out[want[0]] = ls + math.log(w1)
-            want = want[1:]
-        if pos < len(q2):
-            w0, w1, w2, ls, phase = _kernels.noise_steps(
-                q2[pos:], q1[pos:], n0, w0, w1, w2, ls, period, phase)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # replica workers (module-level so they pickle for process pools)
 # ---------------------------------------------------------------------------
 
@@ -192,34 +93,36 @@ def _growth_replica(payload):
     model, gains, n, seed, sid, burn, i0, period, signed = payload
     # burn_in = 0 is the bare formula (1/n) * log value[n], source factor kept
     checkpoints = (n,) if burn == 0 else (burn, n)
-    attempt = 0
-    while True:
+    kind = SIGNED if signed else SIGNAL
+    for attempt in range(_MAX_RESTARTS + 1):
         stream = RngStream(seed, sid + attempt * _RESTART_STRIDE)
-        if signed:
-            logs = _signed_logs_at(model, gains, n, stream, checkpoints, period)
-        else:
-            logs = _info_logs_at(model, gains, n, stream, checkpoints, i0, period)
+        logs = logs_at(kind, model, gains, stream, checkpoints, i0=i0,
+                       renorm_period=period)
         lo, hi = (0.0 if burn == 0 else logs[burn]), logs[n]
+        # only the signed recursion reads -inf (an exact zero); positive
+        # recursions raise NumericalError instead
         if math.isfinite(lo) and math.isfinite(hi):
             return (hi - lo) / (n - burn)
-        attempt += 1
-        logger.warning(
-            "replica %d hit an exactly-zero value at a checkpoint; restarting "
-            "with offset stream (attempt %d)", sid, attempt)
-        if attempt > _MAX_RESTARTS:
-            raise RuntimeError(f"replica {sid}: degenerate zero values persist")
+        if attempt < _MAX_RESTARTS:
+            logger.warning(
+                "replica %d hit an exactly-zero value at a checkpoint; restarting "
+                "with offset stream (attempt %d)", sid, attempt + 1)
+    raise NumericalError(
+        f"replica {sid}: exactly-zero values persist after {_MAX_RESTARTS} restarts")
 
 
 def _tail_replica(payload):
     model, gains, n, seed, sid, i0, period = payload
     m = math.ceil(n / 2)
-    logs = _info_logs_at(model, gains, n, RngStream(seed, sid), (n - m, n), i0, period)
+    logs = logs_at(SIGNAL, model, gains, RngStream(seed, sid), (n - m, n), i0=i0,
+                   renorm_period=period)
     return (logs[n] - logs[n - m]) / m
 
 
 def _noise_replica(payload):
     model, gains, n, seed, sid, burn, n0, period = payload
-    logs = _noise_logs_at(model, gains, n, RngStream(seed, sid), (burn, n), n0, period)
+    logs = logs_at(NOISE, model, gains, RngStream(seed, sid), (burn, n), n0=n0,
+                   renorm_period=period)
     return (logs[n] - logs[burn]) / (n - burn)
 
 

@@ -1,11 +1,14 @@
 """CLI surface: config ingestion, subcommands, manifests, exit codes."""
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fibrelay import ConfigError, lambda_deterministic_closed_form
+from fibrelay import lyapunov as lyap_mod
 from fibrelay.cli import main
 from fibrelay.config import parse_config, read_config_file, resolve
 from fibrelay.manifest import canonical_digest, dumps_17g, load_manifest
@@ -195,3 +198,56 @@ class TestCommands:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "fibrelay" in out.stdout
+
+
+class TestNumericalFailures:
+    """Exit 0 with finite data, or exit 3 with a message, no traceback and
+    no data file; restarts are reserved for exact zeros of signed models."""
+
+    def _run(self, args, tmp_path, capsys, caplog):
+        with caplog.at_level("WARNING", logger="fibrelay"):
+            rc = main(args + ["--output-dir", str(tmp_path)])
+        assert not any("restarting" in rec.message for rec in caplog.records)
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["lyapunov", "--model", "deterministic:c=6.2", "--gain", "1", "--n", "5000",
+         "--replicas", "1", "--renorm-period", "1000"],
+        ["simulate", "--model", "deterministic:c=6.2", "--gain", "1", "--n", "3000",
+         "--renorm-period", "2000"],
+    ], ids=("lyapunov", "simulate"))
+    def test_long_renorm_period(self, args, tmp_path, capsys, caplog):
+        rc, err = self._run(args, tmp_path, capsys, caplog)
+        data = sorted(p for p in tmp_path.iterdir() if p.name != "manifest.json")
+        if rc == 3:
+            assert "renorm_period" in err and not data
+            return
+        assert rc == 0 and data
+        for path in data:
+            if path.suffix == ".csv":
+                values = np.loadtxt(path, delimiter=",", skiprows=1)
+                assert np.all(np.isfinite(values))
+            else:
+                assert math.isfinite(json.loads(path.read_text())["lambda_hat"])
+
+    @pytest.mark.parametrize("args", [
+        # a coefficient of 1e300 overflows within three unrenormalized steps
+        ["lyapunov", "--model", "deterministic:c=1e300", "--n", "2000",
+         "--replicas", "1", "--renorm-period", "3"],
+        # a coefficient of 1e200 squares to inf in the noise cocycle
+        ["simulate", "--model", "deterministic:c=1e200", "--n", "50"],
+    ], ids=("lyapunov", "simulate"))
+    def test_forced_overflow_exits_3(self, args, tmp_path, capsys, caplog):
+        rc, err = self._run(args, tmp_path, capsys, caplog)
+        assert rc == 3
+        assert err.startswith("error:") and "renorm_period" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_persistent_zero_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(lyap_mod, "logs_at",
+                            lambda kind, model, gains, stream, checkpoints, **kw:
+                            {c: -math.inf for c in checkpoints})
+        rc = main(["lyapunov", "--model", "signed:p=0.5", "--validation",
+                   "--n", "2000", "--replicas", "1"])
+        assert rc == 3
+        assert "zero" in capsys.readouterr().err

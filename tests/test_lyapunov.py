@@ -139,15 +139,15 @@ class TestSignedValidationMode:
 
     def test_zero_checkpoint_restarts_replica(self, monkeypatch, caplog):
         calls = {"n": 0}
-        real = lyap_mod._signed_logs_at
+        real = lyap_mod.logs_at
 
-        def flaky(model, gains, n_steps, stream, checkpoints, period):
+        def flaky(kind, model, gains, stream, checkpoints, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 return {c: -math.inf for c in checkpoints}
-            return real(model, gains, n_steps, stream, checkpoints, period)
+            return real(kind, model, gains, stream, checkpoints, **kwargs)
 
-        monkeypatch.setattr(lyap_mod, "_signed_logs_at", flaky)
+        monkeypatch.setattr(lyap_mod, "logs_at", flaky)
         with caplog.at_level("WARNING", logger="fibrelay"):
             est = estimate_lambda(SignedBernoulli(0.5), ConstantGain(1.0), 2000, 1,
                                   SEED, validation=True)
