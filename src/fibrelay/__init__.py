@@ -12,19 +12,7 @@ __version__ = "0.1.0"
 # cocycle first: it is the largest module, and when it is compiled from
 # source (no bytecode cache) its parse tree is the biggest transient of the
 # import; compiled before numpy and scipy load, it does not raise peak memory
-from .cocycle import (
-    CSV_HEADER,
-    InfoCocycleState,
-    NetworkConfig,
-    NoiseCocycleState,
-    Trajectory,
-    init_info,
-    initial_noise_state,
-    renormalize,
-    run_trajectory,
-    step_info,
-    step_noise,
-)
+from .cocycle import CSV_HEADER, NetworkConfig, Trajectory, run_trajectory
 from .calibrate import CalibrationResult, bracket_expand, find_zero_lyapunov_gain
 from .coeffs import (
     CoefficientModel,
@@ -46,7 +34,6 @@ from .coeffs import (
 )
 from .errors import (
     ConfigError,
-    DegenerateStateError,
     NumericalError,
     UnbracketableError,
     ValidationOnlyModelError,
@@ -59,8 +46,7 @@ from .laws import (
     default_burn_in,
     simulate_capacity_ensemble,
     slope_estimate,
-    verify_capacity_law,
-    verify_power_law,
+    verify_laws,
 )
 from .lyapunov import (
     GROWTH_RATE,
@@ -75,18 +61,16 @@ from .metrics import capacity_nats, log_capacity_nats, snr_log, transmit_power_l
 __all__ = [
     "__version__",
     "CalibrationResult", "bracket_expand", "find_zero_lyapunov_gain",
-    "CSV_HEADER", "InfoCocycleState", "NetworkConfig", "NoiseCocycleState",
-    "Trajectory", "init_info", "initial_noise_state", "renormalize",
-    "run_trajectory", "step_info", "step_noise",
+    "CSV_HEADER", "NetworkConfig", "Trajectory", "run_trajectory",
     "CoefficientModel", "ConstantGain", "Deterministic", "GainPolicy",
     "LogNormal", "PerNodeGain", "Rayleigh", "RngStream", "SignedBernoulli",
     "Uniform", "expected_log_eta", "expected_log_eta_mc", "parse_gains",
     "parse_model", "sample_eta", "sample_eta_batch",
-    "ConfigError", "DegenerateStateError", "NumericalError", "UnbracketableError",
+    "ConfigError", "NumericalError", "UnbracketableError",
     "ValidationOnlyModelError",
     "LawReport", "SlopeFit", "ThetaBandCheck", "check_theta_p",
     "default_burn_in", "simulate_capacity_ensemble", "slope_estimate",
-    "verify_capacity_law", "verify_power_law",
+    "verify_laws",
     "GROWTH_RATE", "TAIL_RATIO", "LyapunovEstimate", "estimate_lambda",
     "estimate_noise_exponent", "lambda_deterministic_closed_form",
     "capacity_nats", "log_capacity_nats", "snr_log", "transmit_power_log",

@@ -18,7 +18,7 @@ from .coeffs import ConstantGain
 from .cocycle import run_trajectory
 from .config import RunParams, parse_config
 from .errors import ConfigError, NumericalError, UnbracketableError
-from .laws import verify_capacity_law, verify_power_law
+from .laws import verify_laws
 from .lyapunov import estimate_lambda
 from .manifest import MANIFEST_FILENAME, RunManifest, dumps_17g
 
@@ -168,12 +168,11 @@ def cmd_calibrate(params: RunParams, output_dir) -> int:
 
 
 def cmd_verify(params: RunParams, output_dir) -> int:
-    config = params.network_config()
-    kwargs = dict(tolerance_sigma=params.tolerance_sigma, slope_tol=params.slope_tol,
-                  burn_in=params.burn_in, renorm_period=params.renorm_period,
-                  workers=params.workers)
-    cap = verify_capacity_law(config, params.n, params.replicas, **kwargs)
-    pwr = verify_power_law(config, params.n, params.replicas, **kwargs)
+    cap, pwr = verify_laws(
+        params.network_config(), params.n, params.replicas,
+        tolerance_sigma=params.tolerance_sigma, slope_tol=params.slope_tol,
+        burn_in=params.burn_in, renorm_period=params.renorm_period,
+        workers=params.workers)
 
     table = io.StringIO()
     table.write(f"{'law':<10}{'predicted':>14}{'measured':>14}{'std_err':>12}"

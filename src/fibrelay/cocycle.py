@@ -40,9 +40,11 @@ from .coeffs import (
     first_hop_coefficient,
     hop_coefficient_chunks,
 )
-from .errors import ConfigError, DegenerateStateError, NumericalError
+from .errors import ConfigError, NumericalError
 
 CSV_HEADER = "n,log_I_sq,log_N_sq,log_snr,capacity_nats,log_X_sq"
+# 17 significant digits round-trip every double
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 # steps drawn and pushed per engine call; bounds the memory of long chains
 _CHUNK_STEPS = 1 << 19
@@ -79,101 +81,6 @@ class NetworkConfig:
         if int(self.n_nodes) != self.n_nodes or self.n_nodes < 2:
             raise ConfigError(f"n_nodes must be an integer >= 2, got {self.n_nodes}")
         self.gains.require_length(self.n_nodes)
-
-
-@dataclass(frozen=True)
-class InfoCocycleState:
-    """Renormalized (value[n-1], value[n]) pair with accumulated log-scale."""
-
-    u_prev: float
-    u_cur: float
-    log_scale: float
-    n: int = 1
-
-    def log_value(self) -> float:
-        """Recovered log of the node-n magnitude."""
-        return self.log_scale + math.log(self.u_cur)
-
-
-@dataclass(frozen=True)
-class NoiseCocycleState:
-    """Renormalized (noise[n-1], noise[n], const) triple with log-scale.
-
-    The raw third component is identically 1; after renormalization
-    ``log_scale + log(w[2])`` stays 0 up to accumulated rounding while the
-    scale is within double range.  In a growing cocycle the renormalized
-    constant slot eventually underflows, at which point the per-step floor
-    injection is hundreds of orders below the resolution of the other
-    components and its loss is exact in double arithmetic.
-    """
-
-    w: tuple
-    log_scale: float
-    n: int = 1
-
-    def log_noise_sq(self) -> float:
-        if self.w[1] == 0.0:
-            return -math.inf
-        return self.log_scale + math.log(self.w[1])
-
-
-def init_info(i0: float, eta01: float) -> InfoCocycleState:
-    """State encoding the raw vector (i0, eta01*i0), renormalized."""
-    if not (i0 > 0.0):
-        raise ConfigError(f"i0 must be positive, got {i0}")
-    if not (eta01 > 0.0):
-        raise ConfigError(f"eta01 must be positive, got {eta01}")
-    a = i0
-    b = eta01 * i0
-    m = a if a >= b else b
-    return InfoCocycleState(a / m, b / m, math.log(m), n=1)
-
-
-def step_info(state: InfoCocycleState, eta_2: float, eta_1: float) -> InfoCocycleState:
-    """Advance one node: new value = eta_2*value[n-2] + eta_1*value[n-1]."""
-    if not (eta_2 > 0.0 and eta_1 > 0.0):
-        raise ConfigError("hop coefficients must be positive")
-    a, b, ls, _ = _kernels.info_steps(
-        np.array([eta_2]), np.array([eta_1]),
-        state.u_prev, state.u_cur, state.log_scale, 1, 0,
-    )
-    return InfoCocycleState(a, b, ls, state.n + 1)
-
-
-def step_noise(state: NoiseCocycleState, eta_2_sq: float, eta_1_sq: float,
-               n0: float) -> NoiseCocycleState:
-    """Apply the 3x3 noise update verbatim (n0 = 0 degenerates cleanly)."""
-    if not (eta_2_sq > 0.0 and eta_1_sq > 0.0):
-        raise ConfigError("squared hop coefficients must be positive")
-    if n0 < 0.0:
-        raise ConfigError(f"n0 must be nonnegative, got {n0}")
-    w0, w1, w2 = state.w
-    w0, w1, w2, ls, _ = _kernels.noise_steps(
-        np.array([eta_2_sq]), np.array([eta_1_sq]), n0,
-        w0, w1, w2, state.log_scale, 1, 0,
-    )
-    return NoiseCocycleState((w0, w1, w2), ls, state.n + 1)
-
-
-def initial_noise_state() -> NoiseCocycleState:
-    return NoiseCocycleState((0.0, 0.0, 1.0), 0.0, n=1)
-
-
-def renormalize(state):
-    """Rescale components by their max; recovered quantities unchanged."""
-    if isinstance(state, InfoCocycleState):
-        m = max(state.u_prev, state.u_cur)
-        if m <= 0.0:
-            raise DegenerateStateError("cannot renormalize an all-zero state")
-        return InfoCocycleState(state.u_prev / m, state.u_cur / m,
-                                state.log_scale + math.log(m), state.n)
-    if isinstance(state, NoiseCocycleState):
-        m = max(state.w)
-        if m <= 0.0:
-            raise DegenerateStateError("cannot renormalize an all-zero state")
-        return NoiseCocycleState(tuple(w / m for w in state.w),
-                                 state.log_scale + math.log(m), state.n)
-    raise TypeError(f"not a cocycle state: {type(state).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +302,12 @@ class _Walk:
 
 
 def _signal_walk(i0: float, eta01: float, period: int) -> _Walk:
-    state = init_info(i0, eta01)
-    walk = _Walk(SIGNAL, (state.u_prev, state.u_cur), period)
-    walk.log_scale = state.log_scale
-    return walk
+    """Signal walk from the raw vector (i0, eta01 * i0)."""
+    if not (i0 > 0.0):
+        raise ConfigError(f"i0 must be positive, got {i0}")
+    if not (eta01 > 0.0):
+        raise ConfigError(f"eta01 must be positive, got {eta01}")
+    return _Walk(SIGNAL, (i0, eta01 * i0), period)
 
 
 def logs_at(kind: str, model: CoefficientModel, gains: GainPolicy, stream: RngStream,
@@ -464,9 +373,8 @@ class Trajectory:
         fh.write(CSV_HEADER + "\n")
         cols = (self.log_i_sq, self.log_n_sq, self.log_snr,
                 self.capacity_nats, self.log_x_sq)
-        for idx in range(len(self.log_i_sq)):
-            row = ",".join(f"{c[idx]:.17g}" for c in cols)
-            fh.write(f"{idx + 1},{row}\n")
+        rows = zip(range(1, len(self.log_i_sq) + 1), *(c.tolist() for c in cols))
+        fh.writelines(_CSV_ROW % row for row in rows)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

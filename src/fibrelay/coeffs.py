@@ -88,7 +88,7 @@ class Deterministic(CoefficientModel):
             raise ConfigError(f"deterministic c must be positive, got {self.c}")
 
     def transform_uniforms(self, u):
-        return np.full(u.shape, self.c)
+        return np.full(u.shape, float(self.c))
 
     def expected_log_magnitude(self):
         return math.log(self.c)

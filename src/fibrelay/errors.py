@@ -9,10 +9,6 @@ class ValidationOnlyModelError(ValueError):
     """A validation-only coefficient model was passed to a production operation."""
 
 
-class DegenerateStateError(ValueError):
-    """Cocycle state has no positive component to renormalize by."""
-
-
 class UnbracketableError(RuntimeError):
     """Gain expansion found no sign change of the growth-rate estimate."""
 

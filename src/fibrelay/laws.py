@@ -8,6 +8,10 @@ would understate the error given within-trajectory correlation), and a
 report is consistent when the measured slope sits within a sigma band of
 the prediction, with an absolute floor so exactly-converged deterministic
 runs (replica spread zero) are judged at a sane tolerance.
+
+Both predictions rest on one growth rate, so a verification is one pass per
+replica: a single trajectory gives the replica's growth-rate value, its
+capacity slope and its power slope.
 """
 from __future__ import annotations
 
@@ -21,7 +25,13 @@ from . import metrics
 from ._parallel import map_ordered
 from .cocycle import NetworkConfig, run_trajectory
 from .errors import ConfigError
-from .lyapunov import LyapunovEstimate, estimate_lambda
+from .lyapunov import (
+    DEFAULT_BURN_IN,
+    GROWTH_RATE,
+    MIN_GROWTH_STEPS,
+    LyapunovEstimate,
+    _reduce,
+)
 
 CAPACITY = "capacity"
 POWER = "power"
@@ -119,74 +129,52 @@ class LawReport:
         }
 
 
-def _slope_replica(payload):
-    config, sid, which, burn, period = payload
+def _capacity_series(payload):
+    config, sid, period = payload
     traj = run_trajectory(config, sid, renorm_period=period)
-    if which == CAPACITY:
-        # log of the capacity via the log-domain helper: the raw capacity
-        # column underflows once the SNR exponent is strongly negative
-        series = metrics.log_capacity_nats(traj.log_snr)
-    else:
-        series = traj.log_x_sq
-    fit = slope_estimate(series, burn)
-    return fit.slope, fit.intercept, fit.n_points
-
-
-def _series_replica(payload):
-    config, sid, which, period = payload
-    traj = run_trajectory(config, sid, renorm_period=period)
-    if which == CAPACITY:
-        return metrics.log_capacity_nats(traj.log_snr)
-    return traj.log_x_sq
-
-
-def capacity_log_series(config: NetworkConfig, stream_id: int = 0,
-                        renorm_period: int = 1) -> np.ndarray:
-    """Per-node log c_n series for one replica."""
-    return _series_replica((config, stream_id, CAPACITY, renorm_period))
+    return metrics.log_capacity_nats(traj.log_snr)
 
 
 def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: int,
                                *, renorm_period: int = 1, workers: int = 1) -> np.ndarray:
     """Replicas-by-nodes matrix of log c_n, for band checks."""
     cfg = dataclasses.replace(config, n_nodes=int(n_steps))
-    payloads = [(cfg, sid, CAPACITY, renorm_period) for sid in range(n_replicas)]
-    return np.vstack(map_ordered(_series_replica, payloads, workers))
+    payloads = [(cfg, sid, renorm_period) for sid in range(n_replicas)]
+    return np.vstack(map_ordered(_capacity_series, payloads, workers))
 
 
-def _verify_law(config, n_steps, n_replicas, which, tolerance_sigma, slope_tol,
-                burn_in, renorm_period, workers):
-    n_steps = int(n_steps)
-    burn = default_burn_in(n_steps) if burn_in is None else int(burn_in)
-    lam = estimate_lambda(config.model, config.gains, n_steps, n_replicas,
-                          config.master_seed, i0=config.i0,
-                          renorm_period=renorm_period, workers=workers)
-    two_lam = 2.0 * lam.lambda_hat
-    if which == CAPACITY:
-        predicted = min(0.0, two_lam)
-        pred_se = 2.0 * lam.std_err if two_lam < 0.0 else 0.0
-    else:
-        predicted = max(0.0, two_lam)
-        pred_se = 2.0 * lam.std_err if two_lam > 0.0 else 0.0
+def _verify_replica(payload):
+    """Growth-rate value and both slope fits from one replica's trajectory."""
+    config, sid, burn, period = payload
+    traj = run_trajectory(config, sid, renorm_period=period)
+    # the growth-rate estimator's replica value at its default burn-in
+    # (log_i_sq is twice the log of the signal magnitude)
+    rise = traj.log_i_sq[-1] - traj.log_i_sq[DEFAULT_BURN_IN - 1]
+    lam = 0.5 * rise / (config.n_nodes - DEFAULT_BURN_IN)
+    # log of the capacity via the log-domain helper: the raw capacity column
+    # underflows once the SNR exponent is strongly negative
+    capacity = slope_estimate(metrics.log_capacity_nats(traj.log_snr), burn)
+    power = slope_estimate(traj.log_x_sq, burn)
+    return float(lam), capacity, power
 
-    cfg = dataclasses.replace(config, n_nodes=n_steps)
-    payloads = [(cfg, sid, which, burn, renorm_period) for sid in range(n_replicas)]
-    fits = map_ordered(_slope_replica, payloads, workers)
-    slopes = np.array([f[0] for f in fits])
+
+def _law_report(law, predicted, pred_se, fits, lam, burn, tolerance_sigma,
+                slope_tol) -> LawReport:
+    slopes = np.array([f.slope for f in fits])
     slope = float(slopes.mean())
     slope_se = float(slopes.std(ddof=1) / math.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
     measured = SlopeFit(
         slope=slope,
-        intercept=float(np.mean([f[1] for f in fits])),
+        intercept=float(np.mean([f.intercept for f in fits])),
         std_err=slope_se,
-        n_points=fits[0][2],
+        n_points=fits[0].n_points,
         burn_in=burn,
     )
     combined = math.hypot(slope_se, pred_se)
     band = max(tolerance_sigma * combined, slope_tol)
     verdict = "consistent" if abs(slope - predicted) <= band else "inconsistent"
     return LawReport(
-        law=which,
+        law=law,
         predicted_exponent=predicted,
         measured=measured,
         lambda_estimate=lam,
@@ -197,24 +185,38 @@ def _verify_law(config, n_steps, n_replicas, which, tolerance_sigma, slope_tol,
     )
 
 
-def verify_capacity_law(config: NetworkConfig, n_steps: int, n_replicas: int,
-                        *, tolerance_sigma: float = DEFAULT_TOLERANCE_SIGMA,
-                        slope_tol: float = DEFAULT_SLOPE_TOL,
-                        burn_in: int | None = None, renorm_period: int = 1,
-                        workers: int = 1) -> LawReport:
-    """Compare the fitted slope of log c_n with min{0, 2*lambda_hat}."""
-    return _verify_law(config, n_steps, n_replicas, CAPACITY, tolerance_sigma,
-                       slope_tol, burn_in, renorm_period, workers)
+def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
+                *, tolerance_sigma: float = DEFAULT_TOLERANCE_SIGMA,
+                slope_tol: float = DEFAULT_SLOPE_TOL,
+                burn_in: int | None = None, renorm_period: int = 1,
+                workers: int = 1) -> tuple[LawReport, LawReport]:
+    """Check both scaling laws; return the (capacity, power) reports.
 
-
-def verify_power_law(config: NetworkConfig, n_steps: int, n_replicas: int,
-                     *, tolerance_sigma: float = DEFAULT_TOLERANCE_SIGMA,
-                     slope_tol: float = DEFAULT_SLOPE_TOL,
-                     burn_in: int | None = None, renorm_period: int = 1,
-                     workers: int = 1) -> LawReport:
-    """Compare the fitted slope of log X_n^2 with max{0, 2*lambda_hat}."""
-    return _verify_law(config, n_steps, n_replicas, POWER, tolerance_sigma,
-                       slope_tol, burn_in, renorm_period, workers)
+    The fitted slope of log c_n is compared with min{0, 2*lambda_hat} and
+    that of log X_n^2 with max{0, 2*lambda_hat}.  Each replica runs one
+    trajectory, which gives its growth-rate value (as ``estimate_lambda``
+    with the default burn-in) and both slopes.
+    """
+    n_steps = int(n_steps)
+    if n_replicas < 1:
+        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
+    if n_steps < MIN_GROWTH_STEPS:
+        raise ConfigError(
+            f"growth_rate needs n_steps >= {MIN_GROWTH_STEPS}, got {n_steps}")
+    # NetworkConfig checks the gain policy covers all n_steps nodes
+    cfg = dataclasses.replace(config, n_nodes=n_steps)
+    burn = default_burn_in(n_steps) if burn_in is None else int(burn_in)
+    payloads = [(cfg, sid, burn, renorm_period) for sid in range(n_replicas)]
+    values, capacity, power = zip(*map_ordered(_verify_replica, payloads, workers))
+    lam = _reduce(values, n_steps, GROWTH_RATE)
+    two_lam, two_se = 2.0 * lam.lambda_hat, 2.0 * lam.std_err
+    common = (lam, burn, tolerance_sigma, slope_tol)
+    return (
+        _law_report(CAPACITY, min(0.0, two_lam), two_se if two_lam < 0.0 else 0.0,
+                    capacity, *common),
+        _law_report(POWER, max(0.0, two_lam), two_se if two_lam > 0.0 else 0.0,
+                    power, *common),
+    )
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ from fibrelay import (
     parse_model,
     run_trajectory,
     simulate_capacity_ensemble,
-    verify_capacity_law,
-    verify_power_law,
+    verify_laws,
 )
 from fibrelay import TAIL_RATIO
 from fibrelay.cli import main
@@ -124,8 +123,8 @@ def test_criterion_3_noise_exponent_identity():
 def test_criterion_4_capacity_slope():
     """Capacity decays at 2*lambda for a shrinking chain, stays flat for a
     growing one."""
-    decay = verify_capacity_law(_cfg(Deterministic(0.2), 1.0), 10_000, 32)
-    flat = verify_capacity_law(_cfg(Deterministic(1.0), 1.0), 10_000, 32)
+    decay, _ = verify_laws(_cfg(Deterministic(0.2), 1.0), 10_000, 32)
+    flat, _ = verify_laws(_cfg(Deterministic(1.0), 1.0), 10_000, 32)
     rel = abs(decay.measured.slope - TWO_LAM_02) / abs(TWO_LAM_02)
     ok_flat = abs(flat.measured.slope) <= 0.01
     _check(rel <= 0.01 and ok_flat,
@@ -137,8 +136,8 @@ def test_criterion_4_capacity_slope():
 def test_criterion_5_power_slope():
     """Transmit power grows at 2*lambda for a growing chain, stays flat for a
     shrinking one."""
-    grow = verify_power_law(_cfg(Deterministic(1.0), 1.0), 10_000, 32)
-    flat = verify_power_law(_cfg(Deterministic(0.2), 1.0), 10_000, 32)
+    _, grow = verify_laws(_cfg(Deterministic(1.0), 1.0), 10_000, 32)
+    _, flat = verify_laws(_cfg(Deterministic(0.2), 1.0), 10_000, 32)
     rel = abs(grow.measured.slope - TWO_LAM_1) / TWO_LAM_1
     ok_flat = abs(flat.measured.slope) <= 0.01
     _check(rel <= 0.01 and ok_flat,
@@ -158,8 +157,7 @@ def test_criterion_6_zero_growth_construction(rayleigh_calibration):
         ok &= res.converged and err <= 1e-3
         details.append(f"c={c}: g*={res.g_star:.6f} (|err| {err:.1e} <=1e-3)")
         cfg = _cfg(Deterministic(c), res.g_star, seed=SEED + 1)
-        cap = verify_capacity_law(cfg, 10_000, 32)
-        pwr = verify_power_law(cfg, 10_000, 32)
+        cap, pwr = verify_laws(cfg, 10_000, 32)
         ok &= abs(cap.predicted_exponent) <= 2e-3 and abs(pwr.predicted_exponent) <= 2e-3
         ok &= abs(cap.measured.slope) <= 0.01 and abs(pwr.measured.slope) <= 0.01
         ok &= cap.consistent and pwr.consistent

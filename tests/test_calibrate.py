@@ -15,8 +15,7 @@ from fibrelay import (
     bracket_expand,
     estimate_lambda,
     find_zero_lyapunov_gain,
-    verify_capacity_law,
-    verify_power_law,
+    verify_laws,
 )
 
 from conftest import SEED
@@ -125,8 +124,7 @@ class TestPostCalibrationLaws:
         res = find_zero_lyapunov_gain(model, 1e-3, 10_000, 8, SEED)
         cfg = NetworkConfig(model, ConstantGain(res.g_star), n_nodes=2,
                             master_seed=SEED + 1)
-        cap = verify_capacity_law(cfg, 10_000, 32)
-        pwr = verify_power_law(cfg, 10_000, 32)
+        cap, pwr = verify_laws(cfg, 10_000, 32)
         # the residual growth-rate estimate at g_star is within tol of zero,
         # so both predicted exponents collapse to ~0
         assert abs(cap.predicted_exponent) <= 0.01

@@ -173,6 +173,18 @@ class TestCommands:
                    "--tolerance-sigma", "1e-6"])
         assert rc == 1
 
+    def test_verify_below_minimum_steps(self, capsys):
+        rc = main(["verify", "--model", "rayleigh:mu=1", "--gain", "0.6",
+                   "--n", "500", "--replicas", "2"])
+        assert rc == 2
+        assert "1000" in capsys.readouterr().err
+
+    def test_verify_burn_in_leaves_too_few_points(self, capsys):
+        rc = main(["verify", "--model", "rayleigh:mu=1", "--gain", "0.6",
+                   "--n", "2000", "--replicas", "2", "--burn-in", "1995"])
+        assert rc == 2
+        assert "burn_in 1995" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["lyapunov", "--model", "deterministic:c=1",
                      "--gain", "-1"]) == 2

@@ -1,4 +1,4 @@
-"""Cocycle engine: state operations, trajectories, and the high-precision oracle."""
+"""Cocycle engine: start states, exact steps, trajectories, CSV and the oracle."""
 import io
 import math
 
@@ -9,95 +9,109 @@ from fibrelay import (
     CSV_HEADER,
     ConfigError,
     ConstantGain,
-    DegenerateStateError,
     Deterministic,
-    InfoCocycleState,
     NetworkConfig,
-    NoiseCocycleState,
+    NumericalError,
     PerNodeGain,
     Rayleigh,
     RngStream,
     SignedBernoulli,
+    Trajectory,
     estimate_lambda,
-    init_info,
-    initial_noise_state,
     lambda_deterministic_closed_form,
-    renormalize,
     run_trajectory,
-    step_info,
-    step_noise,
 )
 from fibrelay import _kernels
+from fibrelay.cocycle import NOISE, SIGNAL, _signal_walk, _Walk, logs_at
 
 from conftest import SEED, mp_oracle_logs
 
 
+def _det_logs(kind, c, nodes, i0=1.0, renorm_period=1):
+    """Engine logs at ``nodes`` of a chain whose every coefficient is c."""
+    return logs_at(kind, Deterministic(c), ConstantGain(1.0), RngStream(SEED, 0), nodes,
+                   i0=i0, renorm_period=renorm_period)
+
+
 class TestInitInfo:
+    """The signal walk starts from the raw vector (i0, eta01 * i0)."""
+
     def test_identity_start(self):
-        s = init_info(1.0, 1.0)
-        assert (s.u_prev, s.u_cur, s.log_scale) == (1.0, 1.0, 0.0)
+        walk = _signal_walk(1.0, 1.0, 1)
+        assert (walk.vec, walk.log_scale) == ([1.0, 1.0], 0.0)
+        assert _det_logs(SIGNAL, 1.0, [1]) == {1: 0.0}
 
     def test_renormalizes_by_max(self):
-        s = init_info(1.0, 2.0)
-        assert (s.u_prev, s.u_cur) == (0.5, 1.0)
-        assert s.log_scale == pytest.approx(math.log(2.0), abs=1e-15)
+        walk = _signal_walk(1.0, 2.0, 1)
+        assert walk.vec == [0.5, 1.0]
+        assert walk.log_scale == pytest.approx(math.log(2.0), abs=1e-15)
+        # start (1, 2): the node-1 value is 2
+        assert _det_logs(SIGNAL, 2.0, [1])[1] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_decaying_start(self):
-        s = init_info(2.0, 0.5)
-        assert (s.u_prev, s.u_cur) == (1.0, 0.5)
-        assert s.log_scale == pytest.approx(math.log(2.0), abs=1e-15)
+        walk = _signal_walk(2.0, 0.5, 1)
+        assert walk.vec == [1.0, 0.5]
+        assert walk.log_scale == pytest.approx(math.log(2.0), abs=1e-15)
+        # start (2, 1), then 0.5 * 2 + 0.5 * 1 = 1.5 at node 2
+        logs = _det_logs(SIGNAL, 0.5, [1, 2], i0=2.0)
+        assert logs[1] == pytest.approx(0.0, abs=1e-15)
+        assert logs[2] == pytest.approx(math.log(1.5), abs=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
-            init_info(0.0, 1.0)
+            estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 2000, 1, SEED, i0=0.0)
         with pytest.raises(ConfigError):
-            init_info(1.0, -1.0)
+            _det_logs(SIGNAL, 1.0, [5], i0=-1.0)
+        with pytest.raises(ConfigError):
+            _signal_walk(1.0, -1.0, 1)
 
 
 class TestStepInfo:
     def test_deterministic_fibonacci(self):
         """Unit coefficients reproduce 1, 1, 2, 3, 5."""
-        s = init_info(1.0, 1.0)
-        expected = [2.0, 3.0, 5.0]
-        for want in expected:
-            s = step_info(s, 1.0, 1.0)
-            assert math.exp(s.log_value()) == pytest.approx(want, rel=1e-12)
-        assert s.n == 4
+        logs = _det_logs(SIGNAL, 1.0, [1, 2, 3, 4])
+        values = [math.exp(logs[n]) for n in (1, 2, 3, 4)]
+        assert values == pytest.approx([1.0, 2.0, 3.0, 5.0], rel=1e-12)
+        traj = run_trajectory(_det_config(1.0, 1.0, 4))
+        assert np.exp(traj.log_i_sq / 2) == pytest.approx([1.0, 2.0, 3.0, 5.0], rel=1e-12)
 
     def test_direct_substitution(self):
-        s = step_info(init_info(1.0, 1.0), 0.2, 0.2)
-        assert s.log_value() == pytest.approx(math.log(0.4), abs=1e-12)
+        # start (1, 0.2); node 2: 0.2 * 1 + 0.2 * 0.2 = 0.24
+        assert _det_logs(SIGNAL, 0.2, [2])[2] == pytest.approx(math.log(0.24), abs=1e-12)
 
     def test_state_stays_renormalized(self):
-        s = init_info(1.0, 3.7)
+        walk = _signal_walk(1.0, 3.7, 1)
         for _ in range(50):
-            s = step_info(s, 0.9, 1.4)
-            assert max(s.u_prev, s.u_cur) == 1.0
-            assert s.u_prev > 0 and s.u_cur > 0
+            walk.advance(np.array([0.9]), np.array([1.4]))
+            assert max(walk.vec) == 1.0 and min(walk.vec) > 0.0
+        walk.advance(np.full(50, 0.9), np.full(50, 1.4))
+        assert max(walk.vec) == 1.0 and min(walk.vec) > 0.0
 
 
 class TestStepNoise:
     def test_first_application(self):
-        s = step_noise(initial_noise_state(), 4.0, 9.0, 1.0)
-        # raw triple (1, 1, 1) regardless of the coefficients
-        assert s.w == (1.0, 1.0, 1.0)
-        assert s.log_scale == 0.0
-        assert s.log_noise_sq() == 0.0
+        """Node 1 holds n0 and the first 3x3 step gives the raw triple
+        (1, 1, 1) whatever the coefficients: noise 1 at node 2."""
+        for c in (2.0, 3.0):
+            assert _det_logs(NOISE, c, [1, 2]) == {1: 0.0, 2: 0.0}
 
     def test_second_application_unit(self):
-        s = step_noise(initial_noise_state(), 1.0, 1.0, 1.0)
-        s = step_noise(s, 1.0, 1.0, 1.0)
-        # raw triple (2, 3, 1): hand product of the 3x3 update
-        assert s.log_noise_sq() == pytest.approx(math.log(3.0), abs=1e-12)
-        assert s.log_scale + math.log(s.w[0]) == pytest.approx(math.log(2.0), abs=1e-12)
-        assert s.log_scale + math.log(s.w[2]) == pytest.approx(0.0, abs=1e-12)
+        # raw triples (1, 1, 1) -> (2, 3, 1) -> (4, 6, 1) for unit coefficients
+        want = [0.0, math.log(3.0), math.log(6.0)]
+        logs = _det_logs(NOISE, 1.0, [2, 3, 4])
+        assert [logs[n] for n in (2, 3, 4)] == pytest.approx(want, abs=1e-12)
+        traj = run_trajectory(_det_config(1.0, 1.0, 4))
+        assert traj.log_n_sq[1:] == pytest.approx(want, abs=1e-12)
 
     def test_zero_noise_floor_stays_degenerate(self):
-        s = initial_noise_state()
+        """With n0 = 0 (which NetworkConfig rejects) the noise state never
+        leaves (0, 0, 1) and has no log to read."""
+        walk = _Walk(NOISE, (0.0, 0.0, 1.0), 1, n0=0.0)
         for _ in range(5):
-            s = step_noise(s, 1.3, 0.7, 0.0)
-            assert s.w == (0.0, 0.0, 1.0)
-        assert s.log_noise_sq() == -math.inf
+            walk.advance(np.array([1.3]), np.array([0.7]))
+            assert walk.vec == [0.0, 0.0, 1.0]
+        with pytest.raises(NumericalError):
+            walk.log_value()
 
     @pytest.mark.parametrize("lo,hi,n", [(0.05, 0.35, 2000), (0.1, 3.1, 600)],
                              ids=("bounded", "growing"))
@@ -114,30 +128,40 @@ class TestStepNoise:
 
 
 class TestRenormalize:
+    """Walk states are scaled so the largest magnitude is 1."""
+
     def test_scales_by_max(self):
-        s = renormalize(InfoCocycleState(2.0, 4.0, 0.0, n=3))
-        assert (s.u_prev, s.u_cur) == (0.5, 1.0)
-        assert s.log_scale == pytest.approx(math.log(4.0), abs=1e-15)
+        walk = _Walk(SIGNAL, (2.0, 4.0), 1)
+        assert walk.vec == [0.5, 1.0]
+        assert walk.log_scale == pytest.approx(math.log(4.0), abs=1e-15)
+        # start (2, 4): the node-1 value is 4
+        assert _det_logs(SIGNAL, 2.0, [1], i0=2.0)[1] == pytest.approx(
+            math.log(4.0), abs=1e-15)
 
     def test_identity_case(self):
-        s = renormalize(InfoCocycleState(1.0, 1.0, 2.5, n=2))
-        assert (s.u_prev, s.u_cur, s.log_scale) == (1.0, 1.0, 2.5)
+        walk = _Walk(SIGNAL, (1.0, 1.0), 1)
+        assert (walk.vec, walk.log_scale) == ([1.0, 1.0], 0.0)
 
     def test_constant_slot_is_max(self):
-        s = renormalize(NoiseCocycleState((0.0, 0.0, 1.0), 0.0))
-        assert s.w == (0.0, 0.0, 1.0)
-        assert s.log_scale == 0.0
+        walk = _Walk(NOISE, (0.0, 0.0, 1.0), 1, n0=1.0)
+        assert (walk.vec, walk.log_scale) == ([0.0, 0.0, 1.0], 0.0)
 
     def test_all_zero_raises(self):
-        with pytest.raises(DegenerateStateError):
-            renormalize(InfoCocycleState(0.0, 0.0, 0.0))
-        with pytest.raises(DegenerateStateError):
-            renormalize(NoiseCocycleState((0.0, 0.0, 0.0), 0.0))
+        """A state that underflows to all zeros between renormalizations
+        cannot be renormalized: 1e-200 squared is 0 in double."""
+        with pytest.raises(NumericalError, match="renorm_period"):
+            _det_logs(SIGNAL, 1e-200, [50], renorm_period=3)
+        with pytest.raises(NumericalError):
+            run_trajectory(_det_config(1e-200, 1.0, 50), renorm_period=3)
 
     def test_preserves_recovered_quantities(self):
-        s = InfoCocycleState(0.3, 0.9, 1.7, n=5)
-        r = renormalize(s)
-        assert r.log_value() == pytest.approx(s.log_value(), abs=1e-12)
+        """Recovered logs do not depend on how often the state is rescaled."""
+        nodes = [1, 2, 7, 50, 333]
+        for kind in (SIGNAL, NOISE):
+            every = _det_logs(kind, 1.3, nodes, renorm_period=1)
+            sparse = _det_logs(kind, 1.3, nodes, renorm_period=5)
+            for n in nodes:
+                assert sparse[n] == pytest.approx(every[n], abs=1e-12)
 
 
 def _det_config(c, g, n_nodes, n0=1.0, seed=SEED):
@@ -189,6 +213,12 @@ class TestRunTrajectory:
         bound = 1e-10 * np.arange(1, cfg.n_nodes + 1)
         assert np.all(np.abs(a.log_i_sq - b.log_i_sq) <= bound)
         assert np.all(np.abs(a.log_n_sq - b.log_n_sq) <= bound)
+
+    def test_integer_coefficient_matches_float(self):
+        ints = run_trajectory(_det_config(1, 0.7, 300))
+        floats = run_trajectory(_det_config(1.0, 0.7, 300))
+        for col in ("log_i_sq", "log_n_sq", "log_snr", "capacity_nats", "log_x_sq"):
+            assert np.array_equal(getattr(ints, col), getattr(floats, col))
 
     def test_per_node_gains_respected(self):
         gains = PerNodeGain((1.0, 0.2, 0.2))
@@ -247,6 +277,20 @@ class TestTrajectoryCsv:
         assert np.array_equal(snr_log(log_i_sq, log_n_sq), data[:, 2])
         assert np.array_equal(capacity_nats(data[:, 2]), data[:, 3])
         assert np.array_equal(transmit_power_log(log_i_sq, log_n_sq), data[:, 4])
+
+    def test_row_text_exact(self):
+        """Every field is its %.17g text, edge doubles included."""
+        big, tiny, third = 1.7976931348623157e308, 5e-324, 1.0 / 3.0
+        traj = Trajectory(
+            log_i_sq=np.array([-0.0, third]), log_n_sq=np.array([tiny, -0.0]),
+            log_snr=np.array([big, tiny]), capacity_nats=np.array([third, big]),
+            log_x_sq=np.array([-2.5, 0.0]), config=_det_config(1.0, 1.0, 2))
+        assert traj.to_csv() == (
+            CSV_HEADER + "\n"
+            "1,-0,4.9406564584124654e-324,1.7976931348623157e+308,"
+            "0.33333333333333331,-2.5\n"
+            "2,0.33333333333333331,-0,4.9406564584124654e-324,"
+            "1.7976931348623157e+308,0\n")
 
     def test_write_csv_to_file(self, tmp_path):
         traj = run_trajectory(_det_config(1.0, 1.0, 4))

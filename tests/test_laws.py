@@ -10,13 +10,13 @@ from fibrelay import (
     NetworkConfig,
     Rayleigh,
     check_theta_p,
+    estimate_lambda,
     lambda_deterministic_closed_form,
     simulate_capacity_ensemble,
     slope_estimate,
-    verify_capacity_law,
-    verify_power_law,
+    verify_laws,
 )
-from fibrelay.laws import capacity_log_series, default_burn_in
+from fibrelay.laws import default_burn_in
 
 from conftest import SEED
 
@@ -58,28 +58,28 @@ class TestSlopeEstimate:
     def test_capacity_decay_slope(self):
         """log capacity for a decaying deterministic chain slopes at twice
         the growth rate."""
-        series = capacity_log_series(
-            NetworkConfig(Deterministic(0.2), ConstantGain(1.0), n_nodes=5000,
-                          master_seed=SEED))
+        series = simulate_capacity_ensemble(
+            NetworkConfig(Deterministic(0.2), ConstantGain(1.0), master_seed=SEED),
+            5000, 1)[0]
         fit = slope_estimate(series, burn_in=default_burn_in(5000))
         assert fit.slope == pytest.approx(TWO_LAM_02, abs=1e-6)
 
 
 class TestCapacityLaw:
     def test_decaying_chain(self):
-        rep = verify_capacity_law(_cfg(Deterministic(0.2), 1.0), 10_000, 4)
+        rep, _ = verify_laws(_cfg(Deterministic(0.2), 1.0), 10_000, 4)
         assert rep.predicted_exponent == pytest.approx(TWO_LAM_02, abs=1e-9)
         assert rep.measured.slope == pytest.approx(TWO_LAM_02, rel=0.01)
         assert rep.verdict == "consistent"
 
     def test_growing_chain_capacity_flat(self):
-        rep = verify_capacity_law(_cfg(Deterministic(1.0), 1.0), 10_000, 4)
+        rep, _ = verify_laws(_cfg(Deterministic(1.0), 1.0), 10_000, 4)
         assert rep.predicted_exponent == 0.0
         assert abs(rep.measured.slope) <= 0.01
         assert rep.verdict == "consistent"
 
     def test_boundary_gain(self):
-        rep = verify_capacity_law(_cfg(Deterministic(1.0), 0.5), 10_000, 4)
+        rep, _ = verify_laws(_cfg(Deterministic(1.0), 0.5), 10_000, 4)
         assert rep.predicted_exponent == 0.0
         assert abs(rep.measured.slope) <= 0.01
         assert rep.verdict == "consistent"
@@ -87,19 +87,19 @@ class TestCapacityLaw:
 
 class TestPowerLaw:
     def test_growing_chain(self):
-        rep = verify_power_law(_cfg(Deterministic(1.0), 1.0), 10_000, 4)
+        _, rep = verify_laws(_cfg(Deterministic(1.0), 1.0), 10_000, 4)
         assert rep.predicted_exponent == pytest.approx(TWO_LAM_1, abs=1e-9)
         assert rep.measured.slope == pytest.approx(TWO_LAM_1, rel=0.01)
         assert rep.verdict == "consistent"
 
     def test_decaying_chain_power_flat(self):
-        rep = verify_power_law(_cfg(Deterministic(0.2), 1.0), 10_000, 4)
+        _, rep = verify_laws(_cfg(Deterministic(0.2), 1.0), 10_000, 4)
         assert rep.predicted_exponent == 0.0
         assert abs(rep.measured.slope) <= 0.01
         assert rep.verdict == "consistent"
 
     def test_boundary_gain(self):
-        rep = verify_power_law(_cfg(Deterministic(1.0), 0.5), 10_000, 4)
+        _, rep = verify_laws(_cfg(Deterministic(1.0), 0.5), 10_000, 4)
         assert rep.predicted_exponent == 0.0
         assert abs(rep.measured.slope) <= 0.01
         assert rep.verdict == "consistent"
@@ -111,21 +111,20 @@ class TestLawCoupling:
                                          (Rayleigh(1.0), 0.8)])
     def test_predicted_exponents_sum_to_twice_lambda(self, model, g):
         """min{0, 2L} + max{0, 2L} = 2L exactly on the predicted side."""
-        cap = verify_capacity_law(_cfg(model, g), 4000, 4)
-        pwr = verify_power_law(_cfg(model, g), 4000, 4)
+        cap, pwr = verify_laws(_cfg(model, g), 4000, 4)
         assert cap.lambda_estimate.lambda_hat == pwr.lambda_estimate.lambda_hat
         total = cap.predicted_exponent + pwr.predicted_exponent
         assert total == 2.0 * cap.lambda_estimate.lambda_hat
 
     def test_deterministic_slopes_converge(self):
         """Measured slopes land within 1e-3 of closed form at n = 1e4."""
-        cap = verify_capacity_law(_cfg(Deterministic(0.2), 1.0), 10_000, 2)
-        pwr = verify_power_law(_cfg(Deterministic(1.0), 1.0), 10_000, 2)
+        cap, _ = verify_laws(_cfg(Deterministic(0.2), 1.0), 10_000, 2)
+        _, pwr = verify_laws(_cfg(Deterministic(1.0), 1.0), 10_000, 2)
         assert abs(cap.measured.slope - TWO_LAM_02) < 1e-3
         assert abs(pwr.measured.slope - TWO_LAM_1) < 1e-3
 
     def test_report_serialization(self):
-        rep = verify_capacity_law(_cfg(Deterministic(0.2), 1.0), 2000, 2)
+        rep, _ = verify_laws(_cfg(Deterministic(0.2), 1.0), 2000, 2)
         doc = rep.to_report("deterministic:c=0.2", "constant:g=1", SEED)
         assert doc["law"] == "capacity"
         assert doc["order_notation"] == "Theta_P"
@@ -133,6 +132,19 @@ class TestLawCoupling:
         assert set(doc["measured"]) == {"slope", "intercept", "std_err",
                                         "n_points", "burn_in"}
         assert len(doc["replica_slopes"]) == 2
+
+
+class TestVerifyLaws:
+    @pytest.mark.parametrize("model,g", [(Rayleigh(1.0), 0.5), (Deterministic(0.2), 1.0)],
+                             ids=("rayleigh", "deterministic"))
+    def test_lambda_matches_estimate_lambda(self, model, g):
+        """The growth rate read from each replica's trajectory is the
+        estimator's replica value on the same stream."""
+        cap, pwr = verify_laws(_cfg(model, g), 4000, 4)
+        est = estimate_lambda(model, ConstantGain(g), 4000, 4, SEED)
+        assert pwr.lambda_estimate is cap.lambda_estimate
+        got = np.array(cap.lambda_estimate.replica_values)
+        assert np.all(np.abs(got - np.array(est.replica_values)) <= 1e-15)
 
 
 class TestThetaBand:

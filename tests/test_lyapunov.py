@@ -68,6 +68,11 @@ class TestGrowthRate:
         with pytest.raises(ConfigError):
             estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 999, 1, SEED)
 
+    def test_integer_coefficient_matches_float(self):
+        ints = estimate_lambda(Deterministic(1), ConstantGain(1.0), 2000, 1, SEED)
+        floats = estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 2000, 1, SEED)
+        assert ints.replica_values == floats.replica_values
+
     def test_bad_burn_in(self):
         with pytest.raises(ConfigError):
             estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 2000, 1, SEED,
@@ -186,6 +191,16 @@ class TestNoiseExponent:
     def test_needs_minimum_steps(self):
         with pytest.raises(ConfigError):
             estimate_noise_exponent(self._cfg(Deterministic(1.0), 1.0), 500, 1)
+
+    @pytest.mark.parametrize("c,g", [(1.0, 0.25), (1.0, 0.5), (1.0, 1.0), (1.0, 2.0),
+                                     (0.2, 2.5), (0.2, 10.0)])
+    def test_rate_of_squared_coefficient_recursion(self, c, g):
+        """The verbatim 3x3 system grows at max(0, lambda_sq), where lambda_sq
+        is the rate of the recursion with squared coefficients (c*g)**2: log
+        phi at c = g = 1, where max(0, 2*lambda) would be 2 log phi."""
+        est = estimate_noise_exponent(self._cfg(Deterministic(c), g), 10_000, 2)
+        want = max(0.0, lambda_deterministic_closed_form(c * c, g * g))
+        assert est.lambda_hat == pytest.approx(want, abs=1e-9)
 
 
 class TestMatrixNormCrossCheck:
