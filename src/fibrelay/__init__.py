@@ -26,11 +26,8 @@ from .coeffs import (
     SignedBernoulli,
     Uniform,
     expected_log_eta,
-    expected_log_eta_mc,
     parse_gains,
     parse_model,
-    sample_eta,
-    sample_eta_batch,
 )
 from .errors import (
     ConfigError,
@@ -64,8 +61,7 @@ __all__ = [
     "CSV_HEADER", "NetworkConfig", "Trajectory", "run_trajectory",
     "CoefficientModel", "ConstantGain", "Deterministic", "GainPolicy",
     "LogNormal", "PerNodeGain", "Rayleigh", "RngStream", "SignedBernoulli",
-    "Uniform", "expected_log_eta", "expected_log_eta_mc", "parse_gains",
-    "parse_model", "sample_eta", "sample_eta_batch",
+    "Uniform", "expected_log_eta", "parse_gains", "parse_model",
     "ConfigError", "NumericalError", "UnbracketableError",
     "ValidationOnlyModelError",
     "LawReport", "SlopeFit", "ThetaBandCheck", "check_theta_p",

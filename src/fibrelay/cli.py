@@ -16,7 +16,7 @@ from . import __version__
 from .calibrate import find_zero_lyapunov_gain
 from .coeffs import ConstantGain
 from .cocycle import run_trajectory
-from .config import RunParams, parse_config
+from .config import _ALL_KEYS, RunParams, parse_config
 from .errors import ConfigError, NumericalError, UnbracketableError
 from .laws import verify_laws
 from .lyapunov import estimate_lambda
@@ -82,17 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {
-    "model": "network.model", "gain": "network.gain", "gains": "network.gains",
-    "n0": "network.n0", "i0": "network.i0", "n": "run.n",
-    "replicas": "run.replicas", "seed": "run.seed", "burn_in": "run.burn_in",
-    "renorm_period": "run.renorm_period", "workers": "run.workers",
-    "kind": "lyapunov.kind", "validation": "lyapunov.validation",
-    "trajectories": "simulate.trajectories", "tol": "calibrate.tol",
-    "g_init": "calibrate.g_init", "max_doublings": "calibrate.max_doublings",
-    "tolerance_sigma": "verify.tolerance_sigma", "slope_tol": "verify.slope_tol",
-    "gain_grid": "sweep.gain_grid",
-}
+# each flag's destination is its configuration key's suffix
+_FLAG_KEYS = {key.partition(".")[2]: key for key in _ALL_KEYS}
 
 
 def _overrides(args: argparse.Namespace) -> dict:

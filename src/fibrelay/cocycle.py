@@ -357,10 +357,6 @@ class Trajectory:
     config: NetworkConfig
     stream_id: int = 0
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.arange(1, len(self.log_i_sq) + 1)
-
     def write_csv(self, file) -> None:
         """Emit rows with full double precision (17 significant digits)."""
         if hasattr(file, "write"):

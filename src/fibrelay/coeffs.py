@@ -201,9 +201,6 @@ def _reject_validation_only(model: CoefficientModel, op: str) -> None:
 class GainPolicy:
     """Amplification factor applied at each retransmitting node."""
 
-    def gain_at(self, node: int) -> float:
-        raise NotImplementedError
-
     def node_gains(self, start: int, count: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -221,9 +218,6 @@ class ConstantGain(GainPolicy):
     def __post_init__(self):
         if not (self.g > 0.0) or not math.isfinite(self.g):
             raise ConfigError(f"gain must be positive, got {self.g}")
-
-    def gain_at(self, node):
-        return self.g
 
     def node_gains(self, start, count):
         return np.full(count, self.g)
@@ -244,9 +238,6 @@ class PerNodeGain(GainPolicy):
             raise ConfigError("gains must all be positive")
         object.__setattr__(self, "gains", gains)
 
-    def gain_at(self, node):
-        return self.gains[node - 1]
-
     def node_gains(self, start, count):
         return np.asarray(self.gains[start - 1:start - 1 + count])
 
@@ -265,31 +256,6 @@ class PerNodeGain(GainPolicy):
 # ---------------------------------------------------------------------------
 
 
-def sample_eta(model: CoefficientModel, gain: float, rng) -> float:
-    """Draw one hop coefficient ``magnitude * gain``.
-
-    Consumes exactly one uniform from ``rng`` (an RngStream or a numpy
-    Generator), for every model variant.
-    """
-    _reject_validation_only(model, "sample_eta")
-    if not (gain > 0.0):
-        raise ConfigError(f"gain must be positive, got {gain}")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    u = rng.random(1)
-    return float(model.transform_uniforms(u)[0] * gain)
-
-
-def sample_eta_batch(model: CoefficientModel, gain: float, rng, size: int) -> np.ndarray:
-    """Vectorized sample_eta; consumes ``size`` uniforms in stream order."""
-    _reject_validation_only(model, "sample_eta_batch")
-    if not (gain > 0.0):
-        raise ConfigError(f"gain must be positive, got {gain}")
-    if isinstance(rng, RngStream):
-        rng = rng.generator()
-    return model.transform_uniforms(rng.random(size)) * gain
-
-
 def expected_log_eta(model: CoefficientModel, gain: float) -> float:
     """Closed-form E[log coefficient] = E[log magnitude] + log(gain)."""
     _reject_validation_only(model, "expected_log_eta")
@@ -300,33 +266,10 @@ def expected_log_eta(model: CoefficientModel, gain: float) -> float:
     return value
 
 
-def expected_log_eta_mc(model: CoefficientModel, gain: float, n_samples: int,
-                        stream: RngStream) -> tuple:
-    """Monte Carlo E[log coefficient] with its standard error.
-
-    Independent cross-check of the closed forms; batched so large sample
-    counts stay cheap.
-    """
-    _reject_validation_only(model, "expected_log_eta_mc")
-    rng = stream.generator()
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        k = min(1 << 20, n_samples - done)
-        logs = np.log(model.transform_uniforms(rng.random(k)) * gain)
-        total += float(logs.sum())
-        total_sq += float((logs * logs).sum())
-        done += k
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / n_samples)
-
-
 def first_hop_coefficient(model: CoefficientModel, gains: GainPolicy, rng: Generator) -> float:
     """Coefficient of the source-to-node-1 hop; consumes one uniform."""
     u = rng.random(1)
-    return float(model.transform_uniforms(u)[0] * gains.gain_at(1))
+    return float(model.transform_uniforms(u)[0] * gains.node_gains(1, 1)[0])
 
 
 def hop_coefficient_chunks(model: CoefficientModel, gains: GainPolicy, rng: Generator,

@@ -19,6 +19,7 @@ reproduced from its manifest.
 from __future__ import annotations
 
 import json
+import math
 import secrets
 from dataclasses import dataclass
 
@@ -43,24 +44,35 @@ _COMMAND_KEYS = {
     "verify": ("verify.tolerance_sigma", "verify.slope_tol"),
     "sweep": ("sweep.gain_grid",),
 }
-_ALL_KEYS = set(_GENERAL_KEYS) | {k for ks in _COMMAND_KEYS.values() for k in ks}
+_ALL_KEYS = _GENERAL_KEYS + tuple(k for ks in _COMMAND_KEYS.values() for k in ks)
 
 
 def _positive_float(key, value) -> float:
     try:
+        if isinstance(value, bool):  # JSON true would read as 1.0
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
     if not out > 0.0:
         raise ConfigError(f"{key}: must be positive, got {out}")
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: must be finite, got {out}")
     return out
 
 
-def _positive_int(key, value, minimum=1) -> int:
+def _integer(key, value, expected="an integer") -> int:
+    # int() reads JSON true as 1, truncates 2000.7 and overflows on inf
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
     try:
-        out = int(value)
+        return int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+
+
+def _positive_int(key, value, minimum=1) -> int:
+    out = _integer(key, value)
     if out < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {out}")
     return out
@@ -114,20 +126,11 @@ class RunParams:
             "run.burn_in": self.burn_in,
             "run.renorm_period": self.renorm_period,
         }
-        if self.command == "lyapunov":
-            out["lyapunov.kind"] = self.kind
-            out["lyapunov.validation"] = self.validation
-        elif self.command == "simulate":
-            out["simulate.trajectories"] = self.trajectories
-        elif self.command == "calibrate":
-            out["calibrate.tol"] = self.tol
-            out["calibrate.g_init"] = self.g_init
-            out["calibrate.max_doublings"] = self.max_doublings
-        elif self.command == "verify":
-            out["verify.tolerance_sigma"] = self.tolerance_sigma
-            out["verify.slope_tol"] = self.slope_tol
-        elif self.command == "sweep":
-            out["sweep.gain_grid"] = ",".join(f"{g:.17g}" for g in self.gain_grid)
+        for key in _COMMAND_KEYS[self.command]:
+            value = getattr(self, key.partition(".")[2])
+            if key == "sweep.gain_grid":
+                value = ",".join(f"{g:.17g}" for g in value)
+            out[key] = value
         return out
 
 
@@ -189,6 +192,8 @@ def resolve(command: str, file_values: dict | None = None,
     model = merged["network.model"]
     if isinstance(model, str):
         model = parse_model(model)
+    elif not isinstance(model, CoefficientModel):
+        raise ConfigError(f"network.model: expected a model spec string, got {model!r}")
 
     if "network.gains" in merged and "network.gain" in merged:
         raise ConfigError("network.gain and network.gains are mutually exclusive")
@@ -196,6 +201,8 @@ def resolve(command: str, file_values: dict | None = None,
         gains = merged["network.gains"]
         if isinstance(gains, str):
             gains = parse_gains(gains if ":" in gains else "pernode:g=" + gains)
+        elif not isinstance(gains, GainPolicy):
+            raise ConfigError(f"network.gains: expected a gain spec string, got {gains!r}")
     elif "network.gain" in merged:
         gains = ConstantGain(_positive_float("network.gain", merged["network.gain"]))
     else:
@@ -207,10 +214,7 @@ def resolve(command: str, file_values: dict | None = None,
     if isinstance(seed, str) and seed.strip().lower() == "auto":
         seed = secrets.randbits(63)
     else:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError):
-            raise ConfigError(f"run.seed: expected an integer or 'auto', got {seed!r}") from None
+        seed = _integer("run.seed", seed, "an integer or 'auto'")
 
     burn = merged.get("run.burn_in", "auto")
     if isinstance(burn, str) and burn.strip().lower() == "auto":
@@ -227,13 +231,13 @@ def resolve(command: str, file_values: dict | None = None,
         validation = validation.strip().lower() in ("1", "true", "yes", "on")
 
     grid_raw = merged.get("sweep.gain_grid", "")
-    if isinstance(grid_raw, str):
-        try:
+    try:
+        if isinstance(grid_raw, str):
             gain_grid = tuple(float(v) for v in grid_raw.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"sweep.gain_grid: malformed grid {grid_raw!r}") from None
-    else:
-        gain_grid = tuple(float(v) for v in grid_raw)
+        else:
+            gain_grid = tuple(float(v) for v in grid_raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"sweep.gain_grid: malformed grid {grid_raw!r}") from None
     if command == "sweep":
         if not gain_grid:
             raise ConfigError("sweep.gain_grid is required for the sweep command")

@@ -28,8 +28,8 @@ from .errors import ConfigError
 from .lyapunov import (
     DEFAULT_BURN_IN,
     GROWTH_RATE,
-    MIN_GROWTH_STEPS,
     LyapunovEstimate,
+    _check_counts,
     _reduce,
 )
 
@@ -63,6 +63,14 @@ class SlopeFit:
         }
 
 
+def _check_fit(n: int, burn_in: int) -> None:
+    if burn_in < 0:
+        raise ConfigError(f"burn_in must be >= 0, got {burn_in}")
+    if n <= burn_in + 10:
+        raise ConfigError(
+            f"series too short for a slope fit: {n} points, burn_in {burn_in}")
+
+
 def slope_estimate(series, burn_in: int) -> SlopeFit:
     """Ordinary least squares of a per-node series against the node index.
 
@@ -71,9 +79,7 @@ def slope_estimate(series, burn_in: int) -> SlopeFit:
     """
     y = np.asarray(series, dtype=float)
     n = len(y)
-    if n <= burn_in + 10:
-        raise ConfigError(
-            f"series too short for a slope fit: {n} points, burn_in {burn_in}")
+    _check_fit(n, burn_in)
     # plain reductions, not BLAS dot products: a 1-D `@` wakes OpenBLAS
     # threads that keep spinning after the call
     x = np.arange(burn_in + 1, n + 1, dtype=float)
@@ -198,14 +204,11 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
     with the default burn-in) and both slopes.
     """
     n_steps = int(n_steps)
-    if n_replicas < 1:
-        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
-    if n_steps < MIN_GROWTH_STEPS:
-        raise ConfigError(
-            f"growth_rate needs n_steps >= {MIN_GROWTH_STEPS}, got {n_steps}")
+    _check_counts(n_steps, n_replicas)
     # NetworkConfig checks the gain policy covers all n_steps nodes
     cfg = dataclasses.replace(config, n_nodes=n_steps)
     burn = default_burn_in(n_steps) if burn_in is None else int(burn_in)
+    _check_fit(n_steps, burn)
     payloads = [(cfg, sid, burn, renorm_period) for sid in range(n_replicas)]
     values, capacity, power = zip(*map_ordered(_verify_replica, payloads, workers))
     lam = _reduce(values, n_steps, GROWTH_RATE)

@@ -11,7 +11,9 @@ results do not depend on worker count.
 A burn-in prefix (default 100 nodes) is discarded from growth accounting:
 the replica value is (log value[n] - log value[burn]) / (n - burn).  With
 burn_in=0 nothing is subtracted and the value is the bare growth-rate
-formula (1/n) * log value[n], source magnitude included.
+formula (1/n) * log value[n], source magnitude included.  Every estimate
+(growth rate, tail ratio, signed validation, noise exponent) is this value
+on one cocycle, computed by one replica worker.
 """
 from __future__ import annotations
 
@@ -85,22 +87,30 @@ def _reduce(values, n_steps, kind) -> LyapunovEstimate:
 
 
 # ---------------------------------------------------------------------------
-# replica workers (module-level so they pickle for process pools)
+# the replica worker (module-level so it pickles for process pools)
 # ---------------------------------------------------------------------------
 
 
-def _growth_replica(payload):
-    model, gains, n, seed, sid, burn, i0, period, signed = payload
+def _check_counts(n_steps, n_replicas, what=GROWTH_RATE, minimum=MIN_GROWTH_STEPS):
+    """The replica-count and run-length checks every estimator shares."""
+    if n_replicas < 1:
+        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
+    if n_steps < minimum:
+        raise ConfigError(f"{what} needs n_steps >= {minimum}, got {n_steps}")
+
+
+def _rate_replica(payload):
+    """One replica's rate (log value[n] - log value[burn]) / (n - burn)."""
+    kind, model, gains, n, seed, sid, burn, i0, n0, period = payload
     # burn_in = 0 is the bare formula (1/n) * log value[n], source factor kept
     checkpoints = (n,) if burn == 0 else (burn, n)
-    kind = SIGNED if signed else SIGNAL
     for attempt in range(_MAX_RESTARTS + 1):
         stream = RngStream(seed, sid + attempt * _RESTART_STRIDE)
-        logs = logs_at(kind, model, gains, stream, checkpoints, i0=i0,
+        logs = logs_at(kind, model, gains, stream, checkpoints, i0=i0, n0=n0,
                        renorm_period=period)
         lo, hi = (0.0 if burn == 0 else logs[burn]), logs[n]
-        # only the signed recursion reads -inf (an exact zero); positive
-        # recursions raise NumericalError instead
+        # only the signed recursion reads -inf (an exact zero); the other
+        # cocycles raise NumericalError instead
         if math.isfinite(lo) and math.isfinite(hi):
             return (hi - lo) / (n - burn)
         if attempt < _MAX_RESTARTS:
@@ -111,19 +121,12 @@ def _growth_replica(payload):
         f"replica {sid}: exactly-zero values persist after {_MAX_RESTARTS} restarts")
 
 
-def _tail_replica(payload):
-    model, gains, n, seed, sid, i0, period = payload
-    m = math.ceil(n / 2)
-    logs = logs_at(SIGNAL, model, gains, RngStream(seed, sid), (n - m, n), i0=i0,
-                   renorm_period=period)
-    return (logs[n] - logs[n - m]) / m
-
-
-def _noise_replica(payload):
-    model, gains, n, seed, sid, burn, n0, period = payload
-    logs = logs_at(NOISE, model, gains, RngStream(seed, sid), (burn, n), n0=n0,
-                   renorm_period=period)
-    return (logs[n] - logs[burn]) / (n - burn)
+def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kind,
+              *, i0=1.0, n0=1.0, renorm_period=1, workers=1) -> LyapunovEstimate:
+    payloads = [(kind, model, gains, n_steps, seed, sid, burn, i0, n0, renorm_period)
+                for sid in range(n_replicas)]
+    values = map_ordered(_rate_replica, payloads, workers)
+    return _reduce(values, n_steps, estimator_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -139,42 +142,33 @@ def estimate_lambda(model: CoefficientModel, gains: GainPolicy, n_steps: int,
     """Estimate the top growth rate of the signal recursion.
 
     ``growth_rate`` averages (log value[n] - log value[burn]) / (n - burn)
-    over replicas.  ``tail_ratio`` averages the per-step log ratio over the
-    last ceil(n/2) steps and is restricted to deterministic models, where
-    convergence is exponential.  Signed validation models are accepted only
-    with ``validation=True`` (growth_rate kind, signed arithmetic on
-    log |value|); a replica whose checkpoint lands on an exact zero is
-    restarted on an offset stream with a logged warning.
+    over replicas.  ``tail_ratio`` is the same value with burn = floor(n/2),
+    the per-step log ratio over the last ceil(n/2) steps; it is restricted
+    to deterministic models, where convergence is exponential.  Signed
+    validation models are accepted only with ``validation=True``
+    (growth_rate kind, signed arithmetic on log |value|); a replica whose
+    checkpoint lands on an exact zero is restarted on an offset stream with
+    a logged warning.
     """
     if kind not in (GROWTH_RATE, TAIL_RATIO):
         raise ConfigError(f"unknown estimator kind {kind!r}")
-    if n_replicas < 1:
-        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
     if model.validation_only and not validation:
         raise ValidationOnlyModelError(
             "validation-only model requires validation=True")
     gains.require_length(n_steps)
-    signed = model.validation_only
     if kind == TAIL_RATIO:
-        if signed or not isinstance(model, Deterministic):
+        if not isinstance(model, Deterministic):
             raise ConfigError("tail_ratio is restricted to deterministic models")
-        if n_steps < 4:
-            raise ConfigError(f"tail_ratio needs n_steps >= 4, got {n_steps}")
-        payloads = [(model, gains, n_steps, master_seed, sid, i0, renorm_period)
-                    for sid in range(n_replicas)]
-        values = map_ordered(_tail_replica, payloads, workers)
-        return _reduce(values, n_steps, kind)
-
-    if n_steps < MIN_GROWTH_STEPS:
-        raise ConfigError(
-            f"growth_rate needs n_steps >= {MIN_GROWTH_STEPS}, got {n_steps}")
-    burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
-    if not 0 <= burn < n_steps:
-        raise ConfigError(f"burn_in must be in [0, n_steps), got {burn}")
-    payloads = [(model, gains, n_steps, master_seed, sid, burn, i0,
-                 renorm_period, signed) for sid in range(n_replicas)]
-    values = map_ordered(_growth_replica, payloads, workers)
-    return _reduce(values, n_steps, kind)
+        _check_counts(n_steps, n_replicas, TAIL_RATIO, minimum=4)
+        burn = n_steps // 2
+    else:
+        _check_counts(n_steps, n_replicas)
+        burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
+        if not 0 <= burn < n_steps:
+            raise ConfigError(f"burn_in must be in [0, n_steps), got {burn}")
+    cocycle = SIGNED if model.validation_only else SIGNAL
+    return _estimate(cocycle, model, gains, n_steps, n_replicas, master_seed, burn, kind,
+                     i0=i0, renorm_period=renorm_period, workers=workers)
 
 
 def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int,
@@ -188,19 +182,14 @@ def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int
     """
     if not (config.n0 > 0.0):
         raise ConfigError("noise exponent undefined for n0 = 0")
-    if n_replicas < 1:
-        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
-    if n_steps < MIN_GROWTH_STEPS:
-        raise ConfigError(
-            f"noise exponent needs n_steps >= {MIN_GROWTH_STEPS}, got {n_steps}")
+    _check_counts(n_steps, n_replicas, "noise exponent")
     config.gains.require_length(n_steps)
     burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
     if not 1 <= burn < n_steps:
         raise ConfigError(f"burn_in must be in [1, n_steps), got {burn}")
-    payloads = [(config.model, config.gains, n_steps, config.master_seed, sid,
-                 burn, config.n0, renorm_period) for sid in range(n_replicas)]
-    values = map_ordered(_noise_replica, payloads, workers)
-    return _reduce(values, n_steps, GROWTH_RATE)
+    return _estimate(NOISE, config.model, config.gains, n_steps, n_replicas,
+                     config.master_seed, burn, GROWTH_RATE, n0=config.n0,
+                     renorm_period=renorm_period, workers=workers)
 
 
 def lambda_deterministic_closed_form(c: float, g: float) -> float:

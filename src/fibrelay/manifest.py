@@ -103,8 +103,3 @@ class RunManifest:
     def write(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_json())
-
-
-def load_manifest(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

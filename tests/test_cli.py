@@ -7,11 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from fibrelay import ConfigError, lambda_deterministic_closed_form
+import fibrelay
+from fibrelay import (
+    ConfigError,
+    PerNodeGain,
+    Rayleigh,
+    lambda_deterministic_closed_form,
+)
 from fibrelay import lyapunov as lyap_mod
 from fibrelay.cli import main
 from fibrelay.config import parse_config, read_config_file, resolve
-from fibrelay.manifest import canonical_digest, dumps_17g, load_manifest
+from fibrelay.manifest import canonical_digest, dumps_17g
 
 
 class TestParseConfig:
@@ -80,6 +86,12 @@ class TestParseConfig:
             "network.model": "deterministic:c=1", "run.seed": "auto"})
         assert a.seed != b.seed
 
+    def test_built_model_and_gains_accepted(self):
+        gains = PerNodeGain((1.0, 2.0, 3.0))
+        params = resolve("simulate", {}, {"network.model": Rayleigh(1.0),
+                                          "network.gains": gains, "run.n": 3})
+        assert params.model == Rayleigh(1.0) and params.gains is gains
+
     def test_manifest_round_trips_config(self, tmp_path):
         rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--gain", "0.7",
                    "--n", "40", "--seed", "11", "--output-dir", str(tmp_path)])
@@ -133,7 +145,8 @@ class TestCommands:
         assert main(args + ["--output-dir", str(out2)]) == 0
         for name in ("trajectory_000.csv", "trajectory_001.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        manifest = load_manifest(out1 / "manifest.json")
+        with open(out1 / "manifest.json") as fh:
+            manifest = json.load(fh)
         assert manifest["output_files"] == ["trajectory_000.csv", "trajectory_001.csv"]
         assert manifest["master_seed"] == 5
 
@@ -210,6 +223,57 @@ class TestCommands:
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "fibrelay" in out.stdout
+
+
+class TestConfigValues:
+    """Bad configuration values exit 2 naming the key, with no traceback
+    and no output."""
+
+    def _run(self, command, config, tmp_path, capsys, flags=()):
+        run = {"n": 2000, "replicas": 1, **config.get("run", {})}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**config, "run": run}))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), *flags, "--output-dir", str(out)])
+        assert not out.exists()
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,config,key", [
+        ("simulate", {"network": {"model": "rayleigh", "gains": [1, 2, 3]}},
+         "network.gains"),
+        ("lyapunov", {"network": {"model": 5}}, "network.model"),
+        ("sweep", {"network": {"model": "rayleigh"}, "sweep": {"gain_grid": 0.5}},
+         "sweep.gain_grid"),
+        ("lyapunov", {"network": {"model": "rayleigh", "n0": True}}, "network.n0"),
+        ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"burn_in": True}},
+         "run.burn_in"),
+    ], ids=("gains-list", "model-number", "grid-number", "n0-bool", "burn-in-bool"))
+    def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
+        rc, err = self._run(command, config, tmp_path, capsys)
+        assert rc == 2
+        assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("flags,run,key", [
+        (("--i0", "inf"), {}, "network.i0"),
+        (("--n0", "inf"), {}, "network.n0"),
+        (("--n0", "nan"), {}, "network.n0"),
+        ((), {"n": 2000.7}, "run.n"),
+        ((), {"replicas": 1.5}, "run.replicas"),
+        ((), {"seed": 7.5}, "run.seed"),
+        ((), {"renorm_period": 1e400}, "run.renorm_period"),
+    ], ids=("i0-inf", "n0-inf", "n0-nan", "n-fraction", "replicas-fraction",
+            "seed-fraction", "renorm-period-inf"))
+    def test_non_finite_or_non_integral(self, flags, run, key, tmp_path, capsys):
+        config = {"network": {"model": "deterministic:c=1"}, "run": run}
+        rc, err = self._run("lyapunov", config, tmp_path, capsys, flags)
+        assert rc == 2
+        assert err.startswith("error:") and key in err
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        for name in fibrelay.__all__:
+            assert getattr(fibrelay, name) is not None, name
 
 
 class TestNumericalFailures:

@@ -9,18 +9,17 @@ from fibrelay import (
     ConstantGain,
     Deterministic,
     LogNormal,
+    NetworkConfig,
     PerNodeGain,
     Rayleigh,
     RngStream,
     SignedBernoulli,
     Uniform,
     ValidationOnlyModelError,
+    estimate_lambda,
     expected_log_eta,
-    expected_log_eta_mc,
     parse_gains,
     parse_model,
-    sample_eta,
-    sample_eta_batch,
 )
 from fibrelay.coeffs import first_hop_coefficient, hop_coefficient_chunks
 
@@ -35,45 +34,51 @@ PRODUCTION_MODELS = [
 ]
 
 
+def draw(model, gain, stream_id, size):
+    """Hop coefficients as the engine draws them: one uniform each, times the gain."""
+    return model.transform_uniforms(RngStream(SEED, stream_id).generator().random(size)) * gain
+
+
 class TestSampleEta:
     def test_deterministic_identity(self):
-        assert sample_eta(Deterministic(1.0), 1.0, RngStream(SEED)) == 1.0
+        assert draw(Deterministic(1.0), 1.0, 0, 1)[0] == 1.0
 
     def test_deterministic_scales_by_gain(self):
-        out = sample_eta(Deterministic(0.2), 0.5, RngStream(SEED))
+        out = draw(Deterministic(0.2), 0.5, 0, 1)[0]
         assert out == pytest.approx(0.1, rel=1e-15)
 
     def test_rayleigh_second_moment(self):
         """Squared draws average to the mu parameter (5 standard errors)."""
         mu = 1.0
-        draws = sample_eta_batch(Rayleigh(mu), 1.0, RngStream(SEED), 1_000_000)
+        draws = draw(Rayleigh(mu), 1.0, 0, 1_000_000)
         sq = draws * draws
         se = sq.std(ddof=1) / math.sqrt(len(sq))
         assert abs(sq.mean() - mu) < 5 * se
 
     def test_rayleigh_second_moment_with_gain(self):
         mu, g = 2.5, 0.7
-        draws = sample_eta_batch(Rayleigh(mu), g, RngStream(SEED, 1), 1_000_000)
+        draws = draw(Rayleigh(mu), g, 1, 1_000_000)
         sq = (draws / g) ** 2
         se = sq.std(ddof=1) / math.sqrt(len(sq))
         assert abs(sq.mean() - mu) < 5 * se
 
     @pytest.mark.parametrize("model", PRODUCTION_MODELS, ids=lambda m: m.spec_string())
     def test_positivity(self, model):
-        draws = sample_eta_batch(model, 1.0, RngStream(SEED, 2), 1_000_000)
+        draws = draw(model, 1.0, 2, 1_000_000)
         assert np.all(draws > 0.0)
 
     def test_signed_rejected(self):
+        """The signed model drives no network and no default estimate."""
+        with pytest.raises(ConfigError):
+            NetworkConfig(SignedBernoulli(0.5), ConstantGain(1.0), n_nodes=3)
         with pytest.raises(ValidationOnlyModelError):
-            sample_eta(SignedBernoulli(0.5), 1.0, RngStream(SEED))
-        with pytest.raises(ValidationOnlyModelError):
-            sample_eta_batch(SignedBernoulli(0.5), 1.0, RngStream(SEED), 8)
+            estimate_lambda(SignedBernoulli(0.5), ConstantGain(1.0), 1000, 1, SEED)
 
     def test_nonpositive_gain_rejected(self):
         with pytest.raises(ConfigError, match="gain"):
-            sample_eta(Deterministic(1.0), 0.0, RngStream(SEED))
+            ConstantGain(0.0)
         with pytest.raises(ConfigError, match="gain"):
-            sample_eta(Rayleigh(1.0), -2.0, RngStream(SEED))
+            ConstantGain(-2.0)
 
 
 class TestExpectedLogEta:
@@ -100,7 +105,18 @@ class TestExpectedLogEta:
     ], ids=lambda v: str(v))
     def test_closed_form_matches_monte_carlo(self, model, gain):
         """Closed forms agree with a 1e7-sample estimate within 4 SE."""
-        mc, se = expected_log_eta_mc(model, gain, 10_000_000, RngStream(SEED, 3))
+        n_samples = 10_000_000
+        rng = RngStream(SEED, 3).generator()
+        total = total_sq = 0.0
+        done = 0
+        while done < n_samples:
+            k = min(1 << 20, n_samples - done)
+            logs = np.log(model.transform_uniforms(rng.random(k)) * gain)
+            total += float(logs.sum())
+            total_sq += float((logs * logs).sum())
+            done += k
+        mc = total / n_samples
+        se = math.sqrt(max(total_sq / n_samples - mc * mc, 0.0) / n_samples)
         closed = expected_log_eta(model, gain)
         tol = 4 * se if se > 0 else 1e-12
         assert abs(closed - mc) < tol
@@ -125,9 +141,11 @@ class TestRngStream:
     @pytest.mark.parametrize("model", PRODUCTION_MODELS, ids=lambda m: m.spec_string())
     def test_batch_equals_scalar_draws(self, model):
         """k batched draws consume the stream exactly like k single draws."""
-        batch = sample_eta_batch(model, 1.3, RngStream(SEED, 7), 16)
+        gain = ConstantGain(1.3).node_gains(1, 1)[0]
+        batch = draw(model, gain, 7, 16)
         gen = RngStream(SEED, 7).generator()
-        singles = np.array([sample_eta(model, 1.3, gen) for _ in range(16)])
+        singles = np.array([model.transform_uniforms(gen.random(1))[0] * gain
+                            for _ in range(16)])
         assert np.array_equal(batch, singles)
 
     def test_hop_chunks_match_single_draws(self):
@@ -144,10 +162,14 @@ class TestRngStream:
                 chunks.append((start + k, e2[k], e1[k]))
 
         gen = RngStream(SEED, 9).generator()
-        assert eta01 == sample_eta(model, gains.gain_at(1), gen)
+
+        def single(node):
+            return model.transform_uniforms(gen.random(1))[0] * gains.node_gains(node, 1)[0]
+
+        assert eta01 == single(1)
         for i, e2, e1 in chunks:
-            assert e2 == sample_eta(model, gains.gain_at(i), gen)
-            assert e1 == sample_eta(model, gains.gain_at(i), gen)
+            assert e2 == single(i)
+            assert e1 == single(i)
 
 
 class TestSpecGrammar:
@@ -203,6 +225,6 @@ class TestGainPolicies:
 
     def test_node_gain_lookup(self):
         policy = PerNodeGain((1.0, 2.0, 3.0))
-        assert policy.gain_at(2) == 2.0
+        assert np.array_equal(policy.node_gains(2, 1), [2.0])
         assert np.array_equal(policy.node_gains(2, 2), [2.0, 3.0])
         assert np.array_equal(ConstantGain(0.5).node_gains(4, 3), [0.5] * 3)

@@ -16,6 +16,7 @@ from fibrelay import (
     slope_estimate,
     verify_laws,
 )
+from fibrelay import laws as laws_mod
 from fibrelay.laws import default_burn_in
 
 from conftest import SEED
@@ -43,6 +44,10 @@ class TestSlopeEstimate:
     def test_too_short_series(self):
         with pytest.raises(ConfigError):
             slope_estimate(np.arange(15), burn_in=10)
+
+    def test_negative_burn_in(self):
+        with pytest.raises(ConfigError, match="burn_in"):
+            slope_estimate(np.arange(100.0), burn_in=-5)
 
     def test_matches_linregress(self):
         """Slope, intercept and the OLS standard error agree with an
@@ -145,6 +150,15 @@ class TestVerifyLaws:
         assert pwr.lambda_estimate is cap.lambda_estimate
         got = np.array(cap.lambda_estimate.replica_values)
         assert np.all(np.abs(got - np.array(est.replica_values)) <= 1e-15)
+
+    @pytest.mark.parametrize("burn_in,match", [(-5, "burn_in"),
+                                               (1995, "series too short for a slope fit")])
+    def test_bad_burn_in_fails_before_any_replica(self, burn_in, match, monkeypatch):
+        def no_fanout(*args):
+            raise AssertionError("replicas ran")
+        monkeypatch.setattr(laws_mod, "map_ordered", no_fanout)
+        with pytest.raises(ConfigError, match=match):
+            verify_laws(_cfg(Rayleigh(1.0), 0.5), 2000, 2, burn_in=burn_in)
 
 
 class TestThetaBand:

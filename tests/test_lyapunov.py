@@ -121,6 +121,15 @@ class TestTailRatio:
             estimate_lambda(Rayleigh(1.0), ConstantGain(1.0), 1000, 1, SEED,
                             TAIL_RATIO)
 
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_equals_growth_rate_over_last_half(self, n):
+        """The tail ratio is the growth rate with burn-in floor(n/2): the
+        last ceil(n/2) steps."""
+        model, gains = Deterministic(0.7), ConstantGain(1.3)
+        tail = estimate_lambda(model, gains, n, 3, SEED, TAIL_RATIO)
+        growth = estimate_lambda(model, gains, n, 3, SEED, burn_in=n // 2)
+        assert tail.replica_values == growth.replica_values
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 1000, 1, SEED,
