@@ -11,7 +11,9 @@ __version__ = "0.1.0"
 
 # cocycle first: it is the largest module, and when it is compiled from
 # source (no bytecode cache) its parse tree is the biggest transient of the
-# import; compiled before numpy and scipy load, it does not raise peak memory
+# import; compiled before numpy loads, it does not raise peak memory.  scipy
+# is not imported here at all: only the lognormal model loads it, on its
+# first draw
 from .cocycle import CSV_HEADER, NetworkConfig, Trajectory, run_trajectory
 from .calibrate import CalibrationResult, bracket_expand, find_zero_lyapunov_gain
 from .coeffs import (

@@ -6,17 +6,7 @@ ascending stream-id order, so outputs are identical for any worker count.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
-
-_ENV_WORKERS = "FIBRELAY_WORKERS"
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(_ENV_WORKERS, "1")))
-    except ValueError:
-        return 1
 
 
 def map_ordered(fn, payloads, workers: int = 1):

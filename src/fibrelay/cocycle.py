@@ -21,8 +21,16 @@ d basis vectors are pushed through L vectorized steps to give every block's
 transfer matrix (Blelloch 1990 for the blocked scan, Benettin et al. 1980
 for the renormalized products).  The block matrices are then folded into
 the state in order; every-node records replay the L steps once more on the
-B block-start states.  When numba is installed the sequential kernels of
-``_kernels`` are faster and run instead.
+B block-start states.
+
+The engine state has a replica axis: one call runs R replicas, each on its
+own Philox stream drawn in its own order and chunking, with the B blocks of
+every replica side by side in one sweep of B * R lanes and the folds done
+for all replicas at once.  A replica's value is the same, bit for bit, in
+any batch, so it does not depend on the batch size or the worker count;
+``_BATCH_STEPS`` caps the replica-steps of one call.  When numba is
+installed the sequential kernels of ``_kernels`` are faster and run
+instead, one replica at a time.
 """
 from __future__ import annotations
 
@@ -38,7 +46,7 @@ from .coeffs import (
     GainPolicy,
     RngStream,
     first_hop_coefficient,
-    hop_coefficient_chunks,
+    hop_coefficients,
 )
 from .errors import ConfigError, NumericalError
 
@@ -46,8 +54,12 @@ CSV_HEADER = "n,log_I_sq,log_N_sq,log_snr,capacity_nats,log_X_sq"
 # 17 significant digits round-trip every double
 _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
-# steps drawn and pushed per engine call; bounds the memory of long chains
+# steps of one replica drawn and pushed at a time; bounds the memory of
+# long chains
 _CHUNK_STEPS = 1 << 19
+# replica-steps of lanes per engine call: a call takes as many replicas as
+# fit (at least one), about 600-1200 lanes and a few MB at common sizes
+_BATCH_STEPS = 1 << 17
 
 # cocycle kinds: positive 2x2 signal recursion, signed 2x2 validation
 # recursion, 3x3 noise-power system (fed squared coefficients)
@@ -93,13 +105,72 @@ def _block_length(k: int) -> int:
     return math.ceil(math.sqrt(2 * k))
 
 
-class _Walk:
-    """One cocycle's renormalized state along one replica's step stream.
+def _batches(n_nodes: int, n_replicas: int, workers: int = 1) -> list:
+    """Contiguous stream-id ranges of replicas 0..n_replicas-1, one engine
+    call each: at least one per worker while replicas last, none holding
+    more than ``_BATCH_STEPS`` replica-steps of lanes (one replica always
+    fits).  Replica values do not depend on the split."""
+    k = min(max(n_nodes - 1, 1), _CHUNK_STEPS)
+    L = _block_length(k)
+    per_call = max(1, _BATCH_STEPS // (L * -(-k // L)))
+    pieces = -(-n_replicas // per_call)
+    pieces = min(n_replicas, workers * -(-pieces // workers))
+    bounds = [n_replicas * i // pieces for i in range(pieces + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    ``vec`` is (value[n-1], value[n]) for the signal and signed kinds and
-    (noise[n-1], noise[n], const) for the noise kind, scaled so the largest
-    magnitude is 1; ``log_scale`` is the log of that scale.  ``advance``
-    consumes one chunk of hop coefficients (the noise kind squares them).
+
+def _logs(x) -> np.ndarray:
+    """``math.log`` of each element (-inf at 0, nan below); ``np.log``
+    differs from it in the last bit on some inputs."""
+    return np.array([math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
+                     for v in x.tolist()])
+
+
+class _Lanes:
+    """One chunk of k steps of R replicas, laid out for the engine.
+
+    ``K[0]`` holds the two-back and ``K[1]`` the one-back coefficients as
+    L x (R * B) arrays: replica q's steps j*L .. j*L+L-1 fill lane q*B + j.
+    Unit coefficients pad each replica's last lane, whose partial product
+    is read at step k like any checkpoint.  The blocked engine takes
+    L ~ sqrt(2k); the sequential path takes L = k, one lane per replica.
+    """
+
+    def __init__(self, k: int, n_replicas: int):
+        self.k = k
+        self.L = k if _JIT else _block_length(k)
+        self.B = -(-k // self.L)
+        self.K = np.ones((2, self.L, n_replicas * self.B))
+
+    def put(self, q: int, two_back, one_back) -> None:
+        L, B = self.L, self.B
+        full = (B - 1) * L
+        for lanes, c in zip(self.K[:, :, q * B:(q + 1) * B], (two_back, one_back)):
+            lanes[:, :-1] = c[:full].reshape(B - 1, L).T
+            lanes[:self.k - full, -1] = c[full:]
+
+
+def _chunks(model: CoefficientModel, gains: GainPolicy, rngs, n_nodes: int):
+    """Yield (start node, _Lanes) per chunk of the steps into nodes
+    2..n_nodes; each replica draws its own stream in the order and chunking
+    of ``hop_coefficient_chunks``."""
+    start = 2
+    while start <= n_nodes:
+        lanes = _Lanes(min(_CHUNK_STEPS, n_nodes - start + 1), len(rngs))
+        for q, rng in enumerate(rngs):
+            lanes.put(q, *hop_coefficients(model, gains, rng, start, lanes.k))
+        yield start, lanes
+        start += lanes.k
+
+
+class _Walk:
+    """One cocycle's renormalized state along R replicas' step streams.
+
+    ``vec`` is d x R: per replica (value[n-1], value[n]) for the signal and
+    signed kinds and (noise[n-1], noise[n], const) for the noise kind,
+    scaled so the largest magnitude is 1; ``log_scale`` holds the R logs of
+    those scales.  ``advance`` consumes one chunk of hop coefficients (the
+    noise kind squares them).
     """
 
     def __init__(self, kind: str, vec, period: int, n0: float = 0.0):
@@ -110,10 +181,12 @@ class _Walk:
         self.n0 = n0
         self.period = int(period)
         self.node = 1
-        self.phase = 0  # steps since the last renormalization, sequential path
-        m = max(map(abs, vec))
-        self.vec = [v / m for v in vec]
-        self.log_scale = math.log(m)
+        vec = np.array(np.broadcast_arrays(*map(np.atleast_1d, vec)), dtype=float)
+        m = np.abs(vec).max(axis=0)
+        self.vec = vec / m
+        self.log_scale = _logs(m)
+        # steps since the last renormalization, sequential path
+        self.phase = [0] * vec.shape[1]
 
     def _error(self, k: int) -> NumericalError:
         return NumericalError(
@@ -121,32 +194,37 @@ class _Walk:
             f"{self.node + k}: values left double range between renormalizations; "
             f"lower renorm_period (now {self.period}) or the coefficient scale")
 
-    def _read(self, v, s, k: int) -> float:
-        """log |v[1]| + s; -inf marks an exact zero of the signed recursion."""
-        b = abs(v[1])
-        if self.signed and b == 0.0:
-            return -math.inf
-        value = s + math.log(b) if b > 0.0 else math.nan
-        if not math.isfinite(value):
+    def _read(self, v, s, k: int) -> np.ndarray:
+        """log |v[1]| + s per replica; -inf marks an exact zero of the
+        signed recursion."""
+        b = np.abs(v[1])
+        value = s + _logs(b)
+        checked = value
+        if self.signed:
+            value[b == 0.0] = -math.inf
+            checked = value[b != 0.0]
+        if not np.isfinite(checked).all():
             raise self._error(k)
         return value
 
-    def log_value(self) -> float:
+    def log_value(self) -> np.ndarray:
         return self._read(self.vec, self.log_scale, 0)
 
-    def advance(self, c2, c1, reads=(), out=None) -> list:
-        """Apply len(c2) steps; return logs after each count of steps in
-        ``reads`` (ascending, 1..k); fill ``out`` with the log after every
-        step when given."""
+    def advance(self, lanes: _Lanes, reads=(), out=None) -> list:
+        """Apply one chunk of steps; return the R logs after each count of
+        steps in ``reads`` (ascending, 1..k); fill ``out`` (R x k) with the
+        log after every step when given.  The noise kind squares the lanes
+        in place, so it is the last walk to read them."""
         # overflow shows as non-finite state, checked below; keep numpy quiet
         with np.errstate(all="ignore"):
             if self.kind == NOISE:
-                c2, c1 = c2 * c2, c1 * c1
+                lanes.K *= lanes.K
+            K2, K1 = lanes.K
             if _JIT:
-                logs = self._advance_sequential(c2, c1, reads, out)
+                logs = self._advance_sequential(K2, K1, lanes.k, reads, out)
             else:
-                logs = self._advance_blocked(c2, c1, reads, out)
-        self.node += len(c2)
+                logs = self._advance_blocked(K2, K1, lanes, reads, out)
+        self.node += lanes.k
         return logs
 
     # -- compiled (or reference) path: the sequential kernels -------------
@@ -160,23 +238,27 @@ class _Walk:
             raise self._error(len(c2))
         return vec, ls, phase
 
-    def _advance_sequential(self, c2, c1, reads, out):
-        state = (self.vec, self.log_scale, self.phase)
-        if out is not None:
-            state = self._steps(c2, c1, *state, out)
-            if not np.isfinite(out).all():
-                raise self._error(len(c2))
-            logs = [float(out[r - 1]) for r in reads]
-        else:
-            logs, pos = [], 0
-            for r in reads:
-                state = self._steps(c2[pos:r], c1[pos:r], *state)
-                logs.append(self._read(state[0], state[1], r))
-                pos = r
-            if pos < len(c2):
-                state = self._steps(c2[pos:], c1[pos:], *state)
-        self.vec, self.log_scale, self.phase = state
-        return logs
+    def _advance_sequential(self, K2, K1, k, reads, out):
+        # one lane of all k steps per replica, walked replica by replica
+        logs = np.empty((len(reads), K2.shape[1]))
+        for q in range(K2.shape[1]):
+            c2, c1 = K2[:, q], K1[:, q]
+            state = (self.vec[:, q].tolist(), float(self.log_scale[q]), self.phase[q])
+            if out is not None:
+                state = self._steps(c2, c1, *state, out[q])
+                if not np.isfinite(out[q]).all():
+                    raise self._error(k)
+                logs[:, q] = [out[q, r - 1] for r in reads]
+            else:
+                pos = 0
+                for i, r in enumerate(reads):
+                    state = self._steps(c2[pos:r], c1[pos:r], *state)
+                    logs[i, q] = self._read(np.reshape(state[0], (-1, 1)), state[1], r)[0]
+                    pos = r
+                if pos < k:
+                    state = self._steps(c2[pos:], c1[pos:], *state)
+            self.vec[:, q], self.log_scale[q], self.phase[q] = state
+        return list(logs)
 
     # -- numpy path: blocked transfer matrices ---------------------------
 
@@ -210,65 +292,62 @@ class _Walk:
                 m = divisors[t]
                 if signed:
                     np.abs(entries, out=magnitudes)
-                magnitudes.max(axis=0, out=m)
+                np.maximum.reduce(magnitudes, axis=0, out=m)
                 S /= m
             if visit is not None:
                 visit(t, slots)
         return divisors, slots
 
     def _apply(self, M, lm, v, s, k):
-        """Renormalized M @ v with log-scales lm and s, in Python floats."""
-        if len(v) == 2:
-            a, b = v
-            w = [r0 * a + r1 * b for r0, r1 in M]
-        else:
-            a, b, c = v
-            w = [r0 * a + r1 * b + r2 * c for r0, r1, r2 in M]
-        m = max(map(abs, w))
-        if not 0.0 < m < math.inf:
+        """Renormalized M @ v per replica with log-scales lm and s: M is
+        d x d x R, v is d x R.  The same operations, in the same order, as
+        on one replica in Python floats."""
+        w = M[:, 0] * v[0]
+        for i in range(1, len(v)):
+            w += M[:, i] * v[i]
+        m = np.maximum.reduce(np.abs(w), axis=0)
+        try:
+            log_m = list(map(math.log, m.tolist()))
+        except ValueError:  # an all-zero state
+            raise self._error(k) from None
+        if not math.isfinite(sum(log_m)):
             raise self._error(k)
-        return [x / m for x in w], s + lm + math.log(m)
+        return w / m, s + lm + log_m
 
-    def _advance_blocked(self, c2, c1, reads, out):
-        k = len(c2)
-        d = len(self.vec)
-        L = _block_length(k)
-        B = -(-k // L)
+    def _advance_blocked(self, K2, K1, lanes, reads, out):
+        k, L, B = lanes.k, lanes.L, lanes.B
+        d, R = self.vec.shape
         full = (B - 1) * L
-        # lane j holds steps j*L .. j*L+L-1 (K[t, j]); unit coefficients pad
-        # the last lane, whose partial product is read at step k like any
-        # checkpoint
-        K2, K1 = np.ones((2, L, B))
-        for lanes, c in ((K2, c2), (K1, c1)):
-            lanes[:, :-1] = c[:full].reshape(B - 1, L).T
-            lanes[:k - full, -1] = c[full:]
 
-        # basis pass: block transfer matrices, plus the partial products
-        # (matrix, lane, step) the reads need
+        # basis pass: block transfer matrices of every replica, plus the
+        # partial products (matrices, lane within the replica, step) the
+        # reads need
         wanted = {}
         for r in (*reads, k):
             wanted.setdefault((r - 1) % L, []).append(r)
         snaps = {}
-        S = np.zeros((d, d, B))
+        S = np.zeros((d, d, R * B))
         for i in range(d):
             S[i, i] = 1.0
 
         def snapshot(t, slots):
             for r in wanted.get(t, ()):
                 lane = (r - 1) // L
-                snaps[r] = (S[slots, :, lane].tolist(), lane, t)
+                snaps[r] = (S[slots, :, lane::B], lane, t)
 
         log_div, slots = self._sweep(S, K2, K1, snapshot, renorm_last=True)
         np.log(log_div, out=log_div)
         block_ls = log_div.sum(axis=0)
         if not (np.isfinite(S).all() and np.isfinite(block_ls).all()):
             raise self._error(k)
-        blocks = S[slots].transpose(2, 0, 1).tolist()
-        block_ls = block_ls.tolist()
+        blocks = S[slots].reshape(d, d, R, B)
+        block_ls = block_ls.reshape(R, B)
         for r, (M, lane, t) in snaps.items():
-            snaps[r] = (M, float(log_div[:t + 1, lane].sum()))
+            # contiguous rows keep the summation order of a 1-D sum
+            snaps[r] = (M, np.ascontiguousarray(log_div[:t + 1, lane::B].T).sum(axis=1))
 
-        # fold the block products into the state in order
+        # fold the block products into the states in order, all replicas
+        # at once
         logs, starts = [], []
         pending = list(reads)
         v, s = self.vec, self.log_scale
@@ -278,53 +357,69 @@ class _Walk:
                 r = pending.pop(0)
                 logs.append(self._read(*self._apply(*snaps[r], v, s, r), r))
             if j < B - 1:
-                v, s = self._apply(blocks[j], block_ls[j], v, s, k)
+                v, s = self._apply(blocks[..., j], block_ls[:, j], v, s, k)
         self.vec, self.log_scale = self._apply(*snaps[k], v, s, k)
 
         if out is not None:
-            # replay the steps on the block-start states, reading every step
-            V = np.array([v for v, _ in starts]).T.copy()
-            vals = np.empty((L, B))
+            # replay the steps on the block-start states, recording every
+            # step straight into out (replicas x blocks x steps)
+            del log_div
+            V = np.stack([v for v, _ in starts], axis=-1).reshape(d, R * B)
+            block_out = out[:, :full].reshape(R, B - 1, L)
+            last_out = out[:, full:]
+            tail = k - full
 
             def record(t, slots):
-                vals[t] = V[slots[1]]
+                row = V[slots[1]].reshape(R, B)
+                block_out[:, :, t] = row[:, :-1]
+                if t < tail:
+                    last_out[:, t] = row[:, -1]
 
             log_div, _ = self._sweep(V, K2, K1, record)
             np.log(log_div, out=log_div)
-            vals = np.log(np.abs(vals, out=vals), out=vals)
-            vals += np.cumsum(log_div, axis=0, out=log_div)
-            vals += [s for _, s in starts]
-            out[:full].reshape(B - 1, L)[:] = vals[:, :-1].T
-            out[full:] = vals[:k - full, -1]
+            cum = np.cumsum(log_div, axis=0, out=log_div).reshape(L, R, B)
+            start_ls = np.stack([s for _, s in starts], axis=-1)
+            np.log(np.abs(out, out=out), out=out)
+            # replica by replica: numpy copies a 3-d view of out before an
+            # in-place add
+            for q, replica_out in enumerate(block_out):
+                replica_out += cum[:, q, :-1].T
+                replica_out += start_ls[q, :-1, None]
+            last_out += cum[:tail, :, -1].T
+            last_out += start_ls[:, -1:]
             if not np.isfinite(out).all():
                 raise self._error(k)
         return logs
 
 
-def _signal_walk(i0: float, eta01: float, period: int) -> _Walk:
-    """Signal walk from the raw vector (i0, eta01 * i0)."""
+def _signal_walk(i0: float, eta01, period: int) -> _Walk:
+    """Signal walk from the raw vectors (i0, eta01 * i0), one per entry of
+    eta01."""
     if not (i0 > 0.0):
         raise ConfigError(f"i0 must be positive, got {i0}")
-    if not (eta01 > 0.0):
-        raise ConfigError(f"eta01 must be positive, got {eta01}")
+    eta01 = np.asarray(eta01, dtype=float)
+    if not (eta01 > 0.0).all():
+        raise ConfigError(f"eta01 must be positive, got {eta01.min()}")
     return _Walk(SIGNAL, (i0, eta01 * i0), period)
 
 
-def logs_at(kind: str, model: CoefficientModel, gains: GainPolicy, stream: RngStream,
+def logs_at(kind: str, model: CoefficientModel, gains: GainPolicy, streams,
             checkpoints, *, i0: float = 1.0, n0: float = 1.0,
             renorm_period: int = 1) -> dict:
     """Log magnitudes of one cocycle at the requested nodes (all >= 1).
 
-    Draws the stream in the order of ``run_trajectory``.  ``SIGNAL`` reads
+    Runs one replica per stream in ``streams`` (a sequence of RngStream)
+    and maps each node to the array of their logs.  Each replica draws its
+    stream in the order of ``run_trajectory``.  ``SIGNAL`` reads
     log value[node] started from (i0, eta01 * i0); ``SIGNED`` reads
     log |value[node]| started from (1, coeff01), -inf at an exact zero;
-    ``NOISE`` reads the log noise power.  Raises NumericalError when the
+    ``NOISE`` reads the log noise power.  Raises NumericalError when a
     state leaves double range.
     """
-    rng = stream.generator()
-    first = first_hop_coefficient(model, gains, rng)
+    rngs = [stream.generator() for stream in streams]
+    first = np.array([first_hop_coefficient(model, gains, rng) for rng in rngs])
     if kind == NOISE:
-        walk = _Walk(kind, (0.0, 0.0, 1.0), renorm_period, n0)
+        walk = _Walk(kind, (0.0, 0.0, np.ones(len(rngs))), renorm_period, n0)
     elif kind == SIGNED:
         walk = _Walk(kind, (1.0, first), renorm_period)
     else:
@@ -333,10 +428,10 @@ def logs_at(kind: str, model: CoefficientModel, gains: GainPolicy, stream: RngSt
     out = {}
     if want[0] == 1:
         # verbatim: the first 3x3 application deposits exactly n0 at node 1
-        out[1] = math.log(n0) if kind == NOISE else walk.log_value()
-    for start, c2, c1 in hop_coefficient_chunks(model, gains, rng, want[-1], _CHUNK_STEPS):
-        here = [c for c in want if start <= c < start + len(c2)]
-        out.update(zip(here, walk.advance(c2, c1, [c - start + 1 for c in here])))
+        out[1] = np.full(len(rngs), math.log(n0)) if kind == NOISE else walk.log_value()
+    for start, lanes in _chunks(model, gains, rngs, want[-1]):
+        here = [c for c in want if start <= c < start + lanes.k]
+        out.update(zip(here, walk.advance(lanes, [c - start + 1 for c in here])))
     return out
 
 
@@ -378,6 +473,49 @@ class Trajectory:
         return buf.getvalue()
 
 
+def _records(config: NetworkConfig, stream_ids, renorm_period: int):
+    """Per-node log signal and log noise power (replicas x nodes) of one
+    engine pass over the replicas ``stream_ids``."""
+    n = config.n_nodes
+    rngs = [RngStream(config.master_seed, sid).generator() for sid in stream_ids]
+    first = np.array([first_hop_coefficient(config.model, config.gains, rng)
+                      for rng in rngs])
+
+    log_i = np.empty((len(rngs), n))
+    log_n2 = np.empty((len(rngs), n))
+
+    signal = _signal_walk(config.i0, first, renorm_period)
+    noise = _Walk(NOISE, (0.0, 0.0, np.ones(len(rngs))), renorm_period, config.n0)
+    log_i[:, 0] = signal.log_value()
+    # verbatim: the first 3x3 application deposits exactly n0 in the
+    # node-1 slot
+    log_n2[:, 0] = np.log(config.n0)
+
+    for start, lanes in _chunks(config.model, config.gains, rngs, n):
+        rows = slice(start - 1, start - 1 + lanes.k)
+        signal.advance(lanes, out=log_i[:, rows])
+        noise.advance(lanes, out=log_n2[:, rows])
+    return log_i, log_n2
+
+
+def _trajectories(config: NetworkConfig, stream_ids, renorm_period: int = 1):
+    """Yield ``run_trajectory(config, sid, renorm_period)`` for each stream
+    id, all replicas run in one engine pass."""
+    log_i, log_n2 = _records(config, stream_ids, renorm_period)
+    for sid, log_i_q, log_n2_q in zip(stream_ids, log_i, log_n2):
+        log_i_sq = 2.0 * log_i_q
+        log_snr = metrics.snr_log(log_i_sq, log_n2_q)
+        yield Trajectory(
+            log_i_sq=log_i_sq,
+            log_n_sq=log_n2_q,
+            log_snr=log_snr,
+            capacity_nats=metrics.capacity_nats(log_snr),
+            log_x_sq=metrics.transmit_power_log(log_i_sq, log_n2_q),
+            config=config,
+            stream_id=sid,
+        )
+
+
 def run_trajectory(config: NetworkConfig, stream_id: int = 0,
                    renorm_period: int = 1) -> Trajectory:
     """Simulate one relay chain end to end.
@@ -386,36 +524,7 @@ def run_trajectory(config: NetworkConfig, stream_id: int = 0,
     one-back hop for each node), feeds the identical samples to both
     cocycles (plain to the signal recursion, squared to the noise
     recursion), and fills every per-node column.  Deterministic given
-    (config, stream_id).
+    (config, stream_id); the engine's batch of one replica.
     """
-    n = config.n_nodes
-    rng = RngStream(config.master_seed, stream_id).generator()
-
-    log_i = np.empty(n)
-    log_n2 = np.empty(n)
-
-    signal = _signal_walk(config.i0, first_hop_coefficient(config.model, config.gains, rng),
-                          renorm_period)
-    noise = _Walk(NOISE, (0.0, 0.0, 1.0), renorm_period, config.n0)
-    log_i[0] = signal.log_value()
-    # verbatim: the first 3x3 application deposits exactly n0 in the
-    # node-1 slot
-    log_n2[0] = np.log(config.n0)
-
-    for start, e2, e1 in hop_coefficient_chunks(config.model, config.gains, rng, n,
-                                                _CHUNK_STEPS):
-        rows = slice(start - 1, start - 1 + len(e2))
-        signal.advance(e2, e1, out=log_i[rows])
-        noise.advance(e2, e1, out=log_n2[rows])
-
-    log_i_sq = 2.0 * log_i
-    log_snr = metrics.snr_log(log_i_sq, log_n2)
-    return Trajectory(
-        log_i_sq=log_i_sq,
-        log_n_sq=log_n2,
-        log_snr=log_snr,
-        capacity_nats=metrics.capacity_nats(log_snr),
-        log_x_sq=metrics.transmit_power_log(log_i_sq, log_n2),
-        config=config,
-        stream_id=stream_id,
-    )
+    [traj] = _trajectories(config, (stream_id,), renorm_period)
+    return traj

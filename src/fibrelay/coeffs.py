@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import ConfigError, ValidationOnlyModelError
 
@@ -132,6 +131,9 @@ class LogNormal(CoefficientModel):
             raise ConfigError(f"lognormal requires finite m and s > 0, got m={self.m}, s={self.s}")
 
     def transform_uniforms(self, u):
+        # imported here: scipy is most of the package's import time and
+        # memory, and only this model needs it
+        from scipy.special import ndtri
         return np.exp(self.m + self.s * ndtri(u + _U_SHIFT))
 
     def expected_log_magnitude(self):
@@ -272,6 +274,16 @@ def first_hop_coefficient(model: CoefficientModel, gains: GainPolicy, rng: Gener
     return float(model.transform_uniforms(u)[0] * gains.node_gains(1, 1)[0])
 
 
+def hop_coefficients(model: CoefficientModel, gains: GainPolicy, rng: Generator,
+                     start: int, count: int) -> tuple:
+    """(two_back, one_back) coefficients of the ``count`` steps into nodes
+    start .. start+count-1; consumes 2*count uniforms, two-back first for
+    each node."""
+    coef = model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
+    coef *= gains.node_gains(start, count)[:, None]
+    return coef[:, 0], coef[:, 1]
+
+
 def hop_coefficient_chunks(model: CoefficientModel, gains: GainPolicy, rng: Generator,
                            n_nodes: int, chunk_steps: int = 1 << 19):
     """Yield per-step coefficient arrays for nodes 2..n_nodes in draw order.
@@ -280,16 +292,13 @@ def hop_coefficient_chunks(model: CoefficientModel, gains: GainPolicy, rng: Gene
     one-back hop coefficient; both carry the receiving node's gain.  Yields
     ``(start_node, two_back, one_back)`` with ``len == count of steps``.
     This generator is the normative draw-order contract: consuming it is
-    stream-equivalent to 2*(n_nodes-1) successive single draws.
+    stream-equivalent to 2*(n_nodes-1) successive single draws.  The engine
+    draws each replica's chunks with ``hop_coefficients`` in this order.
     """
     i = 2
     while i <= n_nodes:
         count = min(chunk_steps, n_nodes - i + 1)
-        coef = model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
-        coef *= gains.node_gains(i, count)[:, None]
-        two_back, one_back = coef[:, 0].copy(), coef[:, 1].copy()
-        del coef  # hold no draws while the consumer works on this chunk
-        yield i, two_back, one_back
+        yield i, *hop_coefficients(model, gains, rng, i, count)
         i += count
 
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import secrets
 from dataclasses import dataclass
 
-from ._parallel import default_workers
 from .coeffs import CoefficientModel, ConstantGain, GainPolicy, parse_gains, parse_model
 from .cocycle import NetworkConfig
 from .errors import ConfigError
@@ -33,6 +33,12 @@ from .lyapunov import DEFAULT_BURN_IN, GROWTH_RATE, TAIL_RATIO
 COMMANDS = ("lyapunov", "simulate", "calibrate", "verify", "sweep")
 
 DEFAULT_SEED = 20260809
+
+# the worker count when run.workers is not given
+_ENV_WORKERS = "FIBRELAY_WORKERS"
+
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 _GENERAL_KEYS = ("network.model", "network.gain", "network.gains", "network.n0",
                  "network.i0", "run.n", "run.replicas", "run.seed",
@@ -76,6 +82,24 @@ def _positive_int(key, value, minimum=1) -> int:
     if out < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {out}")
     return out
+
+
+def _boolean(key, value) -> bool:
+    if isinstance(value, str) and value.strip().lower() in _TRUE + _FALSE:
+        return value.strip().lower() in _TRUE
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected true or false "
+                          f"({'/'.join(_TRUE)} or {'/'.join(_FALSE)}), got {value!r}")
+    return value
+
+
+def _workers(merged) -> int:
+    """run.workers, else the environment variable, else 1; a bad value is
+    named by where it came from."""
+    if "run.workers" in merged:
+        return _positive_int("run.workers", merged["run.workers"])
+    # an empty variable counts as unset
+    return _positive_int(_ENV_WORKERS, os.environ.get(_ENV_WORKERS) or 1)
 
 
 @dataclass(frozen=True)
@@ -226,9 +250,7 @@ def resolve(command: str, file_values: dict | None = None,
     if kind not in (GROWTH_RATE, TAIL_RATIO):
         raise ConfigError(f"lyapunov.kind: must be {GROWTH_RATE} or {TAIL_RATIO}, got {kind!r}")
 
-    validation = merged.get("lyapunov.validation", False)
-    if isinstance(validation, str):
-        validation = validation.strip().lower() in ("1", "true", "yes", "on")
+    validation = _boolean("lyapunov.validation", merged.get("lyapunov.validation", False))
 
     grid_raw = merged.get("sweep.gain_grid", "")
     try:
@@ -256,10 +278,9 @@ def resolve(command: str, file_values: dict | None = None,
         burn_in=burn,
         renorm_period=_positive_int("run.renorm_period",
                                     merged.get("run.renorm_period", 1)),
-        workers=_positive_int("run.workers",
-                              merged.get("run.workers", default_workers())),
+        workers=_workers(merged),
         kind=kind,
-        validation=bool(validation),
+        validation=validation,
         trajectories=_positive_int("simulate.trajectories",
                                    merged.get("simulate.trajectories", 1)),
         tol=_positive_float("calibrate.tol", merged.get("calibrate.tol", 1e-3)),

@@ -11,7 +11,10 @@ runs (replica spread zero) are judged at a sane tolerance.
 
 Both predictions rest on one growth rate, so a verification is one pass per
 replica: a single trajectory gives the replica's growth-rate value, its
-capacity slope and its power slope.
+capacity slope and its power slope.  The trajectories of a contiguous
+range of replicas run as one batch of the cocycle engine, within its
+replica-steps budget; the values do not depend on the batching or on the
+worker count.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import metrics
 from ._parallel import map_ordered
-from .cocycle import NetworkConfig, run_trajectory
+from .cocycle import NetworkConfig, _batches, _trajectories
 from .errors import ConfigError
 from .lyapunov import (
     DEFAULT_BURN_IN,
@@ -136,32 +139,37 @@ class LawReport:
 
 
 def _capacity_series(payload):
-    config, sid, period = payload
-    traj = run_trajectory(config, sid, renorm_period=period)
-    return metrics.log_capacity_nats(traj.log_snr)
+    config, sids, period = payload
+    return [metrics.log_capacity_nats(traj.log_snr)
+            for traj in _trajectories(config, sids, period)]
 
 
 def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: int,
                                *, renorm_period: int = 1, workers: int = 1) -> np.ndarray:
     """Replicas-by-nodes matrix of log c_n, for band checks."""
     cfg = dataclasses.replace(config, n_nodes=int(n_steps))
-    payloads = [(cfg, sid, renorm_period) for sid in range(n_replicas)]
-    return np.vstack(map_ordered(_capacity_series, payloads, workers))
+    payloads = [(cfg, sids, renorm_period)
+                for sids in _batches(cfg.n_nodes, n_replicas, workers)]
+    return np.vstack([s for part in map_ordered(_capacity_series, payloads, workers)
+                      for s in part])
 
 
-def _verify_replica(payload):
-    """Growth-rate value and both slope fits from one replica's trajectory."""
-    config, sid, burn, period = payload
-    traj = run_trajectory(config, sid, renorm_period=period)
-    # the growth-rate estimator's replica value at its default burn-in
-    # (log_i_sq is twice the log of the signal magnitude)
-    rise = traj.log_i_sq[-1] - traj.log_i_sq[DEFAULT_BURN_IN - 1]
-    lam = 0.5 * rise / (config.n_nodes - DEFAULT_BURN_IN)
-    # log of the capacity via the log-domain helper: the raw capacity column
-    # underflows once the SNR exponent is strongly negative
-    capacity = slope_estimate(metrics.log_capacity_nats(traj.log_snr), burn)
-    power = slope_estimate(traj.log_x_sq, burn)
-    return float(lam), capacity, power
+def _verify_replicas(payload):
+    """Growth-rate value and both slope fits of each replica in one
+    contiguous range, from one trajectory each."""
+    config, sids, burn, period = payload
+    out = []
+    for traj in _trajectories(config, sids, period):
+        # the growth-rate estimator's replica value at its default burn-in
+        # (log_i_sq is twice the log of the signal magnitude)
+        rise = traj.log_i_sq[-1] - traj.log_i_sq[DEFAULT_BURN_IN - 1]
+        lam = 0.5 * rise / (config.n_nodes - DEFAULT_BURN_IN)
+        # log of the capacity via the log-domain helper: the raw capacity
+        # column underflows once the SNR exponent is strongly negative
+        capacity = slope_estimate(metrics.log_capacity_nats(traj.log_snr), burn)
+        power = slope_estimate(traj.log_x_sq, burn)
+        out.append((float(lam), capacity, power))
+    return out
 
 
 def _law_report(law, predicted, pred_se, fits, lam, burn, tolerance_sigma,
@@ -209,8 +217,10 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
     cfg = dataclasses.replace(config, n_nodes=n_steps)
     burn = default_burn_in(n_steps) if burn_in is None else int(burn_in)
     _check_fit(n_steps, burn)
-    payloads = [(cfg, sid, burn, renorm_period) for sid in range(n_replicas)]
-    values, capacity, power = zip(*map_ordered(_verify_replica, payloads, workers))
+    payloads = [(cfg, sids, burn, renorm_period)
+                for sids in _batches(n_steps, n_replicas, workers)]
+    values, capacity, power = zip(*(
+        r for part in map_ordered(_verify_replicas, payloads, workers) for r in part))
     lam = _reduce(values, n_steps, GROWTH_RATE)
     two_lam, two_se = 2.0 * lam.lambda_hat, 2.0 * lam.std_err
     common = (lam, burn, tolerance_sigma, slope_tol)

@@ -13,7 +13,11 @@ the replica value is (log value[n] - log value[burn]) / (n - burn).  With
 burn_in=0 nothing is subtracted and the value is the bare growth-rate
 formula (1/n) * log value[n], source magnitude included.  Every estimate
 (growth rate, tail ratio, signed validation, noise exponent) is this value
-on one cocycle, computed by one replica worker.
+on one cocycle, computed by one worker that takes a contiguous range of
+stream ids and runs it as one batch of the cocycle engine (ranges are
+split so no call exceeds the engine's replica-steps budget, and there is
+at least one range per worker).  A replica's value is the same in any
+batch and for any worker count.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .coeffs import CoefficientModel, Deterministic, GainPolicy, RngStream
-from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, logs_at
+from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, _batches, logs_at
 from .errors import ConfigError, NumericalError, ValidationOnlyModelError
 
 logger = logging.getLogger("fibrelay")
@@ -99,33 +103,42 @@ def _check_counts(n_steps, n_replicas, what=GROWTH_RATE, minimum=MIN_GROWTH_STEP
         raise ConfigError(f"{what} needs n_steps >= {minimum}, got {n_steps}")
 
 
-def _rate_replica(payload):
-    """One replica's rate (log value[n] - log value[burn]) / (n - burn)."""
-    kind, model, gains, n, seed, sid, burn, i0, n0, period = payload
+def _rate_replicas(payload):
+    """Rates (log value[n] - log value[burn]) / (n - burn) of one
+    contiguous range of replicas, run as one engine batch."""
+    kind, model, gains, n, seed, sids, burn, i0, n0, period = payload
     # burn_in = 0 is the bare formula (1/n) * log value[n], source factor kept
     checkpoints = (n,) if burn == 0 else (burn, n)
-    for attempt in range(_MAX_RESTARTS + 1):
-        stream = RngStream(seed, sid + attempt * _RESTART_STRIDE)
-        logs = logs_at(kind, model, gains, stream, checkpoints, i0=i0, n0=n0,
-                       renorm_period=period)
-        lo, hi = (0.0 if burn == 0 else logs[burn]), logs[n]
-        # only the signed recursion reads -inf (an exact zero); the other
-        # cocycles raise NumericalError instead
-        if math.isfinite(lo) and math.isfinite(hi):
-            return (hi - lo) / (n - burn)
-        if attempt < _MAX_RESTARTS:
+
+    def rates(stream_ids):
+        logs = logs_at(kind, model, gains, [RngStream(seed, s) for s in stream_ids],
+                       checkpoints, i0=i0, n0=n0, renorm_period=period)
+        with np.errstate(invalid="ignore"):  # -inf - -inf marks a restart too
+            return ((logs[n] - (0.0 if burn == 0 else logs[burn])) / (n - burn)).tolist()
+
+    values = rates(sids)
+    # only the signed recursion reads -inf (an exact zero); the other
+    # cocycles raise NumericalError instead.  Such a replica reruns alone.
+    for q, sid in enumerate(sids):
+        attempt = 0
+        while not math.isfinite(values[q]):
+            if attempt == _MAX_RESTARTS:
+                raise NumericalError(
+                    f"replica {sid}: exactly-zero values persist after "
+                    f"{_MAX_RESTARTS} restarts")
+            attempt += 1
             logger.warning(
                 "replica %d hit an exactly-zero value at a checkpoint; restarting "
-                "with offset stream (attempt %d)", sid, attempt + 1)
-    raise NumericalError(
-        f"replica {sid}: exactly-zero values persist after {_MAX_RESTARTS} restarts")
+                "with offset stream (attempt %d)", sid, attempt)
+            [values[q]] = rates([sid + attempt * _RESTART_STRIDE])
+    return values
 
 
 def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kind,
               *, i0=1.0, n0=1.0, renorm_period=1, workers=1) -> LyapunovEstimate:
-    payloads = [(kind, model, gains, n_steps, seed, sid, burn, i0, n0, renorm_period)
-                for sid in range(n_replicas)]
-    values = map_ordered(_rate_replica, payloads, workers)
+    payloads = [(kind, model, gains, n_steps, seed, sids, burn, i0, n0, renorm_period)
+                for sids in _batches(n_steps, n_replicas, workers)]
+    values = [v for part in map_ordered(_rate_replicas, payloads, workers) for v in part]
     return _reduce(values, n_steps, estimator_kind)
 
 

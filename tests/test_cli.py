@@ -79,6 +79,50 @@ class TestParseConfig:
             "network.model": "deterministic:c=1"})
         assert params.workers == 4
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_count_env_named(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("FIBRELAY_WORKERS", value)
+        with pytest.raises(ConfigError, match="FIBRELAY_WORKERS"):
+            parse_config("lyapunov", overrides={"network.model": "deterministic:c=1"})
+        rc = main(["lyapunov", "--model", "deterministic:c=1", "--n", "1000",
+                   "--replicas", "1"])
+        assert rc == 2
+        assert "FIBRELAY_WORKERS" in capsys.readouterr().err
+
+    def test_worker_flag_overrides_bad_env(self, monkeypatch):
+        monkeypatch.setenv("FIBRELAY_WORKERS", "abc")
+        params = parse_config("lyapunov", overrides={
+            "network.model": "deterministic:c=1", "run.workers": 2})
+        assert params.workers == 2
+
+    @pytest.mark.parametrize("value,expected", [
+        (True, True), (False, False), ("1", True), (" Yes ", True), ("ON", True),
+        ("true", True), ("0", False), ("no", False), ("Off", False), ("FALSE", False),
+    ])
+    def test_validation_values(self, value, expected):
+        params = resolve("lyapunov", {"network.model": "rayleigh:mu=1",
+                                      "lyapunov.validation": value})
+        assert params.validation is expected
+
+    @pytest.mark.parametrize("model,text", [
+        ("rayleigh:mu=1", "lyapunov.validation = maybe"),
+        ("signed:p=0.5", "lyapunov.validation = ture"),
+        ("rayleigh:mu=1", '{"lyapunov": {"validation": 2}}'),
+    ], ids=("maybe", "ture-signed", "json-2"))
+    def test_bad_validation_value_named(self, model, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        if text.startswith("{"):
+            cfg.write_text(json.dumps({"network": {"model": model}, **json.loads(text)}))
+        else:
+            cfg.write_text(f"network.model = {model}\n{text}\n")
+        out = tmp_path / "out"
+        rc = main(["lyapunov", "--config", str(cfg), "--n", "1000", "--replicas", "1",
+                   "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err.startswith("error: lyapunov.validation")
+        assert "requires validation" not in err
+
     def test_auto_seed_draws_fresh(self):
         a = parse_config("lyapunov", overrides={
             "network.model": "deterministic:c=1", "run.seed": "auto"})
@@ -225,6 +269,18 @@ class TestCommands:
         assert "fibrelay" in out.stdout
 
 
+    def test_rayleigh_run_leaves_scipy_unimported(self):
+        """scipy serves only the lognormal model and is imported on its
+        first draw."""
+        code = ("import sys, fibrelay.cli\n"
+                "rc = fibrelay.cli.main(['lyapunov', '--model', 'rayleigh:mu=1', "
+                "'--n', '1000', '--replicas', '2'])\n"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "0 []"
+
+
 class TestConfigValues:
     """Bad configuration values exit 2 naming the key, with no traceback
     and no output."""
@@ -321,8 +377,8 @@ class TestNumericalFailures:
 
     def test_persistent_zero_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(lyap_mod, "logs_at",
-                            lambda kind, model, gains, stream, checkpoints, **kw:
-                            {c: -math.inf for c in checkpoints})
+                            lambda kind, model, gains, streams, checkpoints, **kw:
+                            {c: np.full(len(streams), -math.inf) for c in checkpoints})
         rc = main(["lyapunov", "--model", "signed:p=0.5", "--validation",
                    "--n", "2000", "--replicas", "1"])
         assert rc == 3

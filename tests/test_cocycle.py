@@ -22,15 +22,28 @@ from fibrelay import (
     run_trajectory,
 )
 from fibrelay import _kernels
-from fibrelay.cocycle import NOISE, SIGNAL, _signal_walk, _Walk, logs_at
+from fibrelay.cocycle import NOISE, SIGNAL, _Lanes, _signal_walk, _Walk, logs_at
 
 from conftest import SEED, mp_oracle_logs
 
 
 def _det_logs(kind, c, nodes, i0=1.0, renorm_period=1):
     """Engine logs at ``nodes`` of a chain whose every coefficient is c."""
-    return logs_at(kind, Deterministic(c), ConstantGain(1.0), RngStream(SEED, 0), nodes,
+    logs = logs_at(kind, Deterministic(c), ConstantGain(1.0), [RngStream(SEED, 0)], nodes,
                    i0=i0, renorm_period=renorm_period)
+    return {node: float(values[0]) for node, values in logs.items()}
+
+
+def _state(walk):
+    """(vec, log_scale) of a one-replica walk."""
+    return walk.vec[:, 0].tolist(), float(walk.log_scale[0])
+
+
+def _advance(walk, c2, c1):
+    """Push one replica's steps c2, c1 through the walk."""
+    lanes = _Lanes(len(c2), 1)
+    lanes.put(0, c2, c1)
+    walk.advance(lanes)
 
 
 class TestInitInfo:
@@ -38,20 +51,20 @@ class TestInitInfo:
 
     def test_identity_start(self):
         walk = _signal_walk(1.0, 1.0, 1)
-        assert (walk.vec, walk.log_scale) == ([1.0, 1.0], 0.0)
+        assert _state(walk) == ([1.0, 1.0], 0.0)
         assert _det_logs(SIGNAL, 1.0, [1]) == {1: 0.0}
 
     def test_renormalizes_by_max(self):
         walk = _signal_walk(1.0, 2.0, 1)
-        assert walk.vec == [0.5, 1.0]
-        assert walk.log_scale == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _state(walk)[0] == [0.5, 1.0]
+        assert _state(walk)[1] == pytest.approx(math.log(2.0), abs=1e-15)
         # start (1, 2): the node-1 value is 2
         assert _det_logs(SIGNAL, 2.0, [1])[1] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_decaying_start(self):
         walk = _signal_walk(2.0, 0.5, 1)
-        assert walk.vec == [1.0, 0.5]
-        assert walk.log_scale == pytest.approx(math.log(2.0), abs=1e-15)
+        assert _state(walk)[0] == [1.0, 0.5]
+        assert _state(walk)[1] == pytest.approx(math.log(2.0), abs=1e-15)
         # start (2, 1), then 0.5 * 2 + 0.5 * 1 = 1.5 at node 2
         logs = _det_logs(SIGNAL, 0.5, [1, 2], i0=2.0)
         assert logs[1] == pytest.approx(0.0, abs=1e-15)
@@ -82,10 +95,10 @@ class TestStepInfo:
     def test_state_stays_renormalized(self):
         walk = _signal_walk(1.0, 3.7, 1)
         for _ in range(50):
-            walk.advance(np.array([0.9]), np.array([1.4]))
-            assert max(walk.vec) == 1.0 and min(walk.vec) > 0.0
-        walk.advance(np.full(50, 0.9), np.full(50, 1.4))
-        assert max(walk.vec) == 1.0 and min(walk.vec) > 0.0
+            _advance(walk, np.array([0.9]), np.array([1.4]))
+            assert max(_state(walk)[0]) == 1.0 and min(_state(walk)[0]) > 0.0
+        _advance(walk, np.full(50, 0.9), np.full(50, 1.4))
+        assert max(_state(walk)[0]) == 1.0 and min(_state(walk)[0]) > 0.0
 
 
 class TestStepNoise:
@@ -108,8 +121,8 @@ class TestStepNoise:
         leaves (0, 0, 1) and has no log to read."""
         walk = _Walk(NOISE, (0.0, 0.0, 1.0), 1, n0=0.0)
         for _ in range(5):
-            walk.advance(np.array([1.3]), np.array([0.7]))
-            assert walk.vec == [0.0, 0.0, 1.0]
+            _advance(walk, np.array([1.3]), np.array([0.7]))
+            assert _state(walk)[0] == [0.0, 0.0, 1.0]
         with pytest.raises(NumericalError):
             walk.log_value()
 
@@ -132,19 +145,19 @@ class TestRenormalize:
 
     def test_scales_by_max(self):
         walk = _Walk(SIGNAL, (2.0, 4.0), 1)
-        assert walk.vec == [0.5, 1.0]
-        assert walk.log_scale == pytest.approx(math.log(4.0), abs=1e-15)
+        assert _state(walk)[0] == [0.5, 1.0]
+        assert _state(walk)[1] == pytest.approx(math.log(4.0), abs=1e-15)
         # start (2, 4): the node-1 value is 4
         assert _det_logs(SIGNAL, 2.0, [1], i0=2.0)[1] == pytest.approx(
             math.log(4.0), abs=1e-15)
 
     def test_identity_case(self):
         walk = _Walk(SIGNAL, (1.0, 1.0), 1)
-        assert (walk.vec, walk.log_scale) == ([1.0, 1.0], 0.0)
+        assert _state(walk) == ([1.0, 1.0], 0.0)
 
     def test_constant_slot_is_max(self):
         walk = _Walk(NOISE, (0.0, 0.0, 1.0), 1, n0=1.0)
-        assert (walk.vec, walk.log_scale) == ([0.0, 0.0, 1.0], 0.0)
+        assert _state(walk) == ([0.0, 0.0, 1.0], 0.0)
 
     def test_all_zero_raises(self):
         """A state that underflows to all zeros between renormalizations

@@ -5,7 +5,9 @@ The numpy engine and the sequential ``_kernels`` loops round differently
 are compared at |engine - reference| <= 1e-12 * max(1, |reference|):
 relative error 1e-12, absolute 1e-12 for logs of magnitude below 1.  The
 reference is the sequential path the engine runs when numba is installed,
-selected here by setting ``cocycle._JIT``.
+selected here by setting ``cocycle._JIT``.  Batches of R > 1 replicas are
+checked replica by replica against the sequential kernels run on that
+replica alone.
 """
 import math
 
@@ -26,7 +28,7 @@ from fibrelay import (
     run_trajectory,
 )
 from fibrelay import cocycle
-from fibrelay.cocycle import NOISE, SIGNAL, SIGNED, _block_length, logs_at
+from fibrelay.cocycle import NOISE, SIGNAL, SIGNED, _block_length, _trajectories, logs_at
 
 from conftest import SEED
 
@@ -37,15 +39,17 @@ SIGNED_MODELS = [SignedBernoulli(0.5), SignedBernoulli(0.3)]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+def _engine(jit, fn, chunk_steps=None):
+    """fn() on the blocked engine (jit False) or the sequential kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycle, "_JIT", jit)
+        if chunk_steps is not None:
+            mp.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
+        return fn()
+
+
 def _blocked_and_sequential(fn, chunk_steps=None):
-    out = []
-    for jit in (False, True):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cocycle, "_JIT", jit)
-            if chunk_steps is not None:
-                mp.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
-            out.append(fn())
-    return out
+    return [_engine(jit, fn, chunk_steps) for jit in (False, True)]
 
 
 def _assert_close(got, ref):
@@ -84,14 +88,26 @@ def chains(draw, models):
     return model, g, n, period, checkpoints
 
 
-def _check_logs_at(kind, chain, chunk_steps=None, sid=0):
+def _check_logs_at(kind, chain, chunk_steps=None, sids=(0,)):
+    """The blocked engine on the batch ``sids`` against the sequential
+    kernels on each replica alone; the sequential batch is exact."""
     model, g, n, period, checkpoints = chain
-    got, ref = _blocked_and_sequential(
-        lambda: logs_at(kind, model, ConstantGain(g), RngStream(SEED, sid), checkpoints,
-                        i0=1.7, n0=0.6, renorm_period=period),
-        chunk_steps)
-    assert sorted(got) == sorted(ref) == checkpoints
-    _assert_close([got[c] for c in checkpoints], [ref[c] for c in checkpoints])
+
+    def run(jit, stream_ids):
+        return _engine(jit, lambda: logs_at(
+            kind, model, ConstantGain(g), [RngStream(SEED, s) for s in stream_ids],
+            checkpoints, i0=1.7, n0=0.6, renorm_period=period), chunk_steps)
+
+    got = run(False, sids)
+    seq = run(True, sids) if len(sids) > 1 else None
+    assert sorted(got) == checkpoints
+    for q, sid in enumerate(sids):
+        ref = run(True, [sid])
+        assert sorted(ref) == checkpoints
+        ref = [ref[c][0] for c in checkpoints]
+        _assert_close([got[c][q] for c in checkpoints], ref)
+        if seq is not None:
+            assert [seq[c][q] for c in checkpoints] == ref
 
 
 class TestCheckpointMode:
@@ -145,6 +161,30 @@ class TestRecordMode:
         _assert_close(got.log_n_sq, ref.log_n_sq)
 
 
+class TestReplicaBatches:
+    @SETTINGS
+    @given(st.sampled_from([SIGNAL, SIGNED, NOISE]), st.integers(2, 5),
+           st.sampled_from([None, 1, 7, 64]), chains(POSITIVE_MODELS))
+    @example(SIGNED, 3, None, (Rayleigh(1.0), 1.0, 51, 1, [1, 2, 11, 21, 51]))
+    def test_checkpoints(self, kind, n_replicas, chunk_steps, chain):
+        if kind == SIGNED:
+            chain = (SignedBernoulli(0.5), *chain[1:])
+        _check_logs_at(kind, chain, chunk_steps, sids=range(3, 3 + n_replicas))
+
+    @SETTINGS
+    @given(st.integers(2, 4), chains(POSITIVE_MODELS), st.sampled_from([None, 1, 7, 64]))
+    def test_records(self, n_replicas, chain, chunk_steps):
+        model, g, n, period, _ = chain
+        cfg = NetworkConfig(model, ConstantGain(g), n0=0.6, i0=1.7, n_nodes=n,
+                            master_seed=SEED)
+        sids = range(2, 2 + n_replicas)
+        got = _engine(False, lambda: list(_trajectories(cfg, sids, period)), chunk_steps)
+        for traj, sid in zip(got, sids):
+            ref = _engine(True, lambda: run_trajectory(cfg, sid, period), chunk_steps)
+            _assert_close(traj.log_i_sq, ref.log_i_sq)
+            _assert_close(traj.log_n_sq, ref.log_n_sq)
+
+
 class TestNonFiniteState:
     @pytest.mark.parametrize("jit", [False, True], ids=("blocked", "sequential"))
     def test_overflow_raises(self, jit, monkeypatch):
@@ -153,10 +193,10 @@ class TestNonFiniteState:
         monkeypatch.setattr(cocycle, "_JIT", jit)
         model = Deterministic(1e300)
         with pytest.raises(NumericalError, match="renorm_period"):
-            logs_at(SIGNAL, model, ConstantGain(1.0), RngStream(SEED), (2000,),
+            logs_at(SIGNAL, model, ConstantGain(1.0), [RngStream(SEED)], (2000,),
                     renorm_period=3)
-        assert math.isfinite(logs_at(SIGNAL, model, ConstantGain(1.0), RngStream(SEED),
-                                     (2000,))[2000])
+        assert math.isfinite(logs_at(SIGNAL, model, ConstantGain(1.0), [RngStream(SEED)],
+                                     (2000,))[2000][0])
 
     @pytest.mark.parametrize("jit", [False, True], ids=("blocked", "sequential"))
     def test_squared_coefficient_overflow_raises(self, jit, monkeypatch):

@@ -155,11 +155,11 @@ class TestSignedValidationMode:
         calls = {"n": 0}
         real = lyap_mod.logs_at
 
-        def flaky(kind, model, gains, stream, checkpoints, **kwargs):
+        def flaky(kind, model, gains, streams, checkpoints, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
-                return {c: -math.inf for c in checkpoints}
-            return real(kind, model, gains, stream, checkpoints, **kwargs)
+                return {c: np.full(len(streams), -math.inf) for c in checkpoints}
+            return real(kind, model, gains, streams, checkpoints, **kwargs)
 
         monkeypatch.setattr(lyap_mod, "logs_at", flaky)
         with caplog.at_level("WARNING", logger="fibrelay"):
