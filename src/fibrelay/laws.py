@@ -147,6 +147,8 @@ def _capacity_series(payload):
 def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: int,
                                *, renorm_period: int = 1, workers: int = 1) -> np.ndarray:
     """Replicas-by-nodes matrix of log c_n, for band checks."""
+    if n_replicas < 1:
+        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
     cfg = dataclasses.replace(config, n_nodes=int(n_steps))
     payloads = [(cfg, sids, renorm_period)
                 for sids in _batches(cfg.n_nodes, n_replicas, workers)]

@@ -200,3 +200,7 @@ class TestThetaBand:
         ens = simulate_capacity_ensemble(_cfg(Rayleigh(1.0), 0.6), 300, 7)
         assert ens.shape == (7, 300)
         assert np.all(np.isfinite(ens))
+
+    def test_ensemble_needs_a_replica(self):
+        with pytest.raises(ConfigError, match="n_replicas"):
+            simulate_capacity_ensemble(_cfg(Rayleigh(1.0), 0.6), 300, 0)
