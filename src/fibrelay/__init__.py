@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # is not imported here at all: only the lognormal model loads it, on its
 # first draw
 from .cocycle import CSV_HEADER, NetworkConfig, Trajectory, run_trajectory
-from .calibrate import CalibrationResult, bracket_expand, find_zero_lyapunov_gain
+from .calibrate import CalibrationResult, find_zero_lyapunov_gain
 from .coeffs import (
     CoefficientModel,
     ConstantGain,
@@ -59,7 +59,7 @@ from .metrics import capacity_nats, log_capacity_nats, snr_log, transmit_power_l
 
 __all__ = [
     "__version__",
-    "CalibrationResult", "bracket_expand", "find_zero_lyapunov_gain",
+    "CalibrationResult", "find_zero_lyapunov_gain",
     "CSV_HEADER", "NetworkConfig", "Trajectory", "run_trajectory",
     "CoefficientModel", "ConstantGain", "Deterministic", "GainPolicy",
     "LogNormal", "PerNodeGain", "Rayleigh", "RngStream", "SignedBernoulli",

@@ -7,6 +7,14 @@ during one calibration reuse identical random streams (common random
 numbers): every coefficient is magnitude * gain with the magnitudes fixed
 per stream, so the estimated rate is a deterministic, strictly increasing
 function of the gain and a plain bisection converges.
+
+One calibration is a geometric bracket expansion from ``g_init`` (halving
+the low edge until its rate is clearly negative, then doubling the high
+edge until its rate is clearly positive, two standard errors clear of
+zero), a bisection of that bracket and a confirmation run on fresh
+streams.  The budget is fixed: at most 200 growth-rate evaluations, with
+``n_steps`` doubled, while the replica CI is too wide to resolve the
+bracket, up to 8 times the requested count.
 """
 from __future__ import annotations
 
@@ -21,6 +29,10 @@ from .lyapunov import Z95, LyapunovEstimate, estimate_lambda
 logger = logging.getLogger("fibrelay")
 
 _MASK64 = (1 << 64) - 1
+# growth-rate evaluations of one calibration, the confirmation run excluded
+_MAX_EVALUATIONS = 200
+# n_steps doubles at most up to this multiple of the requested count
+_STEPS_CAP_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -53,37 +65,6 @@ class CalibrationResult:
         }
 
 
-class _CrnEvaluator:
-    """Memoized growth-rate evaluation at fixed streams (one per replica)."""
-
-    def __init__(self, model, n_steps, n_replicas, master_seed, burn_in,
-                 renorm_period, workers):
-        self.model = model
-        self.n_steps = int(n_steps)
-        self.n_replicas = n_replicas
-        self.master_seed = master_seed
-        self.burn_in = burn_in
-        self.renorm_period = renorm_period
-        self.workers = workers
-        self.evaluations = 0
-        self._cache = {}
-
-    def __call__(self, g: float) -> LyapunovEstimate:
-        est = self._cache.get(g)
-        if est is None:
-            est = estimate_lambda(
-                self.model, ConstantGain(g), self.n_steps, self.n_replicas,
-                self.master_seed, burn_in=self.burn_in,
-                renorm_period=self.renorm_period, workers=self.workers)
-            self._cache[g] = est
-            self.evaluations += 1
-        return est
-
-    def boost(self) -> None:
-        self.n_steps *= 2
-        self._cache.clear()
-
-
 def _clearly_negative(est) -> bool:
     return est.lambda_hat + 2.0 * est.std_err < 0.0
 
@@ -92,25 +73,15 @@ def _clearly_positive(est) -> bool:
     return est.lambda_hat - 2.0 * est.std_err > 0.0
 
 
-def bracket_expand(model: CoefficientModel, g_init: float, master_seed: int,
-                   *, n_steps: int = 10_000, n_replicas: int = 32,
-                   burn_in: int | None = None, renorm_period: int = 1,
-                   workers: int = 1, max_doublings: int = 60,
-                   _evaluator: _CrnEvaluator | None = None) -> tuple:
+def _bracket(rate, g_init: float, max_doublings: int) -> tuple:
     """Geometric expansion from g_init to a sign-changing gain bracket.
 
-    Doubles or halves until the growth rate is clearly negative at the low
-    edge and clearly positive at the high edge (two standard errors clear
-    of zero), under common random numbers.  Raises UnbracketableError after
+    Halves the low edge until its rate is clearly negative, then doubles the
+    high edge until its rate is clearly positive; a probe clearly on the far
+    side of zero tightens the other edge.  Raises UnbracketableError after
     ``max_doublings`` total expansions; that signals a model whose
     log-moment assumptions fail numerically.
     """
-    if model.validation_only:
-        raise ValidationOnlyModelError("cannot calibrate a validation-only model")
-    if not (g_init > 0.0) or not math.isfinite(g_init):
-        raise ConfigError(f"g_init must be positive, got {g_init}")
-    ev = _evaluator or _CrnEvaluator(model, n_steps, n_replicas, master_seed,
-                                     burn_in, renorm_period, workers)
     spent = 0
 
     def expand(g, factor):
@@ -122,26 +93,15 @@ def bracket_expand(model: CoefficientModel, g_init: float, master_seed: int,
                 f"from g_init={g_init}")
         return g * factor
 
-    est = ev(g_init)
-    if _clearly_negative(est):
-        g_lo, g_hi = g_init, expand(g_init, 2.0)
-        while not _clearly_positive(ev(g_hi)):
-            if _clearly_negative(ev(g_hi)):
-                g_lo = g_hi
-            g_hi = expand(g_hi, 2.0)
-    elif _clearly_positive(est):
-        g_hi, g_lo = g_init, expand(g_init, 0.5)
-        while not _clearly_negative(ev(g_lo)):
-            if _clearly_positive(ev(g_lo)):
-                g_hi = g_lo
-            g_lo = expand(g_lo, 0.5)
-    else:
-        # near zero already: push both edges out until they are clear
-        g_lo, g_hi = expand(g_init, 0.5), expand(g_init, 2.0)
-        while not _clearly_negative(ev(g_lo)):
-            g_lo = expand(g_lo, 0.5)
-        while not _clearly_positive(ev(g_hi)):
-            g_hi = expand(g_hi, 2.0)
+    g_lo = g_hi = g_init
+    while not _clearly_negative(rate(g_lo)):
+        if _clearly_positive(rate(g_lo)):
+            g_hi = g_lo
+        g_lo = expand(g_lo, 0.5)
+    while not _clearly_positive(rate(g_hi)):
+        if _clearly_negative(rate(g_hi)):
+            g_lo = g_hi
+        g_hi = expand(g_hi, 2.0)
     return g_lo, g_hi
 
 
@@ -149,36 +109,52 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
                             n_steps: int = 10_000, n_replicas: int = 32,
                             master_seed: int = 0, *, g_init: float = 1.0,
                             burn_in: int | None = None, renorm_period: int = 1,
-                            workers: int = 1, max_doublings: int = 60,
-                            max_evaluations: int = 200,
-                            n_steps_cap_factor: int = 8) -> CalibrationResult:
+                            workers: int = 1,
+                            max_doublings: int = 60) -> CalibrationResult:
     """Bisection for the gain with zero growth rate, on common random numbers.
 
-    Stops once |rate(g)| is within ``tol`` (and, for stochastic models,
-    within the replica CI of zero, so zero lies inside the reported
-    interval).  If the Monte Carlo CI is too wide to resolve the remaining
-    bracket, the step count doubles adaptively up to
-    ``n_steps_cap_factor * n_steps``.  After convergence the gain is
-    re-validated with fresh streams (master_seed + 1).
+    First expands a bracket geometrically from ``g_init``: halving until the
+    rate is clearly negative at the low edge and doubling until it is
+    clearly positive at the high edge, raising UnbracketableError after
+    ``max_doublings`` expansions.  Bisection then stops once |rate(g)| is
+    within ``tol`` (and, for stochastic models, within the replica CI of
+    zero, so zero lies inside the reported interval).  If the Monte Carlo
+    CI is too wide to resolve the remaining bracket, the step count doubles
+    adaptively up to 8 * ``n_steps``.  After at most 200 growth-rate
+    evaluations the iterate closest to zero is returned unconverged.  After
+    convergence the gain is re-validated with fresh streams
+    (master_seed + 1).
     """
     if model.validation_only:
         raise ValidationOnlyModelError("cannot calibrate a validation-only model")
     if not (tol > 0.0):
         raise ConfigError(f"tol must be positive, got {tol}")
-    ev = _CrnEvaluator(model, n_steps, n_replicas, master_seed, burn_in,
-                       renorm_period, workers)
-    steps_cap = n_steps * n_steps_cap_factor
+    if not (g_init > 0.0) or not math.isfinite(g_init):
+        raise ConfigError(f"g_init must be positive, got {g_init}")
+    steps = int(n_steps)
+    steps_cap = steps * _STEPS_CAP_FACTOR
+    cache = {}  # gain -> estimate at the current step count
+    evaluations = 0
 
-    g_lo, g_hi = bracket_expand(model, g_init, master_seed,
-                                max_doublings=max_doublings, _evaluator=ev)
+    def rate(g):
+        nonlocal evaluations
+        est = cache.get(g)
+        if est is None:
+            est = cache[g] = estimate_lambda(
+                model, ConstantGain(g), steps, n_replicas, master_seed,
+                burn_in=burn_in, renorm_period=renorm_period, workers=workers)
+            evaluations += 1
+        return est
+
+    g_lo, g_hi = _bracket(rate, g_init, max_doublings)
     history = [(g_lo, g_hi)]
 
     best = None  # (abs rate, gain, estimate)
     converged = False
-    g_star, est_star = g_hi, ev(g_hi)
-    while ev.evaluations < max_evaluations:
+    g_star, est_star = g_hi, rate(g_hi)
+    while evaluations < _MAX_EVALUATIONS:
         mid = 0.5 * (g_lo + g_hi)
-        est = ev(mid)
+        est = rate(mid)
         if best is None or abs(est.lambda_hat) < best[0]:
             best = (abs(est.lambda_hat), mid, est)
         target = min(tol, Z95 * est.std_err) if est.std_err > 0.0 else tol
@@ -186,12 +162,13 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
             g_star, est_star, converged = mid, est, True
             break
         ci_width = est.ci95_hi - est.ci95_lo
-        resolution = ev(g_hi).lambda_hat - ev(g_lo).lambda_hat
-        if ci_width > resolution and ev.n_steps < steps_cap:
+        resolution = rate(g_hi).lambda_hat - rate(g_lo).lambda_hat
+        if ci_width > resolution and steps < steps_cap:
             logger.info("calibration: CI width %.3g exceeds bracket resolution "
                         "%.3g; doubling n_steps to %d", ci_width, resolution,
-                        ev.n_steps * 2)
-            ev.boost()
+                        steps * 2)
+            steps *= 2
+            cache.clear()
             continue
         if est.lambda_hat > 0.0:
             g_hi = mid
@@ -206,7 +183,7 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
     confirmation = None
     if converged:
         confirmation = estimate_lambda(
-            model, ConstantGain(g_star), ev.n_steps, n_replicas,
+            model, ConstantGain(g_star), steps, n_replicas,
             (master_seed + 1) & _MASK64, burn_in=burn_in,
             renorm_period=renorm_period, workers=workers)
 
@@ -214,7 +191,7 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
         g_star=g_star,
         lambda_at_g_star=est_star,
         bracket_history=tuple(history),
-        evaluations=ev.evaluations,
+        evaluations=evaluations,
         converged=converged,
         confirmation=confirmation,
     )

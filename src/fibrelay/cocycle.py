@@ -69,7 +69,8 @@ NOISE = "noise"
 
 # compiled sequential kernels beat the blocked numpy engine
 _JIT = hasattr(_kernels.info_steps, "py_func")
-_KERNELS = {SIGNAL: "info_steps", SIGNED: "signed_steps", NOISE: "noise_steps"}
+# out_log of a checkpoint-only kernel run
+_NO_RECORD = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,15 @@ class _Walk:
 
     # -- compiled (or reference) path: the sequential kernels -------------
 
-    def _steps(self, c2, c1, vec, ls, phase, *out):
-        """Run the sequential kernel over c2, c1 from (vec, ls, phase)."""
-        pre = (self.n0,) if self.kind == NOISE else ()
-        *vec, ls, phase = getattr(_kernels, _KERNELS[self.kind] + ("_record" if out else ""))(
-            c2, c1, *pre, *vec, ls, self.period, phase, *out)
+    def _steps(self, c2, c1, vec, ls, phase, out=_NO_RECORD):
+        """Run the sequential kernel over c2, c1 from (vec, ls, phase),
+        writing the log after every step to ``out`` when it is non-empty."""
+        if self.kind == NOISE:
+            *vec, ls, phase = _kernels.noise_steps(c2, c1, self.n0, *vec, ls,
+                                                   self.period, phase, out)
+        else:
+            *vec, ls, phase = _kernels.info_steps(c2, c1, *vec, ls, self.period,
+                                                  phase, out)
         if not all(map(math.isfinite, (*vec, ls))):
             raise self._error(len(c2))
         return vec, ls, phase

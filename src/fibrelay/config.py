@@ -253,18 +253,13 @@ def resolve(command: str, file_values: dict | None = None,
     validation = _boolean("lyapunov.validation", merged.get("lyapunov.validation", False))
 
     grid_raw = merged.get("sweep.gain_grid", "")
-    try:
-        if isinstance(grid_raw, str):
-            gain_grid = tuple(float(v) for v in grid_raw.split(",") if v.strip())
-        else:
-            gain_grid = tuple(float(v) for v in grid_raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"sweep.gain_grid: malformed grid {grid_raw!r}") from None
-    if command == "sweep":
-        if not gain_grid:
-            raise ConfigError("sweep.gain_grid is required for the sweep command")
-        if any(not g > 0.0 for g in gain_grid):
-            raise ConfigError("sweep.gain_grid: gains must be positive")
+    if isinstance(grid_raw, str):
+        grid_raw = [v for v in grid_raw.split(",") if v.strip()]
+    elif not isinstance(grid_raw, (list, tuple)):
+        raise ConfigError(f"sweep.gain_grid: malformed grid {grid_raw!r}")
+    gain_grid = tuple(_positive_float("sweep.gain_grid", v) for v in grid_raw)
+    if command == "sweep" and not gain_grid:
+        raise ConfigError("sweep.gain_grid is required for the sweep command")
 
     return RunParams(
         command=command,

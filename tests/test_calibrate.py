@@ -12,44 +12,51 @@ from fibrelay import (
     SignedBernoulli,
     UnbracketableError,
     ValidationOnlyModelError,
-    bracket_expand,
     estimate_lambda,
     find_zero_lyapunov_gain,
     verify_laws,
 )
+from fibrelay import calibrate
 
 from conftest import SEED
 
 
+def _first_bracket(model, g_init, n_replicas, n_steps=10_000, **kwargs):
+    """The bracket the expansion from g_init hands to the bisection."""
+    return find_zero_lyapunov_gain(model, 1e-3, n_steps, n_replicas, SEED,
+                                   g_init=g_init, **kwargs).bracket_history[0]
+
+
 class TestBracketExpand:
     def test_unit_coefficient_from_above(self):
-        lo, hi = bracket_expand(Deterministic(1.0), 1.0, SEED, n_replicas=2)
-        assert (lo, hi) == (0.25, 1.0)
+        assert _first_bracket(Deterministic(1.0), 1.0, 2) == (0.25, 1.0)
+
+    def test_unit_coefficient_from_far_above(self):
+        # clearly positive probes on the way down tighten the high edge
+        assert _first_bracket(Deterministic(1.0), 4.0, 2) == (0.25, 1.0)
 
     def test_unit_coefficient_from_the_zero(self):
         # starting exactly at the zero-growth gain expands both ways
-        lo, hi = bracket_expand(Deterministic(1.0), 0.5, SEED, n_replicas=2)
-        assert (lo, hi) == (0.25, 1.0)
+        assert _first_bracket(Deterministic(1.0), 0.5, 2) == (0.25, 1.0)
 
     def test_small_coefficient_from_below(self):
-        lo, hi = bracket_expand(Deterministic(0.2), 1.0, SEED, n_replicas=2)
+        lo, hi = _first_bracket(Deterministic(0.2), 1.0, 2)
         assert lo < 2.5 < hi
         assert (lo, hi) == (2.0, 4.0)
 
     def test_bracket_endpoints_have_opposite_signs(self):
-        lo, hi = bracket_expand(Rayleigh(1.0), 1.0, SEED, n_replicas=8)
+        lo, hi = _first_bracket(Rayleigh(1.0), 1.0, 8)
         lam_lo = estimate_lambda(Rayleigh(1.0), ConstantGain(lo), 10_000, 8, SEED)
         lam_hi = estimate_lambda(Rayleigh(1.0), ConstantGain(hi), 10_000, 8, SEED)
         assert lam_lo.lambda_hat < 0.0 < lam_hi.lambda_hat
 
     def test_unbracketable(self):
         with pytest.raises(UnbracketableError):
-            bracket_expand(Deterministic(1e-9), 1.0, SEED, n_steps=2000,
-                           n_replicas=1, max_doublings=3)
+            _first_bracket(Deterministic(1e-9), 1.0, 1, n_steps=2000, max_doublings=3)
 
     def test_rejects_validation_model(self):
         with pytest.raises(ValidationOnlyModelError):
-            bracket_expand(SignedBernoulli(0.5), 1.0, SEED)
+            _first_bracket(SignedBernoulli(0.5), 1.0, 32)
 
 
 class TestFindZeroGain:
@@ -94,9 +101,10 @@ class TestFindZeroGain:
                 for g in (0.4, 0.55, 0.7, 1.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_unreachable_tolerance_returns_best_iterate(self):
-        res = find_zero_lyapunov_gain(Rayleigh(1.0), 1e-9, 2000, 4, SEED,
-                                      max_evaluations=25, n_steps_cap_factor=2)
+    def test_unreachable_tolerance_returns_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "_MAX_EVALUATIONS", 25)
+        monkeypatch.setattr(calibrate, "_STEPS_CAP_FACTOR", 2)
+        res = find_zero_lyapunov_gain(Rayleigh(1.0), 1e-9, 2000, 4, SEED)
         assert not res.converged
         assert math.isfinite(res.g_star)
         assert res.confirmation is None
@@ -106,6 +114,26 @@ class TestFindZeroGain:
             find_zero_lyapunov_gain(Deterministic(1.0), 0.0, 2000, 1, SEED)
         with pytest.raises(ValidationOnlyModelError):
             find_zero_lyapunov_gain(SignedBernoulli(0.5), 1e-3, 2000, 1, SEED)
+        for g_init in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                find_zero_lyapunov_gain(Deterministic(1.0), 1e-3, 2000, 1, SEED,
+                                        g_init=g_init)
+
+    @pytest.mark.parametrize("model,n_steps,n_replicas,tol,g_init,pinned", [
+        (Deterministic(1.0), 10_000, 2, 1e-3, 1.0, (12, 10_000, 9, "0x1.0040000000000p-1")),
+        (Deterministic(1.0), 10_000, 2, 1e-3, 0.5, (12, 10_000, 9, "0x1.0040000000000p-1")),
+        (Deterministic(0.2), 10_000, 2, 1e-3, 1.0, (5, 10_000, 2, "0x1.4000000000000p+1")),
+        (Rayleigh(1.0), 2000, 4, 1e-4, 1.0, (21, 16_000, 10, "0x1.2fc0000000000p-1")),
+    ], ids=("unit-from-above", "unit-from-the-zero", "small-from-below",
+            "rayleigh-doubling"))
+    def test_bookkeeping_pinned(self, model, n_steps, n_replicas, tol, g_init, pinned):
+        """Evaluation count, final step count, bisection length and g* at
+        SEED; the Rayleigh run doubles n_steps from 2000 to 16000."""
+        res = find_zero_lyapunov_gain(model, tol, n_steps, n_replicas, SEED,
+                                      g_init=g_init)
+        assert res.converged
+        assert (res.evaluations, res.lambda_at_g_star.n_steps,
+                len(res.bracket_history), res.g_star.hex()) == pinned
 
     def test_report_keys(self):
         res = find_zero_lyapunov_gain(Deterministic(1.0), 1e-3, 10_000, 2, SEED)

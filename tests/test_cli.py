@@ -1,4 +1,5 @@
 """CLI surface: config ingestion, subcommands, manifests, exit codes."""
+import importlib
 import json
 import math
 import subprocess
@@ -271,11 +272,13 @@ class TestCommands:
 
     def test_rayleigh_run_leaves_scipy_unimported(self):
         """scipy serves only the lognormal model and is imported on its
-        first draw."""
+        first draw; the process pool modules load only when a run fans out
+        to more than one worker."""
         code = ("import sys, fibrelay.cli\n"
                 "rc = fibrelay.cli.main(['lyapunov', '--model', 'rayleigh:mu=1', "
                 "'--n', '1000', '--replicas', '2'])\n"
-                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('scipy', 'multiprocessing', 'concurrent')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "0 []"
@@ -300,28 +303,35 @@ class TestConfigValues:
         ("lyapunov", {"network": {"model": 5}}, "network.model"),
         ("sweep", {"network": {"model": "rayleigh"}, "sweep": {"gain_grid": 0.5}},
          "sweep.gain_grid"),
+        ("sweep", {"network": {"model": "rayleigh"}, "sweep": {"gain_grid": [0.5, True]}},
+         "sweep.gain_grid"),
+        ("sweep", {"network": {"model": "rayleigh"}, "sweep": {"gain_grid": [0.5, "nan"]}},
+         "sweep.gain_grid"),
         ("lyapunov", {"network": {"model": "rayleigh", "n0": True}}, "network.n0"),
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"burn_in": True}},
          "run.burn_in"),
-    ], ids=("gains-list", "model-number", "grid-number", "n0-bool", "burn-in-bool"))
+    ], ids=("gains-list", "model-number", "grid-number", "grid-bool", "grid-nan",
+            "n0-bool", "burn-in-bool"))
     def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
         rc, err = self._run(command, config, tmp_path, capsys)
         assert rc == 2
         assert err.startswith("error:") and key in err
 
-    @pytest.mark.parametrize("flags,run,key", [
-        (("--i0", "inf"), {}, "network.i0"),
-        (("--n0", "inf"), {}, "network.n0"),
-        (("--n0", "nan"), {}, "network.n0"),
-        ((), {"n": 2000.7}, "run.n"),
-        ((), {"replicas": 1.5}, "run.replicas"),
-        ((), {"seed": 7.5}, "run.seed"),
-        ((), {"renorm_period": 1e400}, "run.renorm_period"),
-    ], ids=("i0-inf", "n0-inf", "n0-nan", "n-fraction", "replicas-fraction",
-            "seed-fraction", "renorm-period-inf"))
-    def test_non_finite_or_non_integral(self, flags, run, key, tmp_path, capsys):
+    @pytest.mark.parametrize("command,flags,run,key", [
+        ("lyapunov", ("--i0", "inf"), {}, "network.i0"),
+        ("lyapunov", ("--n0", "inf"), {}, "network.n0"),
+        ("lyapunov", ("--n0", "nan"), {}, "network.n0"),
+        ("sweep", ("--gain-grid", "1,inf"), {}, "sweep.gain_grid"),
+        ("lyapunov", (), {"n": 2000.7}, "run.n"),
+        ("lyapunov", (), {"replicas": 1.5}, "run.replicas"),
+        ("lyapunov", (), {"seed": 7.5}, "run.seed"),
+        ("lyapunov", (), {"renorm_period": 1e400}, "run.renorm_period"),
+    ], ids=("i0-inf", "n0-inf", "n0-nan", "grid-inf", "n-fraction",
+            "replicas-fraction", "seed-fraction", "renorm-period-inf"))
+    def test_non_finite_or_non_integral(self, command, flags, run, key, tmp_path,
+                                        capsys):
         config = {"network": {"model": "deterministic:c=1"}, "run": run}
-        rc, err = self._run("lyapunov", config, tmp_path, capsys, flags)
+        rc, err = self._run(command, config, tmp_path, capsys, flags)
         assert rc == 2
         assert err.startswith("error:") and key in err
 
@@ -330,6 +340,20 @@ class TestPublicApi:
     def test_every_exported_name_resolves(self):
         for name in fibrelay.__all__:
             assert getattr(fibrelay, name) is not None, name
+
+    def test_benchmark_hooks_resolve(self):
+        """perfbench wraps these names in its preflight and traced runs, so
+        renaming or deleting one breaks the benchmark rather than a test."""
+        for name in ("cli.run_command", "cli._emit", "_kernels.info_steps",
+                     "cocycle.run_trajectory", "cocycle.Trajectory.to_csv",
+                     "coeffs.RngStream.generator", "calibrate.find_zero_lyapunov_gain",
+                     "lyapunov.estimate_lambda", "laws.slope_estimate",
+                     "_parallel.map_ordered", "config.parse_config"):
+            module, *attrs = name.split(".")
+            obj = importlib.import_module(f"fibrelay.{module}")
+            for attr in attrs:
+                obj = getattr(obj, attr, None)
+            assert callable(obj), name
 
 
 class TestNumericalFailures:

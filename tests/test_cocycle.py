@@ -135,7 +135,8 @@ class TestStepNoise:
         rng = RngStream(SEED, 11).generator()
         q = rng.random(2 * n) * (hi - lo) + lo
         w0, w1, w2, ls, _ = _kernels.noise_steps(q[:n], q[n:], 1.0,
-                                                 0.0, 0.0, 1.0, 0.0, 1, 0)
+                                                 0.0, 0.0, 1.0, 0.0, 1, 0,
+                                                 np.empty(0))
         assert w2 > 0.0
         assert abs(ls + math.log(w2)) <= 1e-10 * n
 
