@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: lyapunov, simulate, calibrate, verify, sweep.  Exit codes:
-0 success, 1 verify verdict failure, 2 usage or configuration error,
-3 numerical failure (unbracketable calibration, non-convergence, or a
-recursion state that left double range).
+Subcommands: lyapunov, simulate, calibrate, verify, sweep.  Besides
+``--config`` and ``--output-dir``, the flags are the keys of
+``config.KEYS``.  Exit codes: 0 success, 1 verify verdict failure, 2 usage
+or configuration error (naming the bad key or path), 3 numerical failure
+(unbracketable calibration, non-convergence, or a recursion state that
+left double range).
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from . import __version__
 from .calibrate import find_zero_lyapunov_gain
 from .coeffs import ConstantGain
 from .cocycle import run_trajectory
-from .config import _ALL_KEYS, RunParams, parse_config
+from .config import KEYS, RunParams, parse_config
 from .errors import ConfigError, NumericalError, UnbracketableError
 from .laws import verify_laws
 from .lyapunov import estimate_lambda
@@ -35,64 +37,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "scaling-law checks and zero-growth gain calibration.")
     parser.add_argument("--version", action="version", version=f"fibrelay {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
         p.add_argument("--config", help="config file (flat KV, JSON, or a run manifest)")
-        p.add_argument("--model", help="coefficient model spec, e.g. rayleigh:mu=1.0")
-        p.add_argument("--gain", type=float, help="constant amplification gain")
-        p.add_argument("--gains", help="per-node gains, comma separated")
-        p.add_argument("--n0", type=float, help="noise power per reception (default 1)")
-        p.add_argument("--i0", type=float, help="source magnitude (default 1)")
-        p.add_argument("--n", type=int, help="nodes / steps (default 10000)")
-        p.add_argument("--replicas", type=int, help="independent replicas (default 32)")
-        p.add_argument("--seed", help="master seed (integer, or 'auto')")
-        p.add_argument("--burn-in", dest="burn_in", help="burn-in nodes or 'auto'")
-        p.add_argument("--renorm-period", dest="renorm_period", type=int,
-                       help="renormalize every k steps (default 1)")
-        p.add_argument("--workers", type=int,
-                       help="replica parallelism (default $FIBRELAY_WORKERS or 1)")
-        p.add_argument("--output-dir", dest="output_dir",
-                       help="write artifacts plus manifest.json here")
-
-    p = sub.add_parser("lyapunov", help="estimate the signal growth rate")
-    common(p)
-    p.add_argument("--kind", choices=("growth_rate", "tail_ratio"))
-    p.add_argument("--validation", action="store_const", const=True, default=None,
-                   help="allow the signed validation model")
-
-    p = sub.add_parser("simulate", help="write per-node trajectory CSVs")
-    common(p)
-    p.add_argument("--trajectories", type=int, help="number of trajectories (default 1)")
-
-    p = sub.add_parser("calibrate", help="find the zero-growth gain")
-    common(p)
-    p.add_argument("--tol", type=float, help="growth-rate tolerance (default 1e-3)")
-    p.add_argument("--g-init", dest="g_init", type=float, help="bracket start (default 1)")
-    p.add_argument("--max-doublings", dest="max_doublings", type=int)
-
-    p = sub.add_parser("verify", help="check the capacity and power scaling laws")
-    common(p)
-    p.add_argument("--tolerance-sigma", dest="tolerance_sigma", type=float)
-    p.add_argument("--slope-tol", dest="slope_tol", type=float)
-
-    p = sub.add_parser("sweep", help="tabulate the growth rate over a gain grid")
-    common(p)
-    p.add_argument("--gain-grid", dest="gain_grid", help="comma-separated gains")
-
+        p.add_argument("--output-dir", help="write artifacts plus manifest.json here")
+        for key, entry in KEYS.items():
+            if entry.command in (None, command):
+                # every flag but --validation is a string for the key's parser
+                extra = {"action": "store_const", "const": True} \
+                    if key == "lyapunov.validation" else {}
+                p.add_argument("--" + key.partition(".")[2].replace("_", "-"), **extra,
+                               help=entry.help if entry.default is None
+                               else f"{entry.help} (default {entry.default})")
     return parser
-
-
-# each flag's destination is its configuration key's suffix
-_FLAG_KEYS = {key.partition(".")[2]: key for key in _ALL_KEYS}
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for attr, key in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
-    return out
 
 
 def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> None:
@@ -121,6 +78,7 @@ def _simulate_worker(payload):
 
 
 def cmd_lyapunov(params: RunParams, output_dir) -> int:
+    """estimate the signal growth rate"""
     est = estimate_lambda(
         params.model, params.gains, params.n, params.replicas, params.seed,
         params.kind, burn_in=params.burn_in, i0=params.i0,
@@ -133,6 +91,7 @@ def cmd_lyapunov(params: RunParams, output_dir) -> int:
 
 
 def cmd_simulate(params: RunParams, output_dir) -> int:
+    """write per-node trajectory CSVs"""
     if output_dir is None:
         raise ConfigError("simulate requires --output-dir")
     from ._parallel import map_ordered
@@ -147,6 +106,7 @@ def cmd_simulate(params: RunParams, output_dir) -> int:
 
 
 def cmd_calibrate(params: RunParams, output_dir) -> int:
+    """find the zero-growth gain"""
     result = find_zero_lyapunov_gain(
         params.model, params.tol, params.n, params.replicas, params.seed,
         g_init=params.g_init, burn_in=params.burn_in,
@@ -159,6 +119,7 @@ def cmd_calibrate(params: RunParams, output_dir) -> int:
 
 
 def cmd_verify(params: RunParams, output_dir) -> int:
+    """check the capacity and power scaling laws"""
     cap, pwr = verify_laws(
         params.network_config(), params.n, params.replicas,
         tolerance_sigma=params.tolerance_sigma, slope_tol=params.slope_tol,
@@ -190,6 +151,7 @@ def cmd_verify(params: RunParams, output_dir) -> int:
 
 
 def cmd_sweep(params: RunParams, output_dir) -> int:
+    """tabulate the growth rate over a gain grid"""
     rows = ["g,lambda_hat,std_err"]
     for g in params.gain_grid:
         gains = ConstantGain(g)
@@ -219,18 +181,18 @@ def run_command(command: str, params: RunParams, output_dir=None) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
-        if exc.code in (None, 0):
-            return EXIT_OK
-        return EXIT_CONFIG
+        return EXIT_OK if exc.code in (None, 0) else EXIT_CONFIG
     try:
-        params = parse_config(args.command, args.config, _overrides(args))
-        return run_command(args.command, params, args.output_dir)
+        # each flag's destination is its key's suffix
+        overrides = {key: args.get(key.partition(".")[2]) for key in KEYS}
+        params = parse_config(args["command"], args["config"], overrides)
+        return run_command(args["command"], params, args["output_dir"])
     except (UnbracketableError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # ConfigError and domain errors
+    except (ValueError, OSError) as exc:  # ConfigError, domain errors and bad paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

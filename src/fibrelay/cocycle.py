@@ -322,7 +322,6 @@ class _Walk:
     def _advance_blocked(self, K2, K1, lanes, reads, out):
         k, L, B = lanes.k, lanes.L, lanes.B
         d, R = self.vec.shape
-        full = (B - 1) * L
 
         # basis pass: block transfer matrices of every replica, plus the
         # partial products (matrices, lane within the replica, step) the
@@ -367,31 +366,22 @@ class _Walk:
 
         if out is not None:
             # replay the steps on the block-start states, recording every
-            # step straight into out (replicas x blocks x steps)
+            # step into rec (replicas x blocks x steps, the last block padded)
             del log_div
             V = np.stack([v for v, _ in starts], axis=-1).reshape(d, R * B)
-            block_out = out[:, :full].reshape(R, B - 1, L)
-            last_out = out[:, full:]
-            tail = k - full
+            rec = np.empty((R, B, L))
 
             def record(t, slots):
-                row = V[slots[1]].reshape(R, B)
-                block_out[:, :, t] = row[:, :-1]
-                if t < tail:
-                    last_out[:, t] = row[:, -1]
+                rec[:, :, t] = V[slots[1]].reshape(R, B)
 
             log_div, _ = self._sweep(V, K2, K1, record)
             np.log(log_div, out=log_div)
             cum = np.cumsum(log_div, axis=0, out=log_div).reshape(L, R, B)
             start_ls = np.stack([s for _, s in starts], axis=-1)
-            np.log(np.abs(out, out=out), out=out)
-            # replica by replica: numpy copies a 3-d view of out before an
-            # in-place add
-            for q, replica_out in enumerate(block_out):
-                replica_out += cum[:, q, :-1].T
-                replica_out += start_ls[q, :-1, None]
-            last_out += cum[:tail, :, -1].T
-            last_out += start_ls[:, -1:]
+            np.log(np.abs(rec, out=rec), out=rec)
+            rec += cum.transpose(1, 2, 0)
+            rec += start_ls[:, :, None]
+            out[:] = rec.reshape(R, B * L)[:, :k]
             if not np.isfinite(out).all():
                 raise self._error(k)
         return logs
@@ -457,24 +447,14 @@ class Trajectory:
     config: NetworkConfig
     stream_id: int = 0
 
-    def write_csv(self, file) -> None:
-        """Emit rows with full double precision (17 significant digits)."""
-        if hasattr(file, "write"):
-            self._write(file)
-        else:
-            with open(file, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        fh.write(CSV_HEADER + "\n")
+    def to_csv(self) -> str:
+        """Rows with full double precision (17 significant digits)."""
         cols = (self.log_i_sq, self.log_n_sq, self.log_snr,
                 self.capacity_nats, self.log_x_sq)
         rows = zip(range(1, len(self.log_i_sq) + 1), *(c.tolist() for c in cols))
-        fh.writelines(_CSV_ROW % row for row in rows)
-
-    def to_csv(self) -> str:
         buf = io.StringIO()
-        self._write(buf)
+        buf.write(CSV_HEADER + "\n")
+        buf.writelines(_CSV_ROW % row for row in rows)
         return buf.getvalue()
 
 

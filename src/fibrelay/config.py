@@ -1,8 +1,11 @@
 """Configuration ingestion for the command-line tool.
 
-Accepted sources, in increasing precedence: built-in defaults, a config
-file, command-line flags.  The file format is flat ``key = value`` text
-with dotted section prefixes (diff-friendly), e.g.::
+``KEYS`` is the one table of configuration keys: each gives the command
+that takes it (None: all), its default, its parser and its flag's help.
+Sources, in increasing precedence: the defaults, a config file, the flags
+``--<key after the dot>``.  Every value goes through its key's parser, so
+a bad one raises ConfigError naming the key.  The file format is flat
+``key = value`` text with dotted section prefixes (diff-friendly), e.g.::
 
     # network
     network.model = rayleigh:mu=1.0
@@ -14,7 +17,8 @@ with dotted section prefixes (diff-friendly), e.g.::
 JSON is accepted as an alternative encoding (either the same flat keys or
 one nesting level: ``{"network": {"model": ...}}``).  A run manifest is
 also accepted: its ``config_echo`` is used directly, which is how a run is
-reproduced from its manifest.
+reproduced from its manifest.  A config file that cannot be read or
+parsed raises ConfigError naming its path.
 """
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ import math
 import os
 import secrets
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .coeffs import CoefficientModel, ConstantGain, GainPolicy, parse_gains, parse_model
 from .cocycle import NetworkConfig
@@ -32,25 +38,11 @@ from .lyapunov import DEFAULT_BURN_IN, GROWTH_RATE, TAIL_RATIO
 
 COMMANDS = ("lyapunov", "simulate", "calibrate", "verify", "sweep")
 
-DEFAULT_SEED = 20260809
-
 # the worker count when run.workers is not given
 _ENV_WORKERS = "FIBRELAY_WORKERS"
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
-
-_GENERAL_KEYS = ("network.model", "network.gain", "network.gains", "network.n0",
-                 "network.i0", "run.n", "run.replicas", "run.seed",
-                 "run.burn_in", "run.renorm_period", "run.workers")
-_COMMAND_KEYS = {
-    "lyapunov": ("lyapunov.kind", "lyapunov.validation"),
-    "simulate": ("simulate.trajectories",),
-    "calibrate": ("calibrate.tol", "calibrate.g_init", "calibrate.max_doublings"),
-    "verify": ("verify.tolerance_sigma", "verify.slope_tol"),
-    "sweep": ("sweep.gain_grid",),
-}
-_ALL_KEYS = _GENERAL_KEYS + tuple(k for ks in _COMMAND_KEYS.values() for k in ks)
 
 
 def _positive_float(key, value) -> float:
@@ -93,13 +85,77 @@ def _boolean(key, value) -> bool:
     return value
 
 
-def _workers(merged) -> int:
-    """run.workers, else the environment variable, else 1; a bad value is
-    named by where it came from."""
-    if "run.workers" in merged:
-        return _positive_int("run.workers", merged["run.workers"])
-    # an empty variable counts as unset
-    return _positive_int(_ENV_WORKERS, os.environ.get(_ENV_WORKERS) or 1)
+def _or_auto(parse):
+    """``parse``, reading the string ``auto`` as None for resolve to fill."""
+    return lambda key, value: None if str(value).strip().lower() == "auto" \
+        else parse(key, value)
+
+
+def _spec(parse, cls, what):
+    """Parse a spec string with ``parse``; pass a built ``cls`` through."""
+    def parse_spec(key, value):
+        if isinstance(value, cls):
+            return value
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a {what} spec string, got {value!r}")
+        return parse(value)
+    return parse_spec
+
+
+def _kind(key, value) -> str:
+    if value not in (GROWTH_RATE, TAIL_RATIO):
+        raise ConfigError(f"{key}: must be {GROWTH_RATE} or {TAIL_RATIO}, got {value!r}")
+    return value
+
+
+def _grid(key, value) -> tuple:
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()]
+    elif not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: malformed grid {value!r}")
+    return tuple(_positive_float(key, v) for v in value)
+
+
+class Key(NamedTuple):
+    command: str | None  # None: every command
+    default: object  # None: unset
+    parse: Callable  # (key, value) -> value, raising ConfigError naming the key
+    help: str
+
+
+KEYS = {
+    "network.model": Key(None, None, _spec(parse_model, CoefficientModel, "model"),
+                         "coefficient model spec, e.g. rayleigh:mu=1.0"),
+    "network.gain": Key(None, 1.0, _positive_float, "constant amplification gain"),
+    "network.gains": Key(None, None, _spec(
+        lambda t: parse_gains(t if ":" in t else "pernode:g=" + t), GainPolicy, "gain"),
+        "per-node gains, comma separated"),
+    "network.n0": Key(None, 1.0, _positive_float, "noise power per reception"),
+    "network.i0": Key(None, 1.0, _positive_float, "source magnitude"),
+    "run.n": Key(None, 10_000, partial(_positive_int, minimum=2), "nodes / steps"),
+    "run.replicas": Key(None, 32, _positive_int, "independent replicas"),
+    "run.seed": Key(None, 20260809,
+                    _or_auto(partial(_integer, expected="an integer or 'auto'")),
+                    "master seed, an integer or 'auto'"),
+    "run.burn_in": Key(None, "auto", _or_auto(partial(_positive_int, minimum=0)),
+                       "burn-in nodes or 'auto'"),
+    "run.renorm_period": Key(None, 1, _positive_int, "renormalize every k steps"),
+    "run.workers": Key(None, None, _positive_int,
+                       f"replica parallelism (default ${_ENV_WORKERS} or 1)"),
+    "lyapunov.kind": Key("lyapunov", GROWTH_RATE, _kind, f"{GROWTH_RATE} or {TAIL_RATIO}"),
+    "lyapunov.validation": Key("lyapunov", False, _boolean,
+                               "allow the signed validation model"),
+    "simulate.trajectories": Key("simulate", 1, _positive_int, "number of trajectories"),
+    "calibrate.tol": Key("calibrate", 1e-3, _positive_float, "growth-rate tolerance"),
+    "calibrate.g_init": Key("calibrate", 1.0, _positive_float, "bracket start"),
+    "calibrate.max_doublings": Key("calibrate", 60, _positive_int,
+                                   "bracket expansions before giving up"),
+    "verify.tolerance_sigma": Key("verify", DEFAULT_TOLERANCE_SIGMA, _positive_float,
+                                  "band half-width in combined standard errors"),
+    "verify.slope_tol": Key("verify", DEFAULT_SLOPE_TOL, _positive_float,
+                            "smallest band half-width"),
+    "sweep.gain_grid": Key("sweep", None, _grid, "comma-separated gains"),
+}
 
 
 @dataclass(frozen=True)
@@ -117,44 +173,32 @@ class RunParams:
     burn_in: int
     renorm_period: int
     workers: int
-    kind: str = GROWTH_RATE
-    validation: bool = False
-    trajectories: int = 1
-    tol: float = 1e-3
-    g_init: float = 1.0
-    max_doublings: int = 60
-    tolerance_sigma: float = DEFAULT_TOLERANCE_SIGMA
-    slope_tol: float = DEFAULT_SLOPE_TOL
-    gain_grid: tuple = ()
+    kind: str
+    validation: bool
+    trajectories: int
+    tol: float
+    g_init: float
+    max_doublings: int
+    tolerance_sigma: float
+    slope_tol: float
+    gain_grid: tuple | None
 
-    def network_config(self, n_nodes=None) -> NetworkConfig:
+    def network_config(self) -> NetworkConfig:
         return NetworkConfig(model=self.model, gains=self.gains, n0=self.n0,
-                             i0=self.i0, n_nodes=n_nodes or self.n,
-                             master_seed=self.seed)
+                             i0=self.i0, n_nodes=self.n, master_seed=self.seed)
 
     def echo(self) -> dict:
-        """Dotted-key view of everything that determines the outputs.
-
-        Worker count and output paths are execution details and are
-        excluded; results are identical for any worker count.
-        """
-        out = {
-            "command": self.command,
-            "network.model": self.model.spec_string(),
-            "network.gains": self.gains.spec_string(),
-            "network.n0": self.n0,
-            "network.i0": self.i0,
-            "run.n": self.n,
-            "run.replicas": self.replicas,
-            "run.seed": self.seed,
-            "run.burn_in": self.burn_in,
-            "run.renorm_period": self.renorm_period,
-        }
-        for key in _COMMAND_KEYS[self.command]:
-            value = getattr(self, key.partition(".")[2])
-            if key == "sweep.gain_grid":
-                value = ",".join(f"{g:.17g}" for g in value)
-            out[key] = value
+        """Dotted-key view of everything that determines the outputs: the
+        command's ``KEYS`` but the worker count, an execution detail, and
+        ``network.gain``, which ``network.gains`` holds."""
+        out = {"command": self.command}
+        for key, entry in KEYS.items():
+            if entry.command in (None, self.command) and key not in ("network.gain",
+                                                                     "run.workers"):
+                value = getattr(self, key.partition(".")[2])
+                if key == "sweep.gain_grid":
+                    value = ",".join(f"{g:.17g}" for g in value)
+                out[key] = value.spec_string() if hasattr(value, "spec_string") else value
         return out
 
 
@@ -162,8 +206,7 @@ def _flatten(obj) -> dict:
     flat = {}
     for key, value in obj.items():
         if isinstance(value, dict):
-            for sub, v in value.items():
-                flat[f"{key}.{sub}"] = v
+            flat.update((f"{key}.{sub}", v) for sub, v in value.items())
         else:
             flat[str(key)] = value
     return flat
@@ -171,16 +214,21 @@ def _flatten(obj) -> dict:
 
 def read_config_file(path) -> dict:
     """Read a flat KV file, a JSON config, or a run manifest."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(text)
-        if "config_echo" in obj:
-            obj = obj["config_echo"]
-        flat = _flatten(obj)
-        flat.pop("command", None)
-        return flat
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read config file: {reason}") from None
+    if text.lstrip().startswith("{"):
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        obj = obj.get("config_echo", obj)
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: config_echo must be a JSON object, got {obj!r}")
+        return {k: v for k, v in _flatten(obj).items() if k != "command"}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -206,92 +254,36 @@ def resolve(command: str, file_values: dict | None = None,
     merged = {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
-            if key not in _ALL_KEYS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown configuration key {key!r}")
             if value is not None:
                 merged[key] = value
-
     if "network.model" not in merged:
         raise ConfigError("network.model is required")
-    model = merged["network.model"]
-    if isinstance(model, str):
-        model = parse_model(model)
-    elif not isinstance(model, CoefficientModel):
-        raise ConfigError(f"network.model: expected a model spec string, got {model!r}")
-
     if "network.gains" in merged and "network.gain" in merged:
         raise ConfigError("network.gain and network.gains are mutually exclusive")
-    if "network.gains" in merged:
-        gains = merged["network.gains"]
-        if isinstance(gains, str):
-            gains = parse_gains(gains if ":" in gains else "pernode:g=" + gains)
-        elif not isinstance(gains, GainPolicy):
-            raise ConfigError(f"network.gains: expected a gain spec string, got {gains!r}")
-    elif "network.gain" in merged:
-        gains = ConstantGain(_positive_float("network.gain", merged["network.gain"]))
-    else:
-        gains = ConstantGain(1.0)
 
-    n = _positive_int("run.n", merged.get("run.n", 10_000), minimum=2)
+    values = {}
+    for key, entry in KEYS.items():
+        value = merged.get(key, entry.default)
+        values[key.partition(".")[2]] = None if value is None else entry.parse(key, value)
 
-    seed = merged.get("run.seed", DEFAULT_SEED)
-    if isinstance(seed, str) and seed.strip().lower() == "auto":
-        seed = secrets.randbits(63)
-    else:
-        seed = _integer("run.seed", seed, "an integer or 'auto'")
-
-    burn = merged.get("run.burn_in", "auto")
-    if isinstance(burn, str) and burn.strip().lower() == "auto":
-        burn = default_burn_in(n) if command == "verify" else min(DEFAULT_BURN_IN, n // 2)
-    else:
-        burn = _positive_int("run.burn_in", burn, minimum=0)
-
-    kind = str(merged.get("lyapunov.kind", GROWTH_RATE))
-    if kind not in (GROWTH_RATE, TAIL_RATIO):
-        raise ConfigError(f"lyapunov.kind: must be {GROWTH_RATE} or {TAIL_RATIO}, got {kind!r}")
-
-    validation = _boolean("lyapunov.validation", merged.get("lyapunov.validation", False))
-
-    grid_raw = merged.get("sweep.gain_grid", "")
-    if isinstance(grid_raw, str):
-        grid_raw = [v for v in grid_raw.split(",") if v.strip()]
-    elif not isinstance(grid_raw, (list, tuple)):
-        raise ConfigError(f"sweep.gain_grid: malformed grid {grid_raw!r}")
-    gain_grid = tuple(_positive_float("sweep.gain_grid", v) for v in grid_raw)
-    if command == "sweep" and not gain_grid:
+    gain = values.pop("gain")
+    values["gains"] = values["gains"] or ConstantGain(gain)
+    if values["seed"] is None:
+        values["seed"] = secrets.randbits(63)
+    if values["burn_in"] is None:
+        n = values["n"]
+        values["burn_in"] = default_burn_in(n) if command == "verify" \
+            else min(DEFAULT_BURN_IN, n // 2)
+    if values["workers"] is None:
+        # named by its source; an empty variable counts as unset
+        values["workers"] = _positive_int(_ENV_WORKERS, os.environ.get(_ENV_WORKERS) or 1)
+    if command == "sweep" and not values["gain_grid"]:
         raise ConfigError("sweep.gain_grid is required for the sweep command")
-
-    return RunParams(
-        command=command,
-        model=model,
-        gains=gains,
-        n0=_positive_float("network.n0", merged.get("network.n0", 1.0)),
-        i0=_positive_float("network.i0", merged.get("network.i0", 1.0)),
-        n=n,
-        replicas=_positive_int("run.replicas", merged.get("run.replicas", 32)),
-        seed=seed,
-        burn_in=burn,
-        renorm_period=_positive_int("run.renorm_period",
-                                    merged.get("run.renorm_period", 1)),
-        workers=_workers(merged),
-        kind=kind,
-        validation=validation,
-        trajectories=_positive_int("simulate.trajectories",
-                                   merged.get("simulate.trajectories", 1)),
-        tol=_positive_float("calibrate.tol", merged.get("calibrate.tol", 1e-3)),
-        g_init=_positive_float("calibrate.g_init", merged.get("calibrate.g_init", 1.0)),
-        max_doublings=_positive_int("calibrate.max_doublings",
-                                    merged.get("calibrate.max_doublings", 60)),
-        tolerance_sigma=_positive_float("verify.tolerance_sigma",
-                                        merged.get("verify.tolerance_sigma",
-                                                   DEFAULT_TOLERANCE_SIGMA)),
-        slope_tol=_positive_float("verify.slope_tol",
-                                  merged.get("verify.slope_tol", DEFAULT_SLOPE_TOL)),
-        gain_grid=gain_grid,
-    )
+    return RunParams(command=command, **values)
 
 
 def parse_config(command: str, path=None, overrides: dict | None = None) -> RunParams:
     """File plus flag ingestion; flags override file values."""
-    file_values = read_config_file(path) if path else None
-    return resolve(command, file_values, overrides)
+    return resolve(command, read_config_file(path) if path else None, overrides)

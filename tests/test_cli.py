@@ -137,14 +137,29 @@ class TestParseConfig:
                                           "network.gains": gains, "run.n": 3})
         assert params.model == Rayleigh(1.0) and params.gains is gains
 
-    def test_manifest_round_trips_config(self, tmp_path):
-        rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--gain", "0.7",
-                   "--n", "40", "--seed", "11", "--output-dir", str(tmp_path)])
+    _ECHOED = {"command", "network.model", "network.gains", "network.n0", "network.i0",
+               "run.n", "run.replicas", "run.seed", "run.burn_in", "run.renorm_period"}
+
+    @pytest.mark.parametrize("command,flags,keys", [
+        ("lyapunov", (), {"lyapunov.kind", "lyapunov.validation"}),
+        ("simulate", (), {"simulate.trajectories"}),
+        ("calibrate", (), {"calibrate.tol", "calibrate.g_init", "calibrate.max_doublings"}),
+        ("verify", (), {"verify.tolerance_sigma", "verify.slope_tol"}),
+        ("sweep", ("--gain-grid", "0.5,1"), {"sweep.gain_grid"}),
+    ], ids=("lyapunov", "simulate", "calibrate", "verify", "sweep"))
+    def test_manifest_round_trips_config(self, command, flags, keys, tmp_path, capsys):
+        """The echo holds the command's keys but network.gain and
+        run.workers, and reads back to the same parameters."""
+        rc = main([command, "--model", "deterministic:c=1", "--gain", "0.5", "--n", "1000",
+                   "--replicas", "1", "--seed", "11", "--workers", "1", *flags,
+                   "--output-dir", str(tmp_path)])
         assert rc == 0
-        reread = read_config_file(tmp_path / "manifest.json")
-        params = resolve("simulate", reread)
+        echo = json.loads((tmp_path / "manifest.json").read_text())["config_echo"]
+        assert set(echo) == self._ECHOED | keys
+        params = resolve(command, read_config_file(tmp_path / "manifest.json"))
         assert params.seed == 11
-        assert params.gains.g == 0.7
+        assert params.gains.g == 0.5
+        assert params.echo() == echo
 
 
 class TestJson17g:
@@ -326,14 +341,40 @@ class TestConfigValues:
         ("lyapunov", (), {"replicas": 1.5}, "run.replicas"),
         ("lyapunov", (), {"seed": 7.5}, "run.seed"),
         ("lyapunov", (), {"renorm_period": 1e400}, "run.renorm_period"),
+        ("lyapunov", ("--n", "abc"), {}, "run.n"),
+        ("lyapunov", ("--replicas", "1.5"), {}, "run.replicas"),
+        ("lyapunov", ("--gain", "x"), {}, "network.gain"),
+        ("lyapunov", ("--kind", "bogus"), {}, "lyapunov.kind"),
     ], ids=("i0-inf", "n0-inf", "n0-nan", "grid-inf", "n-fraction",
-            "replicas-fraction", "seed-fraction", "renorm-period-inf"))
+            "replicas-fraction", "seed-fraction", "renorm-period-inf", "n-flag-text",
+            "replicas-flag-fraction", "gain-flag-text", "kind-flag-unknown"))
     def test_non_finite_or_non_integral(self, command, flags, run, key, tmp_path,
                                         capsys):
         config = {"network": {"model": "deterministic:c=1"}, "run": run}
         rc, err = self._run(command, config, tmp_path, capsys, flags)
         assert rc == 2
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("flag,text,name", [
+        ("--config", None, "missing.cfg"),
+        ("--config", None, "."),
+        ("--config", '{"config_echo": 5}', "run.json"),
+        ("--config", '{"network": {"model": "deterministic:c=1"}\n "run": {}}', "run.json"),
+        ("--output-dir", "", "file"),
+        ("--output-dir", "", "file/out"),
+    ], ids=("config-missing", "config-directory", "config-echo-not-object",
+            "config-broken-json", "output-dir-file", "output-dir-under-file"))
+    def test_bad_path_named(self, flag, text, name, tmp_path, capsys):
+        """A config file or output directory that cannot be used exits 2
+        naming the path, with no traceback."""
+        if text is not None:
+            (tmp_path / name.split("/")[0]).write_text(text)
+        path = tmp_path / name
+        rc = main(["lyapunov", "--model", "deterministic:c=1", "--n", "1000",
+                   "--replicas", "1", flag, str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and str(path) in err
 
 
 class TestPublicApi:

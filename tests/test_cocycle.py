@@ -1,5 +1,4 @@
 """Cocycle engine: start states, exact steps, trajectories, CSV and the oracle."""
-import io
 import math
 
 import numpy as np
@@ -305,15 +304,6 @@ class TestTrajectoryCsv:
             "0.33333333333333331,-2.5\n"
             "2,0.33333333333333331,-0,4.9406564584124654e-324,"
             "1.7976931348623157e+308,0\n")
-
-    def test_write_csv_to_file(self, tmp_path):
-        traj = run_trajectory(_det_config(1.0, 1.0, 4))
-        path = tmp_path / "t.csv"
-        traj.write_csv(path)
-        assert path.read_text() == traj.to_csv()
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        assert buf.getvalue() == traj.to_csv()
 
 
 class TestNetworkConfigValidation:
