@@ -52,6 +52,7 @@ from .lyapunov import (
     TAIL_RATIO,
     LyapunovEstimate,
     estimate_lambda,
+    estimate_lambdas,
     estimate_noise_exponent,
     lambda_deterministic_closed_form,
 )
@@ -70,6 +71,6 @@ __all__ = [
     "default_burn_in", "simulate_capacity_ensemble", "slope_estimate",
     "verify_laws",
     "GROWTH_RATE", "TAIL_RATIO", "LyapunovEstimate", "estimate_lambda",
-    "estimate_noise_exponent", "lambda_deterministic_closed_form",
+    "estimate_lambdas", "estimate_noise_exponent", "lambda_deterministic_closed_form",
     "capacity_nats", "log_capacity_nats", "snr_log", "transmit_power_log",
 ]

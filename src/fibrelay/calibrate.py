@@ -15,6 +15,15 @@ zero), a bisection of that bracket and a confirmation run on fresh
 streams.  The budget is fixed: at most 200 growth-rate evaluations, with
 ``n_steps`` doubled, while the replica CI is too wide to resolve the
 bracket, up to 8 times the requested count.
+
+Gains are estimated in passes of three, one engine pass each with every
+stream drawn once: a gain the search asks for and does not know yet, plus
+the two gains its next step can ask for (g / 2 and 2g while expanding, the
+two next midpoints while bisecting; a bisection pass also takes the
+bracket edges after a step-count doubling).  The search reads the same
+values in the same order as one gain at a time, so it takes the same
+decisions, and ``evaluations`` counts the gains it read.  Doubling
+``n_steps`` forgets every estimate; the confirmation is its own pass.
 """
 from __future__ import annotations
 
@@ -23,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 from .coeffs import CoefficientModel, ConstantGain
-from .errors import ConfigError, UnbracketableError, ValidationOnlyModelError
-from .lyapunov import Z95, LyapunovEstimate, estimate_lambda
+from .errors import ConfigError, NumericalError, UnbracketableError, ValidationOnlyModelError
+from .lyapunov import Z95, LyapunovEstimate, estimate_lambda, estimate_lambdas
 
 logger = logging.getLogger("fibrelay")
 
@@ -94,11 +103,11 @@ def _bracket(rate, g_init: float, max_doublings: int) -> tuple:
         return g * factor
 
     g_lo = g_hi = g_init
-    while not _clearly_negative(rate(g_lo)):
+    while not _clearly_negative(rate(g_lo, g_lo * 0.5, g_lo * 2.0)):
         if _clearly_positive(rate(g_lo)):
             g_hi = g_lo
         g_lo = expand(g_lo, 0.5)
-    while not _clearly_positive(rate(g_hi)):
+    while not _clearly_positive(rate(g_hi, g_hi * 0.5, g_hi * 2.0)):
         if _clearly_negative(rate(g_hi)):
             g_lo = g_hi
         g_hi = expand(g_hi, 2.0)
@@ -134,17 +143,33 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
     steps = int(n_steps)
     steps_cap = steps * _STEPS_CAP_FACTOR
     cache = {}  # gain -> estimate at the current step count
+    read = set()  # gains the search has read at the current step count
     evaluations = 0
 
-    def rate(g):
+    def estimates(gs):
+        return estimate_lambdas(model, [ConstantGain(g) for g in gs], steps, n_replicas,
+                                master_seed, burn_in=burn_in,
+                                renorm_period=renorm_period, workers=workers)
+
+    def rate(g, *ahead):
+        """The estimate at g; when g is new, one pass also estimates the
+        positive finite gains of ``ahead`` not known yet."""
         nonlocal evaluations
-        est = cache.get(g)
-        if est is None:
-            est = cache[g] = estimate_lambda(
-                model, ConstantGain(g), steps, n_replicas, master_seed,
-                burn_in=burn_in, renorm_period=renorm_period, workers=workers)
+        if g not in cache:
+            gs = list(dict.fromkeys(
+                [g, *(a for a in ahead if 0.0 < a < math.inf and a not in cache)]))
+            try:
+                cache.update(zip(gs, estimates(gs)))
+            except (ConfigError, NumericalError):
+                if len(gs) == 1:
+                    raise
+                # a look-ahead gain that fails must not end a search that
+                # would never read it: g alone fails or passes as before
+                cache[g] = estimates([g])[0]
+        if g not in read:
+            read.add(g)
             evaluations += 1
-        return est
+        return cache[g]
 
     g_lo, g_hi = _bracket(rate, g_init, max_doublings)
     history = [(g_lo, g_hi)]
@@ -154,7 +179,9 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
     g_star, est_star = g_hi, rate(g_hi)
     while evaluations < _MAX_EVALUATIONS:
         mid = 0.5 * (g_lo + g_hi)
-        est = rate(mid)
+        # the edges are known unless n_steps just doubled; the next
+        # midpoint is one of the last two, whatever the sign at mid
+        est = rate(mid, g_lo, g_hi, 0.5 * (g_lo + mid), 0.5 * (mid + g_hi))
         if best is None or abs(est.lambda_hat) < best[0]:
             best = (abs(est.lambda_hat), mid, est)
         target = min(tol, Z95 * est.std_err) if est.std_err > 0.0 else tol
@@ -169,6 +196,7 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
                         steps * 2)
             steps *= 2
             cache.clear()
+            read.clear()
             continue
         if est.lambda_hat > 0.0:
             g_hi = mid

@@ -10,6 +10,8 @@ left double range).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import sys
 from pathlib import Path
@@ -21,13 +23,18 @@ from .cocycle import run_trajectory
 from .config import KEYS, RunParams, parse_config
 from .errors import ConfigError, NumericalError, UnbracketableError
 from .laws import verify_laws
-from .lyapunov import estimate_lambda
+from .lyapunov import estimate_lambda, estimate_lambdas
 from .manifest import MANIFEST_FILENAME, RunManifest, dumps_17g
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# at exit, move every tracked object to the permanent generation so the
+# interpreter's final collections skip it (numpy's import-time heap is
+# most of it); handlers registered earlier still run after this one
+atexit.register(gc.freeze)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +66,6 @@ def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> 
     if output_dir is None:
         return
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (outdir / name).write_bytes(text.encode("utf-8"))
     manifest = RunManifest.build(
@@ -152,14 +158,14 @@ def cmd_verify(params: RunParams, output_dir) -> int:
 
 def cmd_sweep(params: RunParams, output_dir) -> int:
     """tabulate the growth rate over a gain grid"""
+    grid = params.gain_grid
+    ests = estimate_lambdas(params.model, [ConstantGain(g) for g in grid], params.n,
+                            params.replicas, params.seed, burn_in=params.burn_in,
+                            i0=params.i0, renorm_period=params.renorm_period,
+                            workers=params.workers)
     rows = ["g,lambda_hat,std_err"]
-    for g in params.gain_grid:
-        gains = ConstantGain(g)
-        est = estimate_lambda(params.model, gains, params.n, params.replicas,
-                              params.seed, burn_in=params.burn_in, i0=params.i0,
-                              renorm_period=params.renorm_period,
-                              workers=params.workers)
-        rows.append(f"{g:.17g},{est.lambda_hat:.17g},{est.std_err:.17g}")
+    rows += [f"{g:.17g},{est.lambda_hat:.17g},{est.std_err:.17g}"
+             for g, est in zip(grid, ests)]
     text = "\n".join(rows) + "\n"
     _emit(params, output_dir, {"sweep.csv": text}, text)
     return EXIT_OK
@@ -175,6 +181,10 @@ _HANDLERS = {
 
 
 def run_command(command: str, params: RunParams, output_dir=None) -> int:
+    """Run one command; ``output_dir`` is created before any work, so a bad
+    path fails at once (a run that fails later leaves it empty)."""
+    if output_dir is not None:
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
     return _HANDLERS[command](params, output_dir)
 
 

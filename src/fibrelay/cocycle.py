@@ -23,14 +23,17 @@ for the renormalized products).  The block matrices are then folded into
 the state in order; every-node records replay the L steps once more on the
 B block-start states.
 
-The engine state has a replica axis: one call runs R replicas, each on its
-own Philox stream drawn in its own order and chunking, with the B blocks of
-every replica side by side in one sweep of B * R lanes and the folds done
-for all replicas at once.  A replica's value is the same, bit for bit, in
-any batch, so it does not depend on the batch size or the worker count;
-``_BATCH_STEPS`` caps the replica-steps of one call.  When numba is
+The engine state has a column axis: one call runs R replicas under G gain
+policies, G * R columns in gain-major order.  Each replica draws its own
+Philox stream once, in its own order and chunking, and every gain
+multiplies the same magnitudes (common random numbers); the B blocks of
+every column sit side by side in one sweep of B * G * R lanes and the
+folds are done for all columns at once.  A column's value is the same, bit
+for bit, in any batch and next to any other gains, so it does not depend on
+the batch size, the gains run with it or the worker count;
+``_BATCH_STEPS`` caps the column-steps of one call.  When numba is
 installed the sequential kernels of ``_kernels`` are faster and run
-instead, one replica at a time.
+instead, one column at a time.
 """
 from __future__ import annotations
 
@@ -45,8 +48,8 @@ from .coeffs import (
     CoefficientModel,
     GainPolicy,
     RngStream,
-    first_hop_coefficient,
-    hop_coefficients,
+    first_hop_magnitude,
+    hop_magnitudes,
 )
 from .errors import ConfigError, NumericalError
 
@@ -57,8 +60,9 @@ _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 # steps of one replica drawn and pushed at a time; bounds the memory of
 # long chains
 _CHUNK_STEPS = 1 << 19
-# replica-steps of lanes per engine call: a call takes as many replicas as
-# fit (at least one), about 600-1200 lanes and a few MB at common sizes
+# column-steps of lanes per engine call, a column being one replica under
+# one gain: a call takes as many replicas as fit with all its gains (at
+# least one), about 600-1200 lanes and a few MB at common sizes
 _BATCH_STEPS = 1 << 17
 
 # cocycle kinds: positive 2x2 signal recursion, signed 2x2 validation
@@ -106,18 +110,36 @@ def _block_length(k: int) -> int:
     return math.ceil(math.sqrt(2 * k))
 
 
-def _batches(n_nodes: int, n_replicas: int, workers: int = 1) -> list:
-    """Contiguous stream-id ranges of replicas 0..n_replicas-1, one engine
-    call each: at least one per worker while replicas last, none holding
-    more than ``_BATCH_STEPS`` replica-steps of lanes (one replica always
-    fits).  Replica values do not depend on the split."""
+def _column_steps(n_nodes: int) -> int:
+    """Lane-steps one column of an n_nodes chain takes in one engine call."""
     k = min(max(n_nodes - 1, 1), _CHUNK_STEPS)
     L = _block_length(k)
-    per_call = max(1, _BATCH_STEPS // (L * -(-k // L)))
-    pieces = -(-n_replicas // per_call)
-    pieces = min(n_replicas, workers * -(-pieces // workers))
-    bounds = [n_replicas * i // pieces for i in range(pieces + 1)]
+    return L * -(-k // L)
+
+
+def _even_ranges(n: int, pieces: int) -> list:
+    """0..n-1 cut into ``pieces`` contiguous ranges of near-equal length."""
+    bounds = [n * i // pieces for i in range(pieces + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _gain_groups(n_nodes: int, n_gains: int) -> list:
+    """Contiguous index ranges of gains 0..n_gains-1 run in one engine pass
+    each: as few, and as even, as keep one replica's gains within
+    ``_BATCH_STEPS`` (one gain always fits).  Each group redraws its
+    streams."""
+    per_group = max(1, _BATCH_STEPS // _column_steps(n_nodes))
+    return _even_ranges(n_gains, -(-n_gains // per_group))
+
+
+def _batches(n_nodes: int, n_replicas: int, workers: int = 1, n_gains: int = 1) -> list:
+    """Contiguous stream-id ranges of replicas 0..n_replicas-1, one engine
+    call each under ``n_gains`` gains: at least one per worker while
+    replicas last, none holding more than ``_BATCH_STEPS`` column-steps of
+    lanes (one replica always fits).  Values do not depend on the split."""
+    per_call = max(1, _BATCH_STEPS // (n_gains * _column_steps(n_nodes)))
+    pieces = -(-n_replicas // per_call)
+    return _even_ranges(n_replicas, min(n_replicas, workers * -(-pieces // workers)))
 
 
 def _logs(x) -> np.ndarray:
@@ -128,48 +150,80 @@ def _logs(x) -> np.ndarray:
 
 
 class _Lanes:
-    """One chunk of k steps of R replicas, laid out for the engine.
+    """One chunk of k steps of C columns, laid out for the engine.
 
     ``K[0]`` holds the two-back and ``K[1]`` the one-back coefficients as
-    L x (R * B) arrays: replica q's steps j*L .. j*L+L-1 fill lane q*B + j.
-    Unit coefficients pad each replica's last lane, whose partial product
+    L x (C * B) arrays: column q's steps j*L .. j*L+L-1 fill lane q*B + j.
+    Unit coefficients pad each column's last lane, whose partial product
     is read at step k like any checkpoint.  The blocked engine takes
-    L ~ sqrt(2k); the sequential path takes L = k, one lane per replica.
+    L ~ sqrt(2k); the sequential path takes L = k, one lane per column.
     """
 
-    def __init__(self, k: int, n_replicas: int):
+    def __init__(self, k: int, n_columns: int):
         self.k = k
         self.L = k if _JIT else _block_length(k)
         self.B = -(-k // self.L)
-        self.K = np.ones((2, self.L, n_replicas * self.B))
+        # side x step x column x lane within the column; K is its lane view
+        self._by_column = np.ones((2, self.L, n_columns, self.B))
+        self.K = self._by_column.reshape(2, self.L, n_columns * self.B)
 
     def put(self, q: int, two_back, one_back) -> None:
         L, B = self.L, self.B
         full = (B - 1) * L
-        for lanes, c in zip(self.K[:, :, q * B:(q + 1) * B], (two_back, one_back)):
+        for lanes, c in zip(self._by_column[:, :, q], (two_back, one_back)):
             lanes[:, :-1] = c[:full].reshape(B - 1, L).T
             lanes[:self.k - full, -1] = c[full:]
 
+    def scale(self, gains, start: int, n_replicas: int) -> None:
+        """Turn the magnitudes put in columns 0..R-1 into the coefficients
+        of every gain policy of ``gains``: column i * R + q becomes replica
+        q's magnitudes times policy i's gains of nodes start.., the product
+        ``hop_coefficient_chunks`` makes; unit pads stay 1."""
+        L, B, k, R = self.L, self.B, self.k, n_replicas
+        magnitudes = self._by_column[:, :, :R]
+        # the first group last: it holds the magnitudes until then
+        for i in reversed(range(len(gains))):
+            group = self._by_column[:, :, i * R:(i + 1) * R]
+            factor = gains[i].node_gains(start, k)
+            if (factor == factor[0]).all():
+                factor = factor[0]  # one gain over the chunk: a scalar product
+            else:
+                factor = np.concatenate([factor, np.ones(B * L - k)])
+                factor = factor.reshape(B, L).T[:, None, :]
+            with np.errstate(over="ignore"):  # reported as non-finite state
+                np.multiply(magnitudes, factor, out=group)
+            group[:, k - (B - 1) * L:, :, -1] = 1.0  # the last lane's padding
 
-def _chunks(model: CoefficientModel, gains: GainPolicy, rngs, n_nodes: int):
+
+def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:
+    """Source-hop coefficients of the columns, gain-major (gain i, replica q
+    at i * R + q); one uniform per stream whatever the number of gains."""
+    magnitudes = [first_hop_magnitude(model, rng) for rng in rngs]
+    return np.array([m * policy.node_gains(1, 1)[0] for policy in gains for m in magnitudes])
+
+
+def _chunks(model: CoefficientModel, gains, rngs, n_nodes: int):
     """Yield (start node, _Lanes) per chunk of the steps into nodes
-    2..n_nodes; each replica draws its own stream in the order and chunking
-    of ``hop_coefficient_chunks``."""
+    2..n_nodes, columns gain-major as in ``_first_hops``.  Each replica
+    draws its stream once per chunk, in the order and chunking of
+    ``hop_coefficient_chunks``, and each gain policy multiplies the same
+    magnitudes."""
     start = 2
     while start <= n_nodes:
-        lanes = _Lanes(min(_CHUNK_STEPS, n_nodes - start + 1), len(rngs))
+        lanes = _Lanes(min(_CHUNK_STEPS, n_nodes - start + 1), len(gains) * len(rngs))
         for q, rng in enumerate(rngs):
-            lanes.put(q, *hop_coefficients(model, gains, rng, start, lanes.k))
+            lanes.put(q, *hop_magnitudes(model, rng, lanes.k).T)
+        lanes.scale(gains, start, len(rngs))
         yield start, lanes
         start += lanes.k
 
 
 class _Walk:
-    """One cocycle's renormalized state along R replicas' step streams.
+    """One cocycle's renormalized state along C columns' step streams.
 
-    ``vec`` is d x R: per replica (value[n-1], value[n]) for the signal and
+    ``vec`` is d x C: per column (value[n-1], value[n]) for the signal and
     signed kinds and (noise[n-1], noise[n], const) for the noise kind,
-    scaled so the largest magnitude is 1; ``log_scale`` holds the R logs of
+    scaled so the largest magnitude is 1; ``log_scale`` holds the C logs of
     those scales.  ``advance`` consumes one chunk of hop coefficients (the
     noise kind squares them).
     """
@@ -398,23 +452,24 @@ def _signal_walk(i0: float, eta01, period: int) -> _Walk:
     return _Walk(SIGNAL, (i0, eta01 * i0), period)
 
 
-def logs_at(kind: str, model: CoefficientModel, gains: GainPolicy, streams,
-            checkpoints, *, i0: float = 1.0, n0: float = 1.0,
-            renorm_period: int = 1) -> dict:
+def logs_at(kind: str, model: CoefficientModel, gains, streams, checkpoints, *,
+            i0: float = 1.0, n0: float = 1.0, renorm_period: int = 1) -> dict:
     """Log magnitudes of one cocycle at the requested nodes (all >= 1).
 
     Runs one replica per stream in ``streams`` (a sequence of RngStream)
-    and maps each node to the array of their logs.  Each replica draws its
-    stream in the order of ``run_trajectory``.  ``SIGNAL`` reads
+    under each policy in ``gains`` (a sequence of GainPolicy) and maps each
+    node to the array of the G * R logs, gain-major: gain i's replica q is
+    entry i * R + q.  Each replica draws its stream once, in the order of
+    ``run_trajectory``, for all the gains.  ``SIGNAL`` reads
     log value[node] started from (i0, eta01 * i0); ``SIGNED`` reads
     log |value[node]| started from (1, coeff01), -inf at an exact zero;
     ``NOISE`` reads the log noise power.  Raises NumericalError when a
     state leaves double range.
     """
     rngs = [stream.generator() for stream in streams]
-    first = np.array([first_hop_coefficient(model, gains, rng) for rng in rngs])
+    first = _first_hops(model, gains, rngs)
     if kind == NOISE:
-        walk = _Walk(kind, (0.0, 0.0, np.ones(len(rngs))), renorm_period, n0)
+        walk = _Walk(kind, (0.0, 0.0, np.ones(len(first))), renorm_period, n0)
     elif kind == SIGNED:
         walk = _Walk(kind, (1.0, first), renorm_period)
     else:
@@ -423,7 +478,7 @@ def logs_at(kind: str, model: CoefficientModel, gains: GainPolicy, streams,
     out = {}
     if want[0] == 1:
         # verbatim: the first 3x3 application deposits exactly n0 at node 1
-        out[1] = np.full(len(rngs), math.log(n0)) if kind == NOISE else walk.log_value()
+        out[1] = np.full(len(first), math.log(n0)) if kind == NOISE else walk.log_value()
     for start, lanes in _chunks(model, gains, rngs, want[-1]):
         here = [c for c in want if start <= c < start + lanes.k]
         out.update(zip(here, walk.advance(lanes, [c - start + 1 for c in here])))
@@ -463,8 +518,7 @@ def _records(config: NetworkConfig, stream_ids, renorm_period: int):
     engine pass over the replicas ``stream_ids``."""
     n = config.n_nodes
     rngs = [RngStream(config.master_seed, sid).generator() for sid in stream_ids]
-    first = np.array([first_hop_coefficient(config.model, config.gains, rng)
-                      for rng in rngs])
+    first = _first_hops(config.model, (config.gains,), rngs)
 
     log_i = np.empty((len(rngs), n))
     log_n2 = np.empty((len(rngs), n))
@@ -476,7 +530,7 @@ def _records(config: NetworkConfig, stream_ids, renorm_period: int):
     # node-1 slot
     log_n2[:, 0] = np.log(config.n0)
 
-    for start, lanes in _chunks(config.model, config.gains, rngs, n):
+    for start, lanes in _chunks(config.model, (config.gains,), rngs, n):
         rows = slice(start - 1, start - 1 + lanes.k)
         signal.advance(lanes, out=log_i[:, rows])
         noise.advance(lanes, out=log_n2[:, rows])

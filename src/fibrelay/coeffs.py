@@ -268,20 +268,17 @@ def expected_log_eta(model: CoefficientModel, gain: float) -> float:
     return value
 
 
-def first_hop_coefficient(model: CoefficientModel, gains: GainPolicy, rng: Generator) -> float:
-    """Coefficient of the source-to-node-1 hop; consumes one uniform."""
-    u = rng.random(1)
-    return float(model.transform_uniforms(u)[0] * gains.node_gains(1, 1)[0])
+def first_hop_magnitude(model: CoefficientModel, rng: Generator) -> float:
+    """Magnitude of the source-to-node-1 hop; consumes one uniform.  Its
+    coefficient under a gain policy is ``magnitude * gains.node_gains(1, 1)[0]``."""
+    return model.transform_uniforms(rng.random(1))[0]
 
 
-def hop_coefficients(model: CoefficientModel, gains: GainPolicy, rng: Generator,
-                     start: int, count: int) -> tuple:
-    """(two_back, one_back) coefficients of the ``count`` steps into nodes
-    start .. start+count-1; consumes 2*count uniforms, two-back first for
+def hop_magnitudes(model: CoefficientModel, rng: Generator, count: int) -> np.ndarray:
+    """Magnitudes of the hops into the next ``count`` nodes, count x
+    (two-back, one-back); consumes 2*count uniforms, two-back first for
     each node."""
-    coef = model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
-    coef *= gains.node_gains(start, count)[:, None]
-    return coef[:, 0], coef[:, 1]
+    return model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
 
 
 def hop_coefficient_chunks(model: CoefficientModel, gains: GainPolicy, rng: Generator,
@@ -293,12 +290,14 @@ def hop_coefficient_chunks(model: CoefficientModel, gains: GainPolicy, rng: Gene
     ``(start_node, two_back, one_back)`` with ``len == count of steps``.
     This generator is the normative draw-order contract: consuming it is
     stream-equivalent to 2*(n_nodes-1) successive single draws.  The engine
-    draws each replica's chunks with ``hop_coefficients`` in this order.
+    draws each replica's chunks with ``hop_magnitudes`` in this order, once
+    for all the gain policies of a pass.
     """
     i = 2
     while i <= n_nodes:
         count = min(chunk_steps, n_nodes - i + 1)
-        yield i, *hop_coefficients(model, gains, rng, i, count)
+        coef = hop_magnitudes(model, rng, count) * gains.node_gains(i, count)[:, None]
+        yield i, coef[:, 0], coef[:, 1]
         i += count
 
 

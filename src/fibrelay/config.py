@@ -113,6 +113,8 @@ def _grid(key, value) -> tuple:
         value = [v for v in value.split(",") if v.strip()]
     elif not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key}: malformed grid {value!r}")
+    if not value:
+        raise ConfigError(f"{key}: empty grid")
     return tuple(_positive_float(key, v) for v in value)
 
 

@@ -15,9 +15,13 @@ formula (1/n) * log value[n], source magnitude included.  Every estimate
 (growth rate, tail ratio, signed validation, noise exponent) is this value
 on one cocycle, computed by one worker that takes a contiguous range of
 stream ids and runs it as one batch of the cocycle engine (ranges are
-split so no call exceeds the engine's replica-steps budget, and there is
-at least one range per worker).  A replica's value is the same in any
-batch and for any worker count.
+split so no call exceeds the engine's lane budget, and there is at least
+one range per worker).  ``estimate_lambdas`` estimates several gain
+policies at once: their replicas run as extra columns of the same engine
+calls, so each stream is drawn once for all of them, and each gain's
+estimate is the one ``estimate_lambda`` gives for it alone.  A replica's
+value is the same in any batch, next to any gains and for any worker
+count.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .coeffs import CoefficientModel, Deterministic, GainPolicy, RngStream
-from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, _batches, logs_at
+from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, _batches, _gain_groups, logs_at
 from .errors import ConfigError, NumericalError, ValidationOnlyModelError
 
 logger = logging.getLogger("fibrelay")
@@ -105,41 +109,52 @@ def _check_counts(n_steps, n_replicas, what=GROWTH_RATE, minimum=MIN_GROWTH_STEP
 
 def _rate_replicas(payload):
     """Rates (log value[n] - log value[burn]) / (n - burn) of one
-    contiguous range of replicas, run as one engine batch."""
+    contiguous range of replicas under each of a few gain policies, run as
+    one engine batch; one list per policy."""
     kind, model, gains, n, seed, sids, burn, i0, n0, period = payload
     # burn_in = 0 is the bare formula (1/n) * log value[n], source factor kept
     checkpoints = (n,) if burn == 0 else (burn, n)
 
-    def rates(stream_ids):
-        logs = logs_at(kind, model, gains, [RngStream(seed, s) for s in stream_ids],
+    def rates(stream_ids, policies):
+        logs = logs_at(kind, model, policies, [RngStream(seed, s) for s in stream_ids],
                        checkpoints, i0=i0, n0=n0, renorm_period=period)
         with np.errstate(invalid="ignore"):  # -inf - -inf marks a restart too
-            return ((logs[n] - (0.0 if burn == 0 else logs[burn])) / (n - burn)).tolist()
+            rate = (logs[n] - (0.0 if burn == 0 else logs[burn])) / (n - burn)
+        return rate.reshape(len(policies), -1).tolist()
 
-    values = rates(sids)
+    values = rates(sids, gains)
     # only the signed recursion reads -inf (an exact zero); the other
-    # cocycles raise NumericalError instead.  Such a replica reruns alone.
-    for q, sid in enumerate(sids):
-        attempt = 0
-        while not math.isfinite(values[q]):
-            if attempt == _MAX_RESTARTS:
-                raise NumericalError(
-                    f"replica {sid}: exactly-zero values persist after "
-                    f"{_MAX_RESTARTS} restarts")
-            attempt += 1
-            logger.warning(
-                "replica %d hit an exactly-zero value at a checkpoint; restarting "
-                "with offset stream (attempt %d)", sid, attempt)
-            [values[q]] = rates([sid + attempt * _RESTART_STRIDE])
+    # cocycles raise NumericalError instead.  Such a replica reruns alone,
+    # under that gain only.
+    for policy, per_gain in zip(gains, values):
+        for q, sid in enumerate(sids):
+            attempt = 0
+            while not math.isfinite(per_gain[q]):
+                if attempt == _MAX_RESTARTS:
+                    raise NumericalError(
+                        f"replica {sid}: exactly-zero values persist after "
+                        f"{_MAX_RESTARTS} restarts")
+                attempt += 1
+                logger.warning(
+                    "replica %d hit an exactly-zero value at a checkpoint; restarting "
+                    "with offset stream (attempt %d)", sid, attempt)
+                [[per_gain[q]]] = rates([sid + attempt * _RESTART_STRIDE], (policy,))
     return values
 
 
 def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kind,
-              *, i0=1.0, n0=1.0, renorm_period=1, workers=1) -> LyapunovEstimate:
-    payloads = [(kind, model, gains, n_steps, seed, sids, burn, i0, n0, renorm_period)
-                for sids in _batches(n_steps, n_replicas, workers)]
-    values = [v for part in map_ordered(_rate_replicas, payloads, workers) for v in part]
-    return _reduce(values, n_steps, estimator_kind)
+              *, i0=1.0, n0=1.0, renorm_period=1, workers=1) -> list:
+    """One estimate per gain policy in ``gains``, from one engine pass per
+    group of gains that fits the lane budget."""
+    calls = [(group, sids) for group in _gain_groups(n_steps, len(gains))
+             for sids in _batches(n_steps, n_replicas, workers, len(group))]
+    payloads = [(kind, model, tuple(gains[i] for i in group), n_steps, seed, sids, burn,
+                 i0, n0, renorm_period) for group, sids in calls]
+    values = [[] for _ in gains]
+    for (group, _), part in zip(calls, map_ordered(_rate_replicas, payloads, workers)):
+        for i, per_gain in zip(group, part):
+            values[i] += per_gain
+    return [_reduce(v, n_steps, estimator_kind) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +164,25 @@ def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kin
 
 def estimate_lambda(model: CoefficientModel, gains: GainPolicy, n_steps: int,
                     n_replicas: int, master_seed: int, kind: str = GROWTH_RATE,
-                    *, burn_in: int | None = None, i0: float = 1.0,
-                    validation: bool = False, renorm_period: int = 1,
-                    workers: int = 1) -> LyapunovEstimate:
-    """Estimate the top growth rate of the signal recursion.
+                    **options) -> LyapunovEstimate:
+    """Estimate the top growth rate of the signal recursion under one gain
+    policy: ``estimate_lambdas`` with one policy."""
+    [est] = estimate_lambdas(model, (gains,), n_steps, n_replicas, master_seed, kind,
+                             **options)
+    return est
+
+
+def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: int,
+                     master_seed: int, kind: str = GROWTH_RATE, *,
+                     burn_in: int | None = None, i0: float = 1.0,
+                     validation: bool = False, renorm_period: int = 1,
+                     workers: int = 1) -> list:
+    """Estimate the top growth rate of the signal recursion under each gain
+    policy of ``gains``, on the same streams (common random numbers).
+
+    Every stream is drawn once per engine pass for all the policies; a pass
+    holds as many policies as the engine's lane budget allows.  Each
+    policy's estimate is bit for bit the one it gets alone.
 
     ``growth_rate`` averages (log value[n] - log value[burn]) / (n - burn)
     over replicas.  ``tail_ratio`` is the same value with burn = floor(n/2),
@@ -168,7 +198,10 @@ def estimate_lambda(model: CoefficientModel, gains: GainPolicy, n_steps: int,
     if model.validation_only and not validation:
         raise ValidationOnlyModelError(
             "validation-only model requires validation=True")
-    gains.require_length(n_steps)
+    if not gains:
+        raise ConfigError("estimate_lambdas needs at least one gain policy")
+    for policy in gains:
+        policy.require_length(n_steps)
     if kind == TAIL_RATIO:
         if not isinstance(model, Deterministic):
             raise ConfigError("tail_ratio is restricted to deterministic models")
@@ -200,9 +233,10 @@ def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int
     burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
     if not 1 <= burn < n_steps:
         raise ConfigError(f"burn_in must be in [1, n_steps), got {burn}")
-    return _estimate(NOISE, config.model, config.gains, n_steps, n_replicas,
-                     config.master_seed, burn, GROWTH_RATE, n0=config.n0,
-                     renorm_period=renorm_period, workers=workers)
+    [est] = _estimate(NOISE, config.model, (config.gains,), n_steps, n_replicas,
+                      config.master_seed, burn, GROWTH_RATE, n0=config.n0,
+                      renorm_period=renorm_period, workers=workers)
+    return est
 
 
 def lambda_deterministic_closed_form(c: float, g: float) -> float:

@@ -2,7 +2,7 @@ import mpmath
 import pytest
 
 from fibrelay import _kernels
-from fibrelay.coeffs import RngStream, first_hop_coefficient, hop_coefficient_chunks
+from fibrelay.coeffs import RngStream, first_hop_magnitude, hop_coefficient_chunks
 
 # one fixed seed for every deterministic-given-seed statistical test
 SEED = 20260809
@@ -23,7 +23,7 @@ def mp_oracle_logs(config, stream_id, dps=60):
     """
     mpmath.mp.dps = dps
     rng = RngStream(config.master_seed, stream_id).generator()
-    eta01 = first_hop_coefficient(config.model, config.gains, rng)
+    eta01 = first_hop_magnitude(config.model, rng) * config.gains.node_gains(1, 1)[0]
     i_prev, i_cur = mpmath.mpf(config.i0), mpmath.mpf(eta01) * config.i0
     w = [mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)]
     log_i = [float(mpmath.log(i_cur))]

@@ -1,32 +1,43 @@
-"""Replica batches: a replica's value does not depend on the batch it ran in.
+"""Replica batches and gain lanes: a replica's value does not depend on
+the batch it ran in or on the gains run next to it.
 
-The engine runs a contiguous range of replicas per call, within a budget of
-replica-steps (``cocycle._BATCH_STEPS``).  These tests pin the per-replica
+The engine runs a contiguous range of replicas per call, under one or more
+gain policies (one column per replica and gain), within a budget of
+column-steps (``cocycle._BATCH_STEPS``).  These tests pin the per-replica
 values (compared as float hex, so bit for bit) of the signal, signed and
 noise checkpoint modes and of the verify records across batch sizes 1, 3
 and all replicas, across worker counts, under a budget smaller than the
-run, and when one replica of a batch restarts.
+run, and when one replica of a batch restarts; and the per-gain values of
+multi-gain runs against single-gain runs, the lane budget of wide sweeps,
+and the draws a calibration makes.
 """
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fibrelay import (
+    ConfigError,
     ConstantGain,
+    Deterministic,
     LogNormal,
     NetworkConfig,
+    PerNodeGain,
     Rayleigh,
     RngStream,
     SignedBernoulli,
     estimate_lambda,
+    estimate_lambdas,
     estimate_noise_exponent,
+    find_zero_lyapunov_gain,
     verify_laws,
 )
 from fibrelay import cocycle, lyapunov
-from fibrelay.cocycle import SIGNED, _block_length, logs_at
+from fibrelay.cli import main
+from fibrelay.cocycle import SIGNAL, SIGNED, _block_length, logs_at
 
-from conftest import SEED
+from conftest import SEED, mp_oracle_logs
 
 N = 1200
 R = 6
@@ -84,6 +95,20 @@ def batch_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def swept(monkeypatch):
+    """Record the lane-steps of every sweep of the engine."""
+    widths = []
+    sweep = cocycle._Walk._sweep
+
+    def spy(self, S, K2, K1, *args, **kwargs):
+        widths.append(K2.size)
+        return sweep(self, S, K2, K1, *args, **kwargs)
+
+    monkeypatch.setattr(cocycle._Walk, "_sweep", spy)
+    return widths
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_values_do_not_depend_on_batch_size(mode, monkeypatch, batch_sizes):
     run = MODES[mode]
@@ -114,19 +139,11 @@ def test_batches_cover_replicas_within_budget():
             assert len(r) == 1 or len(r) * _padded_steps(max(n_nodes, 2)) <= cocycle._BATCH_STEPS
 
 
-def test_run_over_budget_splits_into_calls(monkeypatch, batch_sizes):
+def test_run_over_budget_splits_into_calls(monkeypatch, batch_sizes, swept):
     """32 replicas of 5000 steps exceed the budget: two engine calls, and
     no sweep is wider than the budget."""
     n, n_replicas = 5000, 32
     assert n * n_replicas > cocycle._BATCH_STEPS
-    swept = []
-    sweep = cocycle._Walk._sweep
-
-    def spy(self, S, K2, K1, *args, **kwargs):
-        swept.append(K2.size)
-        return sweep(self, S, K2, K1, *args, **kwargs)
-
-    monkeypatch.setattr(cocycle._Walk, "_sweep", spy)
     est = estimate_lambda(Rayleigh(1.0), ConstantGain(0.7), n, n_replicas, SEED)
     assert batch_sizes == [16, 16]
     assert swept and max(swept) <= cocycle._BATCH_STEPS
@@ -158,7 +175,7 @@ def test_forced_zero_restarts_only_that_replica(monkeypatch, caplog):
     assert calls == [list(range(R)), [restarted]]
     assert sum("restarting" in rec.message for rec in caplog.records) == 1
     assert _hex(values[:2] + values[3:]) == _hex(clean[:2] + clean[3:])
-    alone = real(SIGNED, SignedBernoulli(0.5), ConstantGain(1.0),
+    alone = real(SIGNED, SignedBernoulli(0.5), [ConstantGain(1.0)],
                  [RngStream(SEED, restarted)], (lyapunov.DEFAULT_BURN_IN, N))
     expected = (alone[N] - alone[lyapunov.DEFAULT_BURN_IN]) / (N - lyapunov.DEFAULT_BURN_IN)
     assert _hex(values[2:3]) == _hex(expected)
@@ -167,10 +184,158 @@ def test_forced_zero_restarts_only_that_replica(monkeypatch, caplog):
 def test_logs_at_batch_equals_single_streams():
     streams = [RngStream(SEED, sid) for sid in (4, 0, 9)]
     nodes = (1, 2, 57, 800, 1201)
-    batch = logs_at(SIGNED, SignedBernoulli(0.3), ConstantGain(1.0), streams, nodes,
+    batch = logs_at(SIGNED, SignedBernoulli(0.3), [ConstantGain(1.0)], streams, nodes,
                     renorm_period=4)
     for q, stream in enumerate(streams):
-        alone = logs_at(SIGNED, SignedBernoulli(0.3), ConstantGain(1.0), [stream], nodes,
+        alone = logs_at(SIGNED, SignedBernoulli(0.3), [ConstantGain(1.0)], [stream], nodes,
                         renorm_period=4)
         assert _hex(batch[c][q] for c in nodes) == _hex(alone[c][0] for c in nodes)
     assert all(np.shape(batch[c]) == (3,) for c in nodes)
+
+
+# five policies of each kind; the per-node gains differ from node to node
+# and from policy to policy
+GAIN_POLICIES = {
+    "constant": [ConstantGain(g) for g in (0.9, 0.45, 1.3, 0.7, 2.0)],
+    "pernode": [PerNodeGain(tuple(0.5 + 0.1 * ((j * (i + 3)) % 11) for j in range(N)))
+                for i in range(5)],
+}
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Count the engine passes over each (master seed, stream id)."""
+    drawn = Counter()
+    generator = RngStream.generator
+
+    def spy(stream):
+        drawn[stream.master_seed, stream.stream_id] += 1
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", spy)
+    return drawn
+
+
+@pytest.mark.parametrize("n_gains", (1, 2, 5))
+@pytest.mark.parametrize("kind", GAIN_POLICIES)
+def test_gain_lanes_equal_single_gain_runs(kind, n_gains, monkeypatch, batch_sizes):
+    """Each gain's replica values from one multi-gain run are those of its
+    own run, for batch sizes 1, 3 and all replicas and 1 or 2 workers."""
+    model = LogNormal(0.0, 0.8)
+    gains = GAIN_POLICIES[kind][:n_gains]
+    alone = [_hex(estimate_lambda(model, g, N, R, SEED).replica_values) for g in gains]
+    for per_call in (1, 3, R):
+        monkeypatch.setattr(cocycle, "_BATCH_STEPS", per_call * n_gains * _padded_steps(N))
+        for workers in (1, 2):
+            batch_sizes.clear()
+            ests = estimate_lambdas(model, gains, N, R, SEED, workers=workers)
+            assert [_hex(e.replica_values) for e in ests] == alone
+            if workers == 1:
+                assert batch_sizes == [per_call] * (R // per_call)
+
+
+def test_no_gain_policy_rejected():
+    with pytest.raises(ConfigError, match="at least one gain policy"):
+        estimate_lambdas(Rayleigh(1.0), [], N, R, SEED)
+
+
+def test_gain_lanes_match_oracle():
+    """Each column of a multi-gain pass, per-node gains included, follows
+    the 60-digit direct recursion of its own policy on its own stream."""
+    n, sids = 60, (0, 5)
+    policies = [PerNodeGain(tuple(0.5 + 0.1 * ((j * (i + 3)) % 11) for j in range(n)))
+                for i in range(2)] + [ConstantGain(0.8)]
+    nodes = range(1, n + 1)
+    logs = logs_at(SIGNAL, Rayleigh(1.0), policies, [RngStream(SEED, s) for s in sids],
+                   nodes)
+    for i, policy in enumerate(policies):
+        cfg = NetworkConfig(Rayleigh(1.0), policy, n_nodes=n, master_seed=SEED)
+        for q, sid in enumerate(sids):
+            log_i, _ = mp_oracle_logs(cfg, sid)
+            assert [logs[c][i * len(sids) + q] for c in nodes] == pytest.approx(log_i,
+                                                                            abs=1e-9)
+
+
+def test_lane_pads_stay_unit():
+    """The padding after a column's last step holds unit coefficients, not
+    its gain: 999 steps leave 36 padded steps in the last lane, where three
+    steps of the gain 1e103 would overflow between renormalizations."""
+    logs = logs_at(SIGNAL, Deterministic(1e-101), [ConstantGain(1e103)], [RngStream(SEED)],
+                   (1000,), renorm_period=3)
+    assert math.isfinite(logs[1000][0])
+
+
+def test_gain_lane_restart_reruns_that_gain_only(monkeypatch):
+    """A -inf read on one column reruns that replica under that gain
+    alone; every other column keeps its value."""
+    gains = [ConstantGain(1.0), ConstantGain(0.5)]
+    clean = [e.replica_values for e in estimate_lambdas(
+        SignedBernoulli(0.5), gains, N, R, SEED, validation=True)]
+    calls = []
+    real = lyapunov.logs_at
+
+    def forced(kind, model, policies, streams, checkpoints, **kwargs):
+        calls.append(([s.stream_id for s in streams], list(policies)))
+        logs = real(kind, model, policies, streams, checkpoints, **kwargs)
+        if len(calls) == 1:
+            logs[N][R + 4] = -math.inf  # gain 1, replica 4
+        return logs
+
+    monkeypatch.setattr(lyapunov, "logs_at", forced)
+    got = [e.replica_values for e in estimate_lambdas(
+        SignedBernoulli(0.5), gains, N, R, SEED, validation=True)]
+    restarted = 4 + lyapunov._RESTART_STRIDE
+    assert calls == [(list(range(R)), gains), ([restarted], gains[1:])]
+    assert _hex(got[0]) == _hex(clean[0])
+    assert _hex(got[1][:4] + got[1][5:]) == _hex(clean[1][:4] + clean[1][5:])
+    burn = lyapunov.DEFAULT_BURN_IN
+    alone = real(SIGNED, SignedBernoulli(0.5), gains[1:], [RngStream(SEED, restarted)],
+                 (burn, N))
+    assert _hex(got[1][4:5]) == _hex((alone[N] - alone[burn]) / (N - burn))
+
+
+@pytest.mark.parametrize("n", (20_000, 200_000))
+def test_wide_sweep_stays_within_budget(n, swept, passes, capsys):
+    """A sweep of 12 gains never sweeps wider than the budget or one
+    replica under one gain; the gains run in as few passes as fit."""
+    grid = [0.3 + 0.05 * i for i in range(12)]
+    assert main(["sweep", "--model", "rayleigh:mu=1", "--n", str(n), "--replicas", "2",
+                 "--gain-grid", ",".join(map(str, grid))]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 13
+    assert swept and max(swept) <= max(cocycle._BATCH_STEPS, _padded_steps(n))
+    groups = len(cocycle._gain_groups(n, 12))
+    assert groups == (2 if n == 20_000 else 12)
+    assert set(passes.values()) == {groups}
+
+
+def test_calibration_draws_each_stream_three_times(passes):
+    """The calibrate-crn shape (rayleigh, n 5000, 16 replicas, tol 0.01)
+    reads six gains; they come from three passes over the main-seed
+    streams, not six, plus the confirmation's one pass over fresh ones."""
+    res = find_zero_lyapunov_gain(Rayleigh(1.0), 1e-2, 5000, 16, SEED)
+    assert res.converged and res.evaluations == 6
+    assert passes == Counter({**{(SEED, sid): 3 for sid in range(16)},
+                              **{(SEED + 1, sid): 1 for sid in range(16)}})
+
+
+_OVERFLOW = ("error: non-finite signal cocycle state between nodes 1 and {}: values "
+             "left double range between renormalizations; lower renorm_period (now {}) "
+             "or the coefficient scale")
+
+
+@pytest.mark.parametrize("model,g_init,flags,rc,message", [
+    ("rayleigh:mu=1.0", "1e308", (), 3, _OVERFLOW.format(2000, 1)),
+    ("rayleigh:mu=1.0", "5e-324", (), 2, "error: eta01 must be positive, got 0.0"),
+    ("deterministic:c=1", "5e-324", (), 3, _OVERFLOW.format(100, 1)),
+    ("deterministic:c=1", "1e308", (),
+     3, "error: no growth-rate sign change within 60 doublings from g_init=1e+308"),
+    # 8e102 overflows at renorm period 3 and 4e102 does not: the search
+    # never reads 8e102, so its look-ahead lane must not end the run
+    ("deterministic:c=1", "4e102", ("--renorm-period", "3", "--max-doublings", "3"),
+     3, "error: no growth-rate sign change within 3 doublings from g_init=4e+102"),
+], ids=("huge-rayleigh", "tiny-rayleigh", "tiny-deterministic", "huge-deterministic",
+        "look-ahead-overflow"))
+def test_extreme_g_init_keeps_exit_and_message(model, g_init, flags, rc, message, capsys):
+    assert main(["calibrate", "--model", model, "--g-init", g_init, "--n", "2000",
+                 "--replicas", "4", *flags]) == rc
+    assert capsys.readouterr().err.strip().splitlines() == [message]

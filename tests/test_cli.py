@@ -15,10 +15,15 @@ from fibrelay import (
     Rayleigh,
     lambda_deterministic_closed_form,
 )
+from fibrelay import cli
 from fibrelay import lyapunov as lyap_mod
 from fibrelay.cli import main
 from fibrelay.config import parse_config, read_config_file, resolve
 from fibrelay.manifest import canonical_digest, dumps_17g
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command ran an estimate")
 
 
 class TestParseConfig:
@@ -285,6 +290,29 @@ class TestCommands:
         assert "fibrelay" in out.stdout
 
 
+    def test_exit_hook_freezes_and_leaves_outputs(self, tmp_path):
+        """Importing the CLI registers ``gc.freeze`` at exit: a hook
+        registered before the import runs after it and sees frozen objects.
+        Stdout and the data file are those of a run without the hook."""
+        code = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: sys.stderr.write("
+                "f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
+                "import fibrelay.cli\n"
+                "if sys.argv[1] == 'off':\n"
+                "    atexit.unregister(gc.freeze)\n"
+                "sys.exit(fibrelay.cli.main(sys.argv[2:]))\n")
+        runs = {}
+        for hook in ("on", "off"):
+            out = tmp_path / hook
+            proc = subprocess.run(
+                [sys.executable, "-c", code, hook, "lyapunov", "--model", "rayleigh:mu=1",
+                 "--n", "1000", "--replicas", "2", "--output-dir", str(out)],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == f"frozen {hook == 'on'}\n"
+            runs[hook] = (proc.stdout, (out / "lyapunov.json").read_bytes())
+        assert runs["on"] == runs["off"]
+
     def test_rayleigh_run_leaves_scipy_unimported(self):
         """scipy serves only the lognormal model and is imported on its
         first draw; the process pool modules load only when a run fans out
@@ -354,6 +382,29 @@ class TestConfigValues:
         rc, err = self._run(command, config, tmp_path, capsys, flags)
         assert rc == 2
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("config,flags", [
+        ({"network": {"model": "rayleigh"}}, ("--gain-grid", ",")),
+        ({"network": {"model": "rayleigh"}, "sweep": {"gain_grid": []}}, ()),
+    ], ids=("flag", "json"))
+    def test_empty_gain_grid(self, config, flags, tmp_path, capsys, monkeypatch):
+        """A grid given but empty is named as such, before any estimate."""
+        monkeypatch.setattr(cli, "estimate_lambdas", _must_not_run)
+        rc, err = self._run("sweep", config, tmp_path, capsys, flags)
+        assert rc == 2
+        assert err == "error: sweep.gain_grid: empty grid\n"
+
+    def test_bad_output_dir_fails_before_compute(self, tmp_path, capsys, monkeypatch):
+        """An --output-dir that cannot be made exits 2 naming it before the
+        estimate runs."""
+        monkeypatch.setattr(cli, "estimate_lambda", _must_not_run)
+        path = tmp_path / "file"
+        path.write_text("")
+        rc = main(["lyapunov", "--model", "deterministic:c=1", "--n", "1000",
+                   "--replicas", "1", "--output-dir", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and str(path) in err
 
     @pytest.mark.parametrize("flag,text,name", [
         ("--config", None, "missing.cfg"),

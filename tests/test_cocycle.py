@@ -28,7 +28,7 @@ from conftest import SEED, mp_oracle_logs
 
 def _det_logs(kind, c, nodes, i0=1.0, renorm_period=1):
     """Engine logs at ``nodes`` of a chain whose every coefficient is c."""
-    logs = logs_at(kind, Deterministic(c), ConstantGain(1.0), [RngStream(SEED, 0)], nodes,
+    logs = logs_at(kind, Deterministic(c), [ConstantGain(1.0)], [RngStream(SEED, 0)], nodes,
                    i0=i0, renorm_period=renorm_period)
     return {node: float(values[0]) for node, values in logs.items()}
 

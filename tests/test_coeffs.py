@@ -21,7 +21,7 @@ from fibrelay import (
     parse_gains,
     parse_model,
 )
-from fibrelay.coeffs import first_hop_coefficient, hop_coefficient_chunks
+from fibrelay.coeffs import first_hop_magnitude, hop_coefficient_chunks
 
 from conftest import SEED
 
@@ -156,7 +156,7 @@ class TestRngStream:
         n = 9
         chunks = []
         rng = RngStream(SEED, 9).generator()
-        eta01 = first_hop_coefficient(model, gains, rng)
+        eta01 = first_hop_magnitude(model, rng) * gains.node_gains(1, 1)[0]
         for start, e2, e1 in hop_coefficient_chunks(model, gains, rng, n, chunk_steps=3):
             for k in range(len(e2)):
                 chunks.append((start + k, e2[k], e1[k]))

@@ -95,7 +95,7 @@ def _check_logs_at(kind, chain, chunk_steps=None, sids=(0,)):
 
     def run(jit, stream_ids):
         return _engine(jit, lambda: logs_at(
-            kind, model, ConstantGain(g), [RngStream(SEED, s) for s in stream_ids],
+            kind, model, [ConstantGain(g)], [RngStream(SEED, s) for s in stream_ids],
             checkpoints, i0=1.7, n0=0.6, renorm_period=period), chunk_steps)
 
     got = run(False, sids)
@@ -193,9 +193,9 @@ class TestNonFiniteState:
         monkeypatch.setattr(cocycle, "_JIT", jit)
         model = Deterministic(1e300)
         with pytest.raises(NumericalError, match="renorm_period"):
-            logs_at(SIGNAL, model, ConstantGain(1.0), [RngStream(SEED)], (2000,),
+            logs_at(SIGNAL, model, [ConstantGain(1.0)], [RngStream(SEED)], (2000,),
                     renorm_period=3)
-        assert math.isfinite(logs_at(SIGNAL, model, ConstantGain(1.0), [RngStream(SEED)],
+        assert math.isfinite(logs_at(SIGNAL, model, [ConstantGain(1.0)], [RngStream(SEED)],
                                      (2000,))[2000][0])
 
     @pytest.mark.parametrize("jit", [False, True], ids=("blocked", "sequential"))
