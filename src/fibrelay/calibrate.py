@@ -19,8 +19,7 @@ bracket, up to 8 times the requested count.
 Gains are estimated in passes of three, one engine pass each with every
 stream drawn once: a gain the search asks for and does not know yet, plus
 the two gains its next step can ask for (g / 2 and 2g while expanding, the
-two next midpoints while bisecting; a bisection pass also takes the
-bracket edges after a step-count doubling).  The search reads the same
+two next midpoints while bisecting).  The search reads the same
 values in the same order as one gain at a time, so it takes the same
 decisions, and ``evaluations`` counts the gains it read.  Doubling
 ``n_steps`` forgets every estimate; the confirmation is its own pass.
@@ -179,9 +178,8 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
     g_star, est_star = g_hi, rate(g_hi)
     while evaluations < _MAX_EVALUATIONS:
         mid = 0.5 * (g_lo + g_hi)
-        # the edges are known unless n_steps just doubled; the next
-        # midpoint is one of the last two, whatever the sign at mid
-        est = rate(mid, g_lo, g_hi, 0.5 * (g_lo + mid), 0.5 * (mid + g_hi))
+        # the next midpoint is one of these two, whatever the sign at mid
+        est = rate(mid, 0.5 * (g_lo + mid), 0.5 * (mid + g_hi))
         if best is None or abs(est.lambda_hat) < best[0]:
             best = (abs(est.lambda_hat), mid, est)
         target = min(tol, Z95 * est.std_err) if est.std_err > 0.0 else tol

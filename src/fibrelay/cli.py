@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import functools
 import gc
 import io
 import sys
@@ -30,11 +31,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-# at exit, move every tracked object to the permanent generation so the
-# interpreter's final collections skip it (numpy's import-time heap is
-# most of it); handlers registered earlier still run after this one
-atexit.register(gc.freeze)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,7 +184,17 @@ def run_command(command: str, params: RunParams, output_dir=None) -> int:
     return _HANDLERS[command](params, output_dir)
 
 
+@functools.cache
+def _register_exit_hook() -> None:
+    """At exit, move every tracked object to the permanent generation so
+    the interpreter's final collections skip it (numpy's import-time heap
+    is most of it).  Registered on the first ``main`` call, not on import;
+    exit handlers registered before that call still run after it."""
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _register_exit_hook()
     parser = _build_parser()
     try:
         args = vars(parser.parse_args(argv))

@@ -62,8 +62,9 @@ _CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 _CHUNK_STEPS = 1 << 19
 # column-steps of lanes per engine call, a column being one replica under
 # one gain: a call takes as many replicas as fit with all its gains (at
-# least one), about 600-1200 lanes and a few MB at common sizes
-_BATCH_STEPS = 1 << 17
+# least one), about 1200-2600 lanes and a few MB at common sizes; a
+# calibration pass of 3 gains x 16 replicas x 5000 steps is one call
+_BATCH_STEPS = 1 << 18
 
 # cocycle kinds: positive 2x2 signal recursion, signed 2x2 validation
 # recursion, 3x3 noise-power system (fed squared coefficients)
@@ -184,15 +185,10 @@ class _Lanes:
         # the first group last: it holds the magnitudes until then
         for i in reversed(range(len(gains))):
             group = self._by_column[:, :, i * R:(i + 1) * R]
-            factor = gains[i].node_gains(start, k)
-            if (factor == factor[0]).all():
-                factor = factor[0]  # one gain over the chunk: a scalar product
-            else:
-                factor = np.concatenate([factor, np.ones(B * L - k)])
-                factor = factor.reshape(B, L).T[:, None, :]
+            factor = np.concatenate([gains[i].node_gains(start, k), np.ones(B * L - k)])
+            factor = factor.reshape(B, L).T[:, None, :]
             with np.errstate(over="ignore"):  # reported as non-finite state
                 np.multiply(magnitudes, factor, out=group)
-            group[:, k - (B - 1) * L:, :, -1] = 1.0  # the last lane's padding
 
 
 def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:

@@ -140,9 +140,9 @@ def test_batches_cover_replicas_within_budget():
 
 
 def test_run_over_budget_splits_into_calls(monkeypatch, batch_sizes, swept):
-    """32 replicas of 5000 steps exceed the budget: two engine calls, and
+    """32 replicas of 10000 steps exceed the budget: two engine calls, and
     no sweep is wider than the budget."""
-    n, n_replicas = 5000, 32
+    n, n_replicas = 10_000, 32
     assert n * n_replicas > cocycle._BATCH_STEPS
     est = estimate_lambda(Rayleigh(1.0), ConstantGain(0.7), n, n_replicas, SEED)
     assert batch_sizes == [16, 16]
@@ -294,7 +294,7 @@ def test_gain_lane_restart_reruns_that_gain_only(monkeypatch):
     assert _hex(got[1][4:5]) == _hex((alone[N] - alone[burn]) / (N - burn))
 
 
-@pytest.mark.parametrize("n", (20_000, 200_000))
+@pytest.mark.parametrize("n", (40_000, 200_000))
 def test_wide_sweep_stays_within_budget(n, swept, passes, capsys):
     """A sweep of 12 gains never sweeps wider than the budget or one
     replica under one gain; the gains run in as few passes as fit."""
@@ -304,7 +304,7 @@ def test_wide_sweep_stays_within_budget(n, swept, passes, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 13
     assert swept and max(swept) <= max(cocycle._BATCH_STEPS, _padded_steps(n))
     groups = len(cocycle._gain_groups(n, 12))
-    assert groups == (2 if n == 20_000 else 12)
+    assert groups == (2 if n == 40_000 else 12)
     assert set(passes.values()) == {groups}
 
 

@@ -289,20 +289,23 @@ class TestCommands:
         assert out.returncode == 0
         assert "fibrelay" in out.stdout
 
-
     def test_exit_hook_freezes_and_leaves_outputs(self, tmp_path):
-        """Importing the CLI registers ``gc.freeze`` at exit: a hook
-        registered before the import runs after it and sees frozen objects.
-        Stdout and the data file are those of a run without the hook."""
+        """``main`` registers ``gc.freeze`` at exit on its first call, not
+        on import: a hook registered before the import runs after it and
+        sees frozen objects only once ``main`` has run.  Stdout and the data file are those of a run
+        without the hook."""
         code = ("import atexit, gc, sys\n"
                 "atexit.register(lambda: sys.stderr.write("
                 "f'frozen {gc.get_freeze_count() > 0}\\n'))\n"
                 "import fibrelay.cli\n"
+                "if sys.argv[1] == 'import':\n"
+                "    sys.exit(0)\n"
+                "rc = fibrelay.cli.main(sys.argv[2:])\n"
                 "if sys.argv[1] == 'off':\n"
                 "    atexit.unregister(gc.freeze)\n"
-                "sys.exit(fibrelay.cli.main(sys.argv[2:]))\n")
+                "sys.exit(rc)\n")
         runs = {}
-        for hook in ("on", "off"):
+        for hook in ("on", "off", "import"):
             out = tmp_path / hook
             proc = subprocess.run(
                 [sys.executable, "-c", code, hook, "lyapunov", "--model", "rayleigh:mu=1",
@@ -310,7 +313,8 @@ class TestCommands:
                 capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == f"frozen {hook == 'on'}\n"
-            runs[hook] = (proc.stdout, (out / "lyapunov.json").read_bytes())
+            if hook != "import":
+                runs[hook] = (proc.stdout, (out / "lyapunov.json").read_bytes())
         assert runs["on"] == runs["off"]
 
     def test_rayleigh_run_leaves_scipy_unimported(self):
