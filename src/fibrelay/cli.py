@@ -25,7 +25,7 @@ from .config import KEYS, RunParams, parse_config
 from .errors import ConfigError, NumericalError, UnbracketableError
 from .laws import verify_laws
 from .lyapunov import estimate_lambda, estimate_lambdas
-from .manifest import MANIFEST_FILENAME, RunManifest, dumps_17g
+from .manifest import MANIFEST_FILENAME, dumps_17g, manifest_json
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -62,16 +62,10 @@ def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> 
     if output_dir is None:
         return
     outdir = Path(output_dir)
-    for name, text in files.items():
+    manifest = manifest_json(__version__, params.command, params.echo(), params.seed,
+                             sorted(files))
+    for name, text in {**files, MANIFEST_FILENAME: manifest}.items():
         (outdir / name).write_bytes(text.encode("utf-8"))
-    manifest = RunManifest.build(
-        tool_version=__version__,
-        command=params.command,
-        config_echo=params.echo(),
-        master_seed=params.seed,
-        output_files=sorted(files),
-    )
-    manifest.write(outdir / MANIFEST_FILENAME)
 
 
 def _simulate_worker(payload):

@@ -49,7 +49,7 @@ from .coeffs import (
     GainPolicy,
     RngStream,
     first_hop_magnitude,
-    hop_magnitudes,
+    hop_magnitude_chunks,
 )
 from .errors import ConfigError, NumericalError
 
@@ -124,23 +124,24 @@ def _even_ranges(n: int, pieces: int) -> list:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _gain_groups(n_nodes: int, n_gains: int) -> list:
-    """Contiguous index ranges of gains 0..n_gains-1 run in one engine pass
-    each: as few, and as even, as keep one replica's gains within
-    ``_BATCH_STEPS`` (one gain always fits).  Each group redraws its
-    streams."""
-    per_group = max(1, _BATCH_STEPS // _column_steps(n_nodes))
-    return _even_ranges(n_gains, -(-n_gains // per_group))
+def _calls(n_nodes: int, n_replicas: int, workers: int = 1, n_gains: int = 1) -> list:
+    """The engine calls that run replicas 0..n_replicas-1 under gains
+    0..n_gains-1, one (gain range, stream-id range) each.
 
-
-def _batches(n_nodes: int, n_replicas: int, workers: int = 1, n_gains: int = 1) -> list:
-    """Contiguous stream-id ranges of replicas 0..n_replicas-1, one engine
-    call each under ``n_gains`` gains: at least one per worker while
-    replicas last, none holding more than ``_BATCH_STEPS`` column-steps of
-    lanes (one replica always fits).  Values do not depend on the split."""
-    per_call = max(1, _BATCH_STEPS // (n_gains * _column_steps(n_nodes)))
-    pieces = -(-n_replicas // per_call)
-    return _even_ranges(n_replicas, min(n_replicas, workers * -(-pieces // workers)))
+    The gains go in as few, and as even, contiguous groups as keep one
+    replica's gains within ``_BATCH_STEPS`` column-steps of lanes (one gain
+    always fits); each group is one pass that redraws the streams.  Each
+    group's replicas go in contiguous ranges, at least one per worker while
+    replicas last, none over the budget (one replica always fits).  Values
+    do not depend on the plan.
+    """
+    columns = max(1, _BATCH_STEPS // _column_steps(n_nodes))
+    calls = []
+    for gains in _even_ranges(n_gains, -(-n_gains // columns)):
+        pieces = -(-n_replicas // max(1, columns // len(gains)))
+        pieces = min(n_replicas, workers * -(-pieces // workers))
+        calls += [(gains, sids) for sids in _even_ranges(n_replicas, pieces)]
+    return calls
 
 
 def _logs(x) -> np.ndarray:
@@ -178,8 +179,8 @@ class _Lanes:
     def scale(self, gains, start: int, n_replicas: int) -> None:
         """Turn the magnitudes put in columns 0..R-1 into the coefficients
         of every gain policy of ``gains``: column i * R + q becomes replica
-        q's magnitudes times policy i's gains of nodes start.., the product
-        ``hop_coefficient_chunks`` makes; unit pads stay 1."""
+        q's magnitudes times policy i's gains of nodes start..; unit pads
+        stay 1."""
         L, B, k, R = self.L, self.B, self.k, n_replicas
         magnitudes = self._by_column[:, :, :R]
         # the first group last: it holds the magnitudes until then
@@ -199,19 +200,20 @@ def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:
 
 
 def _chunks(model: CoefficientModel, gains, rngs, n_nodes: int):
-    """Yield (start node, _Lanes) per chunk of the steps into nodes
-    2..n_nodes, columns gain-major as in ``_first_hops``.  Each replica
-    draws its stream once per chunk, in the order and chunking of
-    ``hop_coefficient_chunks``, and each gain policy multiplies the same
-    magnitudes."""
-    start = 2
-    while start <= n_nodes:
-        lanes = _Lanes(min(_CHUNK_STEPS, n_nodes - start + 1), len(gains) * len(rngs))
-        for q, rng in enumerate(rngs):
-            lanes.put(q, *hop_magnitudes(model, rng, lanes.k).T)
+    """Yield (start node, _Lanes) per chunk of ``_CHUNK_STEPS`` steps into
+    nodes 2..n_nodes, columns gain-major as in ``_first_hops``.  Each
+    replica draws its chunk through ``hop_magnitude_chunks``, one replica
+    at a time, and each gain policy multiplies the same magnitudes."""
+    first, *others = [hop_magnitude_chunks(model, rng, n_nodes, _CHUNK_STEPS)
+                      for rng in rngs]
+    for start, magnitudes in first:
+        lanes = _Lanes(len(magnitudes), len(gains) * len(rngs))
+        lanes.put(0, *magnitudes.T)
+        del magnitudes  # the lanes hold them now
+        for q, chunks in enumerate(others, 1):
+            lanes.put(q, *next(chunks)[1].T)
         lanes.scale(gains, start, len(rngs))
         yield start, lanes
-        start += lanes.k
 
 
 class _Walk:
@@ -240,10 +242,13 @@ class _Walk:
         self.phase = [0] * vec.shape[1]
 
     def _error(self, k: int) -> NumericalError:
+        advice = (f"lower renorm_period (now {self.period}) or the coefficient scale"
+                  if self.period > 1 else "renorm_period is already 1; change the "
+                  "coefficient scale (model or gain)")
         return NumericalError(
             f"non-finite {self.kind} cocycle state between nodes {self.node} and "
             f"{self.node + k}: values left double range between renormalizations; "
-            f"lower renorm_period (now {self.period}) or the coefficient scale")
+            f"{advice}")
 
     def _read(self, v, s, k: int) -> np.ndarray:
         """log |v[1]| + s per replica; -inf marks an exact zero of the
@@ -448,6 +453,21 @@ def _signal_walk(i0: float, eta01, period: int) -> _Walk:
     return _Walk(SIGNAL, (i0, eta01 * i0), period)
 
 
+def _start(kind: str, first, i0: float, n0: float, period: int):
+    """The walk of one cocycle from node 1 over the columns whose
+    source-hop coefficients are ``first``, and the node-1 log of each
+    column.  ``SIGNAL`` starts from (i0, first * i0), ``SIGNED`` from
+    (1, first); ``NOISE`` reads verbatim log n0 at node 1, where the first
+    3x3 application deposits exactly n0 (``np.log``, as the records read
+    every later node)."""
+    if kind == NOISE:
+        walk = _Walk(kind, (0.0, 0.0, np.ones(len(first))), period, n0)
+        return walk, np.full(len(first), np.log(n0))
+    walk = _Walk(kind, (1.0, first), period) if kind == SIGNED \
+        else _signal_walk(i0, first, period)
+    return walk, walk.log_value()
+
+
 def logs_at(kind: str, model: CoefficientModel, gains, streams, checkpoints, *,
             i0: float = 1.0, n0: float = 1.0, renorm_period: int = 1) -> dict:
     """Log magnitudes of one cocycle at the requested nodes (all >= 1).
@@ -463,18 +483,9 @@ def logs_at(kind: str, model: CoefficientModel, gains, streams, checkpoints, *,
     state leaves double range.
     """
     rngs = [stream.generator() for stream in streams]
-    first = _first_hops(model, gains, rngs)
-    if kind == NOISE:
-        walk = _Walk(kind, (0.0, 0.0, np.ones(len(first))), renorm_period, n0)
-    elif kind == SIGNED:
-        walk = _Walk(kind, (1.0, first), renorm_period)
-    else:
-        walk = _signal_walk(i0, first, renorm_period)
+    walk, node_1 = _start(kind, _first_hops(model, gains, rngs), i0, n0, renorm_period)
     want = sorted(set(checkpoints))
-    out = {}
-    if want[0] == 1:
-        # verbatim: the first 3x3 application deposits exactly n0 at node 1
-        out[1] = np.full(len(first), math.log(n0)) if kind == NOISE else walk.log_value()
+    out = {1: node_1} if want[0] == 1 else {}
     for start, lanes in _chunks(model, gains, rngs, want[-1]):
         here = [c for c in want if start <= c < start + lanes.k]
         out.update(zip(here, walk.advance(lanes, [c - start + 1 for c in here])))
@@ -515,17 +526,10 @@ def _records(config: NetworkConfig, stream_ids, renorm_period: int):
     n = config.n_nodes
     rngs = [RngStream(config.master_seed, sid).generator() for sid in stream_ids]
     first = _first_hops(config.model, (config.gains,), rngs)
-
     log_i = np.empty((len(rngs), n))
     log_n2 = np.empty((len(rngs), n))
-
-    signal = _signal_walk(config.i0, first, renorm_period)
-    noise = _Walk(NOISE, (0.0, 0.0, np.ones(len(rngs))), renorm_period, config.n0)
-    log_i[:, 0] = signal.log_value()
-    # verbatim: the first 3x3 application deposits exactly n0 in the
-    # node-1 slot
-    log_n2[:, 0] = np.log(config.n0)
-
+    signal, log_i[:, 0] = _start(SIGNAL, first, config.i0, config.n0, renorm_period)
+    noise, log_n2[:, 0] = _start(NOISE, first, config.i0, config.n0, renorm_period)
     for start, lanes in _chunks(config.model, (config.gains,), rngs, n):
         rows = slice(start - 1, start - 1 + lanes.k)
         signal.advance(lanes, out=log_i[:, rows])

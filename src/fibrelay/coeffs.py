@@ -274,31 +274,25 @@ def first_hop_magnitude(model: CoefficientModel, rng: Generator) -> float:
     return model.transform_uniforms(rng.random(1))[0]
 
 
-def hop_magnitudes(model: CoefficientModel, rng: Generator, count: int) -> np.ndarray:
-    """Magnitudes of the hops into the next ``count`` nodes, count x
-    (two-back, one-back); consumes 2*count uniforms, two-back first for
-    each node."""
-    return model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
+def hop_magnitude_chunks(model: CoefficientModel, rng: Generator, n_nodes: int,
+                         chunk_steps: int):
+    """Yield ``(start node, magnitudes)`` for the hops into nodes 2..n_nodes,
+    ``magnitudes`` being count x (two-back, one-back) for the next count
+    <= ``chunk_steps`` nodes.
 
-
-def hop_coefficient_chunks(model: CoefficientModel, gains: GainPolicy, rng: Generator,
-                           n_nodes: int, chunk_steps: int = 1 << 19):
-    """Yield per-step coefficient arrays for nodes 2..n_nodes in draw order.
-
-    For each node ``i`` the two-back hop coefficient is drawn before the
-    one-back hop coefficient; both carry the receiving node's gain.  Yields
-    ``(start_node, two_back, one_back)`` with ``len == count of steps``.
-    This generator is the normative draw-order contract: consuming it is
-    stream-equivalent to 2*(n_nodes-1) successive single draws.  The engine
-    draws each replica's chunks with ``hop_magnitudes`` in this order, once
-    for all the gain policies of a pass.
+    This generator is the normative draw-order contract: after the source
+    hop (``first_hop_magnitude``), each node's two-back hop is drawn before
+    its one-back hop, one uniform each, so consuming it is
+    stream-equivalent to 2*(n_nodes-1) successive single draws, whatever
+    ``chunk_steps``.  A hop's coefficient under a gain policy is its
+    magnitude times the receiving node's gain.  The engine draws every
+    replica through it, once for all the gain policies of a pass.
     """
-    i = 2
-    while i <= n_nodes:
-        count = min(chunk_steps, n_nodes - i + 1)
-        coef = hop_magnitudes(model, rng, count) * gains.node_gains(i, count)[:, None]
-        yield i, coef[:, 0], coef[:, 1]
-        i += count
+    start = 2
+    while start <= n_nodes:
+        count = min(chunk_steps, n_nodes - start + 1)
+        yield start, model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
+        start += count
 
 
 # ---------------------------------------------------------------------------

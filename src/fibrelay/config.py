@@ -274,8 +274,14 @@ def resolve(command: str, file_values: dict | None = None,
     values["gains"] = values["gains"] or ConstantGain(gain)
     if values["seed"] is None:
         values["seed"] = secrets.randbits(63)
-    if values["burn_in"] is None:
-        n = values["n"]
+    n = values["n"]
+    if command == "lyapunov" and values["kind"] == TAIL_RATIO:
+        # the tail ratio always discards the first half of the chain
+        if values["burn_in"] not in (None, n // 2):
+            raise ConfigError(f"run.burn_in: {TAIL_RATIO} uses n // 2 = {n // 2}, "
+                              f"got {values['burn_in']}")
+        values["burn_in"] = n // 2
+    elif values["burn_in"] is None:
         values["burn_in"] = default_burn_in(n) if command == "verify" \
             else min(DEFAULT_BURN_IN, n // 2)
     if values["workers"] is None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metrics
 from ._parallel import map_ordered
-from .cocycle import NetworkConfig, _batches, _trajectories
+from .cocycle import NetworkConfig, _calls, _trajectories
 from .errors import ConfigError
 from .lyapunov import (
     DEFAULT_BURN_IN,
@@ -151,7 +151,7 @@ def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: 
         raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
     cfg = dataclasses.replace(config, n_nodes=int(n_steps))
     payloads = [(cfg, sids, renorm_period)
-                for sids in _batches(cfg.n_nodes, n_replicas, workers)]
+                for _, sids in _calls(cfg.n_nodes, n_replicas, workers)]
     return np.vstack([s for part in map_ordered(_capacity_series, payloads, workers)
                       for s in part])
 
@@ -220,7 +220,7 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
     burn = default_burn_in(n_steps) if burn_in is None else int(burn_in)
     _check_fit(n_steps, burn)
     payloads = [(cfg, sids, burn, renorm_period)
-                for sids in _batches(n_steps, n_replicas, workers)]
+                for _, sids in _calls(n_steps, n_replicas, workers)]
     values, capacity, power = zip(*(
         r for part in map_ordered(_verify_replicas, payloads, workers) for r in part))
     lam = _reduce(values, n_steps, GROWTH_RATE)
@@ -243,15 +243,6 @@ class ThetaBandCheck:
     n: int
     rate: float
     h_value: float
-
-    def to_report(self) -> dict:
-        return {
-            "upper_fraction": self.upper_fraction,
-            "lower_fraction": self.lower_fraction,
-            "n": self.n,
-            "rate": self.rate,
-            "h_value": self.h_value,
-        }
 
 
 def check_theta_p(ensemble, rate: float, h_exponent: float,

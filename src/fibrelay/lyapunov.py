@@ -33,7 +33,7 @@ import numpy as np
 
 from ._parallel import map_ordered
 from .coeffs import CoefficientModel, Deterministic, GainPolicy, RngStream
-from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, _batches, _gain_groups, logs_at
+from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, _calls, logs_at
 from .errors import ConfigError, NumericalError, ValidationOnlyModelError
 
 logger = logging.getLogger("fibrelay")
@@ -146,8 +146,7 @@ def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kin
               *, i0=1.0, n0=1.0, renorm_period=1, workers=1) -> list:
     """One estimate per gain policy in ``gains``, from one engine pass per
     group of gains that fits the lane budget."""
-    calls = [(group, sids) for group in _gain_groups(n_steps, len(gains))
-             for sids in _batches(n_steps, n_replicas, workers, len(group))]
+    calls = _calls(n_steps, n_replicas, workers, len(gains))
     payloads = [(kind, model, tuple(gains[i] for i in group), n_steps, seed, sids, burn,
                  i0, n0, renorm_period) for group, sids in calls]
     values = [[] for _ in gains]
@@ -223,11 +222,9 @@ def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int
     """Estimate the growth rate of the accumulated noise power.
 
     Averages (log noise[n] - log noise[burn]) / (n - burn) over replicas of
-    the 3x3 cocycle.  Requires a positive noise floor (the zero-noise
-    trajectory has no growth rate).
+    the 3x3 cocycle.  The noise floor is positive (``NetworkConfig``
+    checks it): the zero-noise trajectory has no growth rate.
     """
-    if not (config.n0 > 0.0):
-        raise ConfigError("noise exponent undefined for n0 = 0")
     _check_counts(n_steps, n_replicas, "noise exponent")
     config.gains.require_length(n_steps)
     burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)

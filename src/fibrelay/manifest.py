@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 MANIFEST_FILENAME = "manifest.json"
@@ -66,40 +65,16 @@ def canonical_digest(obj) -> str:
     return hashlib.sha256(compact.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    tool_version: str
-    command: str
-    config_echo: dict
-    master_seed: int
-    config_digest: str
-    timestamp: str
-    output_files: tuple
-
-    @classmethod
-    def build(cls, tool_version: str, command: str, config_echo: dict,
-              master_seed: int, output_files) -> "RunManifest":
-        return cls(
-            tool_version=tool_version,
-            command=command,
-            config_echo=dict(config_echo),
-            master_seed=master_seed,
-            config_digest=canonical_digest(config_echo),
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            output_files=tuple(output_files),
-        )
-
-    def to_json(self) -> str:
-        return dumps_17g({
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "config_echo": self.config_echo,
-            "master_seed": self.master_seed,
-            "config_digest": self.config_digest,
-            "timestamp": self.timestamp,
-            "output_files": list(self.output_files),
-        })
-
-    def write(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_json())
+def manifest_json(tool_version: str, command: str, config_echo: dict, master_seed: int,
+                  output_files) -> str:
+    """The manifest of one run, as written: the resolved configuration and
+    its digest, the master seed, the data files and the time of the run."""
+    return dumps_17g({
+        "tool_version": tool_version,
+        "command": command,
+        "config_echo": dict(config_echo),
+        "master_seed": master_seed,
+        "config_digest": canonical_digest(config_echo),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "output_files": list(output_files),
+    })

@@ -2,7 +2,8 @@ import mpmath
 import pytest
 
 from fibrelay import _kernels
-from fibrelay.coeffs import RngStream, first_hop_magnitude, hop_coefficient_chunks
+from fibrelay.cocycle import _CHUNK_STEPS
+from fibrelay.coeffs import RngStream, first_hop_magnitude, hop_magnitude_chunks
 
 # one fixed seed for every deterministic-given-seed statistical test
 SEED = 20260809
@@ -28,9 +29,10 @@ def mp_oracle_logs(config, stream_id, dps=60):
     w = [mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)]
     log_i = [float(mpmath.log(i_cur))]
     log_n2 = [float(mpmath.log(config.n0))]
-    for start, e2s, e1s in hop_coefficient_chunks(config.model, config.gains, rng,
-                                                  config.n_nodes):
-        for e2, e1 in zip(e2s.tolist(), e1s.tolist()):
+    for start, magnitudes in hop_magnitude_chunks(config.model, rng, config.n_nodes,
+                                                  _CHUNK_STEPS):
+        coefs = magnitudes * config.gains.node_gains(start, len(magnitudes))[:, None]
+        for e2, e1 in coefs.tolist():
             i_prev, i_cur = i_cur, mpmath.mpf(e2) * i_prev + mpmath.mpf(e1) * i_cur
             q2, q1 = mpmath.mpf(e2) ** 2, mpmath.mpf(e1) ** 2
             w = [w[1] + config.n0 * w[2],

@@ -36,6 +36,7 @@ from fibrelay import (
 from fibrelay import cocycle, lyapunov
 from fibrelay.cli import main
 from fibrelay.cocycle import SIGNAL, SIGNED, _block_length, logs_at
+from fibrelay.coeffs import hop_magnitude_chunks
 
 from conftest import SEED, mp_oracle_logs
 
@@ -130,13 +131,53 @@ def test_values_do_not_depend_on_worker_count(mode):
 
 
 def test_batches_cover_replicas_within_budget():
-    for n_nodes, n_replicas, workers in [(1200, 6, 1), (1200, 7, 2), (5000, 32, 1),
-                                         (25000, 32, 2), (40000, 3, 8), (2, 5, 1)]:
-        ranges = cocycle._batches(n_nodes, n_replicas, workers)
-        assert [i for r in ranges for i in r] == list(range(n_replicas))
-        assert len(ranges) >= min(workers, n_replicas)
-        for r in ranges:
-            assert len(r) == 1 or len(r) * _padded_steps(max(n_nodes, 2)) <= cocycle._BATCH_STEPS
+    """The call plan runs every (gain, replica) pair exactly once, no call
+    over the budget unless it holds one replica under one gain, and each
+    gain group in at least one call per worker while replicas last."""
+    for n_nodes, n_replicas, workers, n_gains in [
+            (1200, 6, 1, 1), (1200, 7, 2, 1), (5000, 32, 1, 1), (25000, 32, 2, 1),
+            (40000, 3, 8, 1), (2, 5, 1, 1), (5000, 16, 1, 3), (25000, 32, 2, 3),
+            (40000, 2, 1, 12), (40000, 7, 2, 12), (200000, 2, 1, 3), (200000, 5, 2, 12),
+            (600000, 3, 2, 3), (600000, 2, 1, 12)]:
+        calls = cocycle._calls(n_nodes, n_replicas, workers, n_gains)
+        pairs = [(g, q) for gains, sids in calls for g in gains for q in sids]
+        assert sorted(pairs) == [(g, q) for g in range(n_gains) for q in range(n_replicas)]
+        # a chunk caps the steps of one call
+        steps = _padded_steps(min(n_nodes, cocycle._CHUNK_STEPS + 1))
+        for gains, sids in calls:
+            columns = len(gains) * len(sids)
+            assert columns == 1 or columns * steps <= cocycle._BATCH_STEPS
+        groups = Counter(gains for gains, _ in calls)
+        assert min(groups.values()) >= min(workers, n_replicas)
+
+
+def test_chunk_lanes_are_magnitudes_times_gains(monkeypatch):
+    """Each column of a chunk holds its replica's magnitudes, as
+    ``hop_magnitude_chunks`` draws them, times its policy's gains of the
+    chunk's nodes, and unit pads after its last step; chunks of 7 steps
+    cross a 20-node chain."""
+    monkeypatch.setattr(cocycle, "_CHUNK_STEPS", 7)
+    n, sids = 20, (3, 8)
+    model = Rayleigh(1.0)
+    policies = [PerNodeGain(tuple(0.5 + 0.1 * j for j in range(n))), ConstantGain(0.8)]
+    drawn = [list(hop_magnitude_chunks(model, RngStream(SEED, s).generator(), n, 7))
+             for s in sids]
+    chunks = cocycle._chunks(model, policies, [RngStream(SEED, s).generator() for s in sids], n)
+    starts = []
+    for c, (start, lanes) in enumerate(chunks):
+        starts.append(start)
+        k, L, B = lanes.k, lanes.L, lanes.B
+        for i, policy in enumerate(policies):
+            for q in range(len(sids)):
+                assert drawn[q][c][0] == start
+                want = drawn[q][c][1] * policy.node_gains(start, k)[:, None]
+                column = i * len(sids) + q
+                # lane j of the column holds its steps j*L .. j*L+L-1
+                steps = lanes.K[:, :, column * B:(column + 1) * B].transpose(0, 2, 1)
+                steps = steps.reshape(2, B * L)
+                assert np.array_equal(steps[:, :k], want.T)
+                assert (steps[:, k:] == 1.0).all()
+    assert starts == [2, 9, 16]
 
 
 def test_run_over_budget_splits_into_calls(monkeypatch, batch_sizes, swept):
@@ -303,7 +344,7 @@ def test_wide_sweep_stays_within_budget(n, swept, passes, capsys):
                  "--gain-grid", ",".join(map(str, grid))]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 13
     assert swept and max(swept) <= max(cocycle._BATCH_STEPS, _padded_steps(n))
-    groups = len(cocycle._gain_groups(n, 12))
+    groups = len({gains for gains, _ in cocycle._calls(n, 2, 1, 12)})
     assert groups == (2 if n == 40_000 else 12)
     assert set(passes.values()) == {groups}
 
@@ -319,14 +360,14 @@ def test_calibration_draws_each_stream_three_times(passes):
 
 
 _OVERFLOW = ("error: non-finite signal cocycle state between nodes 1 and {}: values "
-             "left double range between renormalizations; lower renorm_period (now {}) "
-             "or the coefficient scale")
+             "left double range between renormalizations; renorm_period is already 1; "
+             "change the coefficient scale (model or gain)")
 
 
 @pytest.mark.parametrize("model,g_init,flags,rc,message", [
-    ("rayleigh:mu=1.0", "1e308", (), 3, _OVERFLOW.format(2000, 1)),
+    ("rayleigh:mu=1.0", "1e308", (), 3, _OVERFLOW.format(2000)),
     ("rayleigh:mu=1.0", "5e-324", (), 2, "error: eta01 must be positive, got 0.0"),
-    ("deterministic:c=1", "5e-324", (), 3, _OVERFLOW.format(100, 1)),
+    ("deterministic:c=1", "5e-324", (), 3, _OVERFLOW.format(100)),
     ("deterministic:c=1", "1e308", (),
      3, "error: no growth-rate sign change within 60 doublings from g_init=1e+308"),
     # 8e102 overflows at renorm period 3 and 4e102 does not: the search

@@ -145,22 +145,29 @@ class TestParseConfig:
     _ECHOED = {"command", "network.model", "network.gains", "network.n0", "network.i0",
                "run.n", "run.replicas", "run.seed", "run.burn_in", "run.renorm_period"}
 
-    @pytest.mark.parametrize("command,flags,keys", [
-        ("lyapunov", (), {"lyapunov.kind", "lyapunov.validation"}),
-        ("simulate", (), {"simulate.trajectories"}),
-        ("calibrate", (), {"calibrate.tol", "calibrate.g_init", "calibrate.max_doublings"}),
-        ("verify", (), {"verify.tolerance_sigma", "verify.slope_tol"}),
-        ("sweep", ("--gain-grid", "0.5,1"), {"sweep.gain_grid"}),
-    ], ids=("lyapunov", "simulate", "calibrate", "verify", "sweep"))
-    def test_manifest_round_trips_config(self, command, flags, keys, tmp_path, capsys):
+    @pytest.mark.parametrize("command,flags,keys,burn_in", [
+        ("lyapunov", (), {"lyapunov.kind", "lyapunov.validation"}, 100),
+        # the tail ratio estimates with burn-in n // 2 and echoes it
+        ("lyapunov", ("--kind", "tail_ratio"), {"lyapunov.kind", "lyapunov.validation"},
+         500),
+        ("simulate", (), {"simulate.trajectories"}, 100),
+        ("calibrate", (), {"calibrate.tol", "calibrate.g_init", "calibrate.max_doublings"},
+         100),
+        ("verify", (), {"verify.tolerance_sigma", "verify.slope_tol"}, 100),
+        ("sweep", ("--gain-grid", "0.5,1"), {"sweep.gain_grid"}, 100),
+    ], ids=("lyapunov", "lyapunov-tail-ratio", "simulate", "calibrate", "verify", "sweep"))
+    def test_manifest_round_trips_config(self, command, flags, keys, burn_in, tmp_path,
+                                         capsys):
         """The echo holds the command's keys but network.gain and
-        run.workers, and reads back to the same parameters."""
+        run.workers, with the burn-in the run used, and reads back to the
+        same parameters."""
         rc = main([command, "--model", "deterministic:c=1", "--gain", "0.5", "--n", "1000",
                    "--replicas", "1", "--seed", "11", "--workers", "1", *flags,
                    "--output-dir", str(tmp_path)])
         assert rc == 0
         echo = json.loads((tmp_path / "manifest.json").read_text())["config_echo"]
         assert set(echo) == self._ECHOED | keys
+        assert echo["run.burn_in"] == burn_in
         params = resolve(command, read_config_file(tmp_path / "manifest.json"))
         assert params.seed == 11
         assert params.gains.g == 0.5
@@ -377,9 +384,12 @@ class TestConfigValues:
         ("lyapunov", ("--replicas", "1.5"), {}, "run.replicas"),
         ("lyapunov", ("--gain", "x"), {}, "network.gain"),
         ("lyapunov", ("--kind", "bogus"), {}, "lyapunov.kind"),
+        # the tail ratio uses burn-in n // 2 and no other
+        ("lyapunov", ("--kind", "tail_ratio", "--burn-in", "7"), {}, "run.burn_in"),
     ], ids=("i0-inf", "n0-inf", "n0-nan", "grid-inf", "n-fraction",
             "replicas-fraction", "seed-fraction", "renorm-period-inf", "n-flag-text",
-            "replicas-flag-fraction", "gain-flag-text", "kind-flag-unknown"))
+            "replicas-flag-fraction", "gain-flag-text", "kind-flag-unknown",
+            "tail-ratio-burn-in"))
     def test_non_finite_or_non_integral(self, command, flags, run, key, tmp_path,
                                         capsys):
         config = {"network": {"model": "deterministic:c=1"}, "run": run}

@@ -107,6 +107,16 @@ class TestStepNoise:
         for c in (2.0, 3.0):
             assert _det_logs(NOISE, c, [1, 2]) == {1: 0.0, 2: 0.0}
 
+    def test_node_1_log_is_one_rule(self):
+        """Checkpoints and records read node 1 as the same log of n0, on an
+        n0 where math.log and np.log can differ in the last bit."""
+        n0 = 2.2361837455460423
+        config = NetworkConfig(Rayleigh(1.0), ConstantGain(0.8), n0=n0, n_nodes=50,
+                               master_seed=SEED)
+        logs = logs_at(NOISE, config.model, [config.gains], [RngStream(SEED, 0)], (1, 50),
+                       n0=n0)
+        assert run_trajectory(config).log_n_sq[0] == logs[1][0] == np.log(n0)
+
     def test_second_application_unit(self):
         # raw triples (1, 1, 1) -> (2, 3, 1) -> (4, 6, 1) for unit coefficients
         want = [0.0, math.log(3.0), math.log(6.0)]

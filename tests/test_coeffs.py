@@ -21,7 +21,7 @@ from fibrelay import (
     parse_gains,
     parse_model,
 )
-from fibrelay.coeffs import first_hop_magnitude, hop_coefficient_chunks
+from fibrelay.coeffs import first_hop_magnitude, hop_magnitude_chunks
 
 from conftest import SEED
 
@@ -157,9 +157,9 @@ class TestRngStream:
         chunks = []
         rng = RngStream(SEED, 9).generator()
         eta01 = first_hop_magnitude(model, rng) * gains.node_gains(1, 1)[0]
-        for start, e2, e1 in hop_coefficient_chunks(model, gains, rng, n, chunk_steps=3):
-            for k in range(len(e2)):
-                chunks.append((start + k, e2[k], e1[k]))
+        for start, magnitudes in hop_magnitude_chunks(model, rng, n, chunk_steps=3):
+            coefs = magnitudes * gains.node_gains(start, len(magnitudes))[:, None]
+            chunks += [(start + k, e2, e1) for k, (e2, e1) in enumerate(coefs)]
 
         gen = RngStream(SEED, 9).generator()
 
@@ -167,6 +167,7 @@ class TestRngStream:
             return model.transform_uniforms(gen.random(1))[0] * gains.node_gains(node, 1)[0]
 
         assert eta01 == single(1)
+        assert [i for i, _, _ in chunks] == list(range(2, n + 1))
         for i, e2, e1 in chunks:
             assert e2 == single(i)
             assert e1 == single(i)

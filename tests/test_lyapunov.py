@@ -222,7 +222,8 @@ class TestMatrixNormCrossCheck:
         2x2 matrix product agrees with the vector-growth estimate (for
         strictly positive matrices every nonnegative start vector realizes
         the top rate)."""
-        from fibrelay.coeffs import hop_coefficient_chunks
+        from fibrelay.cocycle import _CHUNK_STEPS
+        from fibrelay.coeffs import hop_magnitude_chunks
 
         n, reps = 20_000, 8
         vals = []
@@ -231,9 +232,8 @@ class TestMatrixNormCrossCheck:
             rng.random(1)  # skip the first-hop draw to mirror the engine
             prod = np.eye(2)
             log_norm = 0.0
-            for _, e2s, e1s in hop_coefficient_chunks(model, ConstantGain(g),
-                                                      rng, n):
-                for e2, e1 in zip(e2s, e1s):
+            for _, magnitudes in hop_magnitude_chunks(model, rng, n, _CHUNK_STEPS):
+                for e2, e1 in g * magnitudes:
                     prod = np.array([[0.0, 1.0], [e2, e1]]) @ prod
                     scale = np.linalg.norm(prod)
                     prod /= scale
