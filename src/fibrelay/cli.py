@@ -14,6 +14,7 @@ import atexit
 import functools
 import gc
 import io
+import logging
 import sys
 from pathlib import Path
 
@@ -130,18 +131,19 @@ def cmd_verify(params: RunParams, output_dir) -> int:
                     f"{rep.measured.slope:>14.6f}{rep.measured.std_err:>12.2e}"
                     f"{rep.verdict:>14}\n")
 
-    slopes = io.StringIO()
-    slopes.write("replica,capacity_slope,power_slope\n")
-    for sid, (cs, ps) in enumerate(zip(cap.replica_slopes, pwr.replica_slopes)):
-        slopes.write(f"{sid},{cs:.17g},{ps:.17g}\n")
-
-    model_spec = params.model.spec_string()
-    gain_spec = params.gains.spec_string()
-    files = {
-        "verify_capacity.json": dumps_17g(cap.to_report(model_spec, gain_spec, params.seed)),
-        "verify_power.json": dumps_17g(pwr.to_report(model_spec, gain_spec, params.seed)),
-        "slopes.csv": slopes.getvalue(),
-    }
+    files = {}
+    if output_dir is not None:  # the files are built only to be written
+        from ._csv import csv_text
+        model_spec = params.model.spec_string()
+        gain_spec = params.gains.spec_string()
+        files = {
+            "verify_capacity.json": dumps_17g(cap.to_report(model_spec, gain_spec,
+                                                            params.seed)),
+            "verify_power.json": dumps_17g(pwr.to_report(model_spec, gain_spec,
+                                                         params.seed)),
+            "slopes.csv": csv_text("replica,capacity_slope,power_slope",
+                                   (cap.replica_slopes, pwr.replica_slopes), first=0),
+        }
     _emit(params, output_dir, files, table.getvalue())
     return EXIT_OK if (cap.consistent and pwr.consistent) else EXIT_VERDICT
 
@@ -153,10 +155,9 @@ def cmd_sweep(params: RunParams, output_dir) -> int:
                             params.replicas, params.seed, burn_in=params.burn_in,
                             i0=params.i0, renorm_period=params.renorm_period,
                             workers=params.workers)
-    rows = ["g,lambda_hat,std_err"]
-    rows += [f"{g:.17g},{est.lambda_hat:.17g},{est.std_err:.17g}"
-             for g, est in zip(grid, ests)]
-    text = "\n".join(rows) + "\n"
+    from ._csv import csv_text
+    text = csv_text("g,lambda_hat,std_err",
+                    (grid, [e.lambda_hat for e in ests], [e.std_err for e in ests]))
     _emit(params, output_dir, {"sweep.csv": text}, text)
     return EXIT_OK
 
@@ -187,8 +188,28 @@ def _register_exit_hook() -> None:
     atexit.register(gc.freeze)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler on ``sys.stderr`` as it is at each record, not as
+    it was at creation, so a later redirection of stderr gets the
+    records."""
+
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
+@functools.cache
+def _add_log_handler() -> None:
+    """Print the package's warnings on stderr as ``LEVEL logger: message``.
+    Added on the first ``main`` call, not on import, so a program that
+    imports fibrelay keeps its own logging setup."""
+    handler = _StderrHandler()
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logging.getLogger("fibrelay").addHandler(handler)
+
+
 def main(argv=None) -> int:
     _register_exit_hook()
+    _add_log_handler()
     parser = _build_parser()
     try:
         args = vars(parser.parse_args(argv))

@@ -32,12 +32,11 @@ folds are done for all columns at once.  A column's value is the same, bit
 for bit, in any batch and next to any other gains, so it does not depend on
 the batch size, the gains run with it or the worker count;
 ``_BATCH_STEPS`` caps the column-steps of one call.  When numba is
-installed the sequential kernels of ``_kernels`` are faster and run
-instead, one column at a time.
+installed the sequential kernels of ``_kernels`` run instead, one column
+at a time (their speed against the blocked engine is unmeasured).
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -54,8 +53,6 @@ from .coeffs import (
 from .errors import ConfigError, NumericalError
 
 CSV_HEADER = "n,log_I_sq,log_N_sq,log_snr,capacity_nats,log_X_sq"
-# 17 significant digits round-trip every double
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 # steps of one replica drawn and pushed at a time; bounds the memory of
 # long chains
@@ -72,7 +69,8 @@ SIGNAL = "signal"
 SIGNED = "signed"
 NOISE = "noise"
 
-# compiled sequential kernels beat the blocked numpy engine
+# numba compiled the sequential kernels: they run instead of the blocked
+# engine
 _JIT = hasattr(_kernels.info_steps, "py_func")
 # out_log of a checkpoint-only kernel run
 _NO_RECORD = np.empty(0)
@@ -510,14 +508,12 @@ class Trajectory:
     stream_id: int = 0
 
     def to_csv(self) -> str:
-        """Rows with full double precision (17 significant digits)."""
-        cols = (self.log_i_sq, self.log_n_sq, self.log_snr,
-                self.capacity_nats, self.log_x_sq)
-        rows = zip(range(1, len(self.log_i_sq) + 1), *(c.tolist() for c in cols))
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        buf.writelines(_CSV_ROW % row for row in rows)
-        return buf.getvalue()
+        """One row per node: the node number, then each column's
+        ``"%.17g" % x``, 17 significant digits that round-trip every
+        double."""
+        from ._csv import csv_text  # loaded with the first file written
+        return csv_text(CSV_HEADER, (self.log_i_sq, self.log_n_sq, self.log_snr,
+                                     self.capacity_nats, self.log_x_sq), first=1)
 
 
 def _records(config: NetworkConfig, stream_ids, renorm_period: int):

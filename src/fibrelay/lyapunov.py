@@ -185,8 +185,9 @@ def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: i
 
     ``growth_rate`` averages (log value[n] - log value[burn]) / (n - burn)
     over replicas.  ``tail_ratio`` is the same value with burn = floor(n/2),
-    the per-step log ratio over the last ceil(n/2) steps; it is restricted
-    to deterministic models, where convergence is exponential.  Signed
+    the per-step log ratio over the last ceil(n/2) steps (any other
+    ``burn_in`` is a ConfigError); it is restricted to deterministic
+    models, where convergence is exponential.  Signed
     validation models are accepted only with ``validation=True``
     (growth_rate kind, signed arithmetic on log |value|); a replica whose
     checkpoint lands on an exact zero is restarted on an offset stream with
@@ -206,6 +207,9 @@ def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: i
             raise ConfigError("tail_ratio is restricted to deterministic models")
         _check_counts(n_steps, n_replicas, TAIL_RATIO, minimum=4)
         burn = n_steps // 2
+        if burn_in not in (None, burn):
+            raise ConfigError(f"burn_in: {TAIL_RATIO} uses n_steps // 2 = {burn}, "
+                              f"got {burn_in}")
     else:
         _check_counts(n_steps, n_replicas)
         burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)

@@ -250,6 +250,29 @@ class TestCommands:
         assert slopes[0] == "replica,capacity_slope,power_slope"
         assert len(slopes) == 3
 
+    def test_sweep_and_slopes_csv_text(self, tmp_path, capsys):
+        """sweep.csv and slopes.csv are the f-string rows of their doubles
+        (``f"{x:.17g}"``, the text of ``"%.17g" % x``), sweep.csv also on
+        stdout."""
+        rc = main(["sweep", "--model", "rayleigh:mu=1", "--gain-grid", "0.25,0.5,1e-6",
+                   "--n", "2000", "--replicas", "3", "--output-dir", str(tmp_path / "s")])
+        assert rc == 0
+        text = (tmp_path / "s" / "sweep.csv").read_text()
+        assert capsys.readouterr().out == text
+        rows = [[float(v) for v in line.split(",")] for line in text.split("\n")[1:-1]]
+        assert [r[0] for r in rows] == [0.25, 0.5, 1e-6]
+        assert text == "g,lambda_hat,std_err\n" + "".join(
+            f"{g:.17g},{lam:.17g},{se:.17g}\n" for g, lam, se in rows)
+
+        rc = main(["verify", "--model", "rayleigh:mu=1", "--gain", "0.5", "--n", "2000",
+                   "--replicas", "3", "--output-dir", str(tmp_path / "v")])
+        assert rc in (0, 1)
+        text = (tmp_path / "v" / "slopes.csv").read_text()
+        rows = [[float(v) for v in line.split(",")[1:]] for line in text.split("\n")[1:-1]]
+        assert len(rows) == 3
+        assert text == "replica,capacity_slope,power_slope\n" + "".join(
+            f"{sid},{cs:.17g},{ps:.17g}\n" for sid, (cs, ps) in enumerate(rows))
+
     def test_verify_inconsistent_exit_code(self, capsys):
         # with a vanishing band the growing chain's small-but-nonzero
         # capacity slope is judged inconsistent
@@ -336,6 +359,16 @@ class TestCommands:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "0 []"
+
+    def test_import_adds_no_log_handler_or_csv_writer(self):
+        """Importing the package leaves logging to the importing program;
+        the CSV writer loads with the first file written."""
+        code = ("import logging, sys, fibrelay, fibrelay.cli\n"
+                "print(logging.getLogger('fibrelay').handlers, "
+                "'fibrelay._csv' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[] False\n"
 
 
 class TestConfigValues:
@@ -505,11 +538,29 @@ class TestNumericalFailures:
         assert err.startswith("error:") and "renorm_period" in err
         assert not list(tmp_path.iterdir())
 
-    def test_persistent_zero_exits_3(self, monkeypatch, capsys):
+    @staticmethod
+    def _zero_forever(monkeypatch):
         monkeypatch.setattr(lyap_mod, "logs_at",
                             lambda kind, model, gains, streams, checkpoints, **kw:
                             {c: np.full(len(streams), -math.inf) for c in checkpoints})
+
+    def test_persistent_zero_exits_3(self, monkeypatch, capsys):
+        self._zero_forever(monkeypatch)
         rc = main(["lyapunov", "--model", "signed:p=0.5", "--validation",
                    "--n", "2000", "--replicas", "1"])
         assert rc == 3
         assert "zero" in capsys.readouterr().err
+
+    def test_restart_warnings_on_stderr_once_each(self, monkeypatch, capsys):
+        """Each restart warning is one stderr line with its level and
+        logger name, however many times ``main`` runs in the process."""
+        self._zero_forever(monkeypatch)
+        for _ in range(2):
+            assert main(["lyapunov", "--model", "signed:p=0.5", "--validation",
+                         "--n", "2000", "--replicas", "1"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        want = [f"WARNING fibrelay: replica 0 hit an exactly-zero value at a checkpoint; "
+                f"restarting with offset stream (attempt {a})"
+                for a in range(1, lyap_mod._MAX_RESTARTS + 1)]
+        error = "error: replica 0: exactly-zero values persist after 8 restarts"
+        assert lines == 2 * [*want, error]

@@ -130,6 +130,16 @@ class TestTailRatio:
         growth = estimate_lambda(model, gains, n, 3, SEED, burn_in=n // 2)
         assert tail.replica_values == growth.replica_values
 
+    def test_burn_in_other_than_half_rejected(self):
+        """tail_ratio fixes burn = n // 2: that burn_in is accepted, any
+        other is named rather than ignored."""
+        model, gains = Deterministic(0.7), ConstantGain(1.3)
+        same = estimate_lambda(model, gains, 1001, 1, SEED, TAIL_RATIO, burn_in=500)
+        assert same == estimate_lambda(model, gains, 1001, 1, SEED, TAIL_RATIO)
+        for burn_in in (7, 0, 501):
+            with pytest.raises(ConfigError, match="burn_in"):
+                estimate_lambda(model, gains, 1001, 1, SEED, TAIL_RATIO, burn_in=burn_in)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 1000, 1, SEED,
