@@ -15,6 +15,10 @@ __version__ = "0.1.0"
 # is not imported here at all: only the lognormal model loads it, on its
 # first draw
 from .cocycle import CSV_HEADER, NetworkConfig, Trajectory, run_trajectory
+# no module of the package imports the sequential test kernels, but the
+# benchmark's preflight (perfbench/run.py) reads fibrelay._kernels.info_steps
+# as an attribute of the package after ``import fibrelay``
+from . import _kernels  # noqa: F401
 from .calibrate import CalibrationResult, find_zero_lyapunov_gain
 from .coeffs import (
     CoefficientModel,

@@ -42,11 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fibrelay {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, handler in _HANDLERS.items():
-        p = sub.add_parser(command, help=handler.__doc__)
+        # no abbreviations: sweep would read --gain as --gain-grid
+        p = sub.add_parser(command, help=handler.__doc__, allow_abbrev=False)
         p.add_argument("--config", help="config file (flat KV, JSON, or a run manifest)")
         p.add_argument("--output-dir", help="write artifacts plus manifest.json here")
         for key, entry in KEYS.items():
-            if entry.command in (None, command):
+            if command in entry.commands:
                 # every flag but --validation is a string for the key's parser
                 extra = {"action": "store_const", "const": True} \
                     if key == "lyapunov.validation" else {}

@@ -31,9 +31,7 @@ every column sit side by side in one sweep of B * G * R lanes and the
 folds are done for all columns at once.  A column's value is the same, bit
 for bit, in any batch and next to any other gains, so it does not depend on
 the batch size, the gains run with it or the worker count;
-``_BATCH_STEPS`` caps the column-steps of one call.  When numba is
-installed the sequential kernels of ``_kernels`` run instead, one column
-at a time (their speed against the blocked engine is unmeasured).
+``_BATCH_STEPS`` caps the column-steps of one call.
 """
 from __future__ import annotations
 
@@ -42,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, metrics
+from . import metrics
 from .coeffs import (
     CoefficientModel,
     GainPolicy,
@@ -68,12 +66,6 @@ _BATCH_STEPS = 1 << 18
 SIGNAL = "signal"
 SIGNED = "signed"
 NOISE = "noise"
-
-# numba compiled the sequential kernels: they run instead of the blocked
-# engine
-_JIT = hasattr(_kernels.info_steps, "py_func")
-# out_log of a checkpoint-only kernel run
-_NO_RECORD = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -155,13 +147,12 @@ class _Lanes:
     ``K[0]`` holds the two-back and ``K[1]`` the one-back coefficients as
     L x (C * B) arrays: column q's steps j*L .. j*L+L-1 fill lane q*B + j.
     Unit coefficients pad each column's last lane, whose partial product
-    is read at step k like any checkpoint.  The blocked engine takes
-    L ~ sqrt(2k); the sequential path takes L = k, one lane per column.
+    is read at step k like any checkpoint.
     """
 
     def __init__(self, k: int, n_columns: int):
         self.k = k
-        self.L = k if _JIT else _block_length(k)
+        self.L = _block_length(k)
         self.B = -(-k // self.L)
         # side x step x column x lane within the column; K is its lane view
         self._by_column = np.ones((2, self.L, n_columns, self.B))
@@ -236,8 +227,6 @@ class _Walk:
         m = np.abs(vec).max(axis=0)
         self.vec = vec / m
         self.log_scale = _logs(m)
-        # steps since the last renormalization, sequential path
-        self.phase = [0] * vec.shape[1]
 
     def _error(self, k: int) -> NumericalError:
         advice = (f"lower renorm_period (now {self.period}) or the coefficient scale"
@@ -274,51 +263,9 @@ class _Walk:
             if self.kind == NOISE:
                 lanes.K *= lanes.K
             K2, K1 = lanes.K
-            if _JIT:
-                logs = self._advance_sequential(K2, K1, lanes.k, reads, out)
-            else:
-                logs = self._advance_blocked(K2, K1, lanes, reads, out)
+            logs = self._advance_blocked(K2, K1, lanes, reads, out)
         self.node += lanes.k
         return logs
-
-    # -- compiled (or reference) path: the sequential kernels -------------
-
-    def _steps(self, c2, c1, vec, ls, phase, out=_NO_RECORD):
-        """Run the sequential kernel over c2, c1 from (vec, ls, phase),
-        writing the log after every step to ``out`` when it is non-empty."""
-        if self.kind == NOISE:
-            *vec, ls, phase = _kernels.noise_steps(c2, c1, self.n0, *vec, ls,
-                                                   self.period, phase, out)
-        else:
-            *vec, ls, phase = _kernels.info_steps(c2, c1, *vec, ls, self.period,
-                                                  phase, out)
-        if not all(map(math.isfinite, (*vec, ls))):
-            raise self._error(len(c2))
-        return vec, ls, phase
-
-    def _advance_sequential(self, K2, K1, k, reads, out):
-        # one lane of all k steps per replica, walked replica by replica
-        logs = np.empty((len(reads), K2.shape[1]))
-        for q in range(K2.shape[1]):
-            c2, c1 = K2[:, q], K1[:, q]
-            state = (self.vec[:, q].tolist(), float(self.log_scale[q]), self.phase[q])
-            if out is not None:
-                state = self._steps(c2, c1, *state, out[q])
-                if not np.isfinite(out[q]).all():
-                    raise self._error(k)
-                logs[:, q] = [out[q, r - 1] for r in reads]
-            else:
-                pos = 0
-                for i, r in enumerate(reads):
-                    state = self._steps(c2[pos:r], c1[pos:r], *state)
-                    logs[i, q] = self._read(np.reshape(state[0], (-1, 1)), state[1], r)[0]
-                    pos = r
-                if pos < k:
-                    state = self._steps(c2[pos:], c1[pos:], *state)
-            self.vec[:, q], self.log_scale[q], self.phase[q] = state
-        return list(logs)
-
-    # -- numpy path: blocked transfer matrices ---------------------------
 
     def _sweep(self, S, K2, K1, visit=None, renorm_last=False):
         """Push lane states through the steps K2[t], K1[t], t = 0..L-1.

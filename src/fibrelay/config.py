@@ -1,7 +1,7 @@
 """Configuration ingestion for the command-line tool.
 
-``KEYS`` is the one table of configuration keys: each gives the command
-that takes it (None: all), its default, its parser and its flag's help.
+``KEYS`` is the one table of configuration keys: each gives the commands
+that read it, its default, its parser and its flag's help.
 Sources, in increasing precedence: the defaults, a config file, the flags
 ``--<key after the dot>``.  Every value goes through its key's parser, so
 a bad one raises ConfigError naming the key.  The file format is flat
@@ -119,44 +119,52 @@ def _grid(key, value) -> tuple:
 
 
 class Key(NamedTuple):
-    command: str | None  # None: every command
+    commands: tuple  # the commands that read the key: its flag and echo
     default: object  # None: unset
     parse: Callable  # (key, value) -> value, raising ConfigError naming the key
     help: str
 
 
+# the commands that run a relay chain under given gains, and those that
+# estimate a growth rate over replicas
+_CHAIN = ("lyapunov", "simulate", "verify")
+_ESTIMATE = ("lyapunov", "calibrate", "verify", "sweep")
+
 KEYS = {
-    "network.model": Key(None, None, _spec(parse_model, CoefficientModel, "model"),
+    "network.model": Key(COMMANDS, None, _spec(parse_model, CoefficientModel, "model"),
                          "coefficient model spec, e.g. rayleigh:mu=1.0"),
-    "network.gain": Key(None, 1.0, _positive_float, "constant amplification gain"),
-    "network.gains": Key(None, None, _spec(
+    "network.gain": Key(_CHAIN, 1.0, _positive_float, "constant amplification gain"),
+    "network.gains": Key(_CHAIN, None, _spec(
         lambda t: parse_gains(t if ":" in t else "pernode:g=" + t), GainPolicy, "gain"),
         "per-node gains, comma separated"),
-    "network.n0": Key(None, 1.0, _positive_float, "noise power per reception"),
-    "network.i0": Key(None, 1.0, _positive_float, "source magnitude"),
-    "run.n": Key(None, 10_000, partial(_positive_int, minimum=2), "nodes / steps"),
-    "run.replicas": Key(None, 32, _positive_int, "independent replicas"),
-    "run.seed": Key(None, 20260809,
+    "network.n0": Key(("simulate", "verify"), 1.0, _positive_float,
+                      "noise power per reception"),
+    "network.i0": Key((*_CHAIN, "sweep"), 1.0, _positive_float, "source magnitude"),
+    "run.n": Key(COMMANDS, 10_000, partial(_positive_int, minimum=2), "nodes / steps"),
+    "run.replicas": Key(_ESTIMATE, 32, _positive_int, "independent replicas"),
+    "run.seed": Key(COMMANDS, 20260809,
                     _or_auto(partial(_integer, expected="an integer or 'auto'")),
                     "master seed, an integer or 'auto'"),
-    "run.burn_in": Key(None, "auto", _or_auto(partial(_positive_int, minimum=0)),
+    "run.burn_in": Key(_ESTIMATE, "auto", _or_auto(partial(_positive_int, minimum=0)),
                        "burn-in nodes or 'auto'"),
-    "run.renorm_period": Key(None, 1, _positive_int, "renormalize every k steps"),
-    "run.workers": Key(None, None, _positive_int,
+    "run.renorm_period": Key(COMMANDS, 1, _positive_int, "renormalize every k steps"),
+    "run.workers": Key(COMMANDS, None, _positive_int,
                        f"replica parallelism (default ${_ENV_WORKERS} or 1)"),
-    "lyapunov.kind": Key("lyapunov", GROWTH_RATE, _kind, f"{GROWTH_RATE} or {TAIL_RATIO}"),
-    "lyapunov.validation": Key("lyapunov", False, _boolean,
+    "lyapunov.kind": Key(("lyapunov",), GROWTH_RATE, _kind,
+                         f"{GROWTH_RATE} or {TAIL_RATIO}"),
+    "lyapunov.validation": Key(("lyapunov",), False, _boolean,
                                "allow the signed validation model"),
-    "simulate.trajectories": Key("simulate", 1, _positive_int, "number of trajectories"),
-    "calibrate.tol": Key("calibrate", 1e-3, _positive_float, "growth-rate tolerance"),
-    "calibrate.g_init": Key("calibrate", 1.0, _positive_float, "bracket start"),
-    "calibrate.max_doublings": Key("calibrate", 60, _positive_int,
+    "simulate.trajectories": Key(("simulate",), 1, _positive_int,
+                                 "number of trajectories"),
+    "calibrate.tol": Key(("calibrate",), 1e-3, _positive_float, "growth-rate tolerance"),
+    "calibrate.g_init": Key(("calibrate",), 1.0, _positive_float, "bracket start"),
+    "calibrate.max_doublings": Key(("calibrate",), 60, _positive_int,
                                    "bracket expansions before giving up"),
-    "verify.tolerance_sigma": Key("verify", DEFAULT_TOLERANCE_SIGMA, _positive_float,
+    "verify.tolerance_sigma": Key(("verify",), DEFAULT_TOLERANCE_SIGMA, _positive_float,
                                   "band half-width in combined standard errors"),
-    "verify.slope_tol": Key("verify", DEFAULT_SLOPE_TOL, _positive_float,
+    "verify.slope_tol": Key(("verify",), DEFAULT_SLOPE_TOL, _positive_float,
                             "smallest band half-width"),
-    "sweep.gain_grid": Key("sweep", None, _grid, "comma-separated gains"),
+    "sweep.gain_grid": Key(("sweep",), None, _grid, "comma-separated gains"),
 }
 
 
@@ -191,12 +199,12 @@ class RunParams:
 
     def echo(self) -> dict:
         """Dotted-key view of everything that determines the outputs: the
-        command's ``KEYS`` but the worker count, an execution detail, and
-        ``network.gain``, which ``network.gains`` holds."""
+        keys the command reads but the worker count, an execution detail,
+        and ``network.gain``, which ``network.gains`` holds."""
         out = {"command": self.command}
         for key, entry in KEYS.items():
-            if entry.command in (None, self.command) and key not in ("network.gain",
-                                                                     "run.workers"):
+            if self.command in entry.commands and key not in ("network.gain",
+                                                              "run.workers"):
                 value = getattr(self, key.partition(".")[2])
                 if key == "sweep.gain_grid":
                     value = ",".join(f"{g:.17g}" for g in value)

@@ -1,18 +1,42 @@
 import mpmath
-import pytest
+import numpy as np
 
-from fibrelay import _kernels
-from fibrelay.cocycle import _CHUNK_STEPS
+from fibrelay import ConstantGain, _kernels
+from fibrelay.cocycle import _CHUNK_STEPS, NOISE, _start
 from fibrelay.coeffs import RngStream, first_hop_magnitude, hop_magnitude_chunks
 
 # one fixed seed for every deterministic-given-seed statistical test
 SEED = 20260809
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the recursion kernels once so timed tests measure steady state."""
-    _kernels.warmup()
+def _hop_coefficients(model, gains, rng, n_nodes):
+    """Source-hop coefficient and the (two-back, one-back) coefficients of
+    nodes 2..n_nodes of one replica, drawn in the engine's order."""
+    first = first_hop_magnitude(model, rng) * gains.node_gains(1, 1)[0]
+    coefs = [magnitudes * gains.node_gains(start, len(magnitudes))[:, None]
+             for start, magnitudes in hop_magnitude_chunks(model, rng, n_nodes,
+                                                           _CHUNK_STEPS)]
+    return first, np.concatenate(coefs)
+
+
+def sequential_logs(kind, model, gain, stream_id, n, *, i0, n0, period):
+    """Logs of nodes 1..n of one cocycle on stream (SEED, stream_id) under
+    the constant gain ``gain``: the sequential ``_kernels`` run over the
+    whole chain in one call from the walk ``cocycle._start`` begins with.
+    The blocked engine is tested against it."""
+    rng = RngStream(SEED, stream_id).generator()
+    first, coefs = _hop_coefficients(model, ConstantGain(gain), rng, n)
+    walk, node_1 = _start(kind, np.array([first]), i0, n0, period)
+    state = (*walk.vec[:, 0].tolist(), float(walk.log_scale[0]))
+    c2, c1 = coefs.T
+    out = np.empty(n - 1)
+    # an exact zero of the signed recursion reads -inf
+    with np.errstate(divide="ignore"):
+        if kind == NOISE:
+            _kernels.noise_steps(c2 * c2, c1 * c1, n0, *state, period, out)
+        else:
+            _kernels.info_steps(c2, c1, *state, period, out)
+    return np.concatenate([node_1, out])
 
 
 def mp_oracle_logs(config, stream_id, dps=60):
@@ -24,20 +48,17 @@ def mp_oracle_logs(config, stream_id, dps=60):
     """
     mpmath.mp.dps = dps
     rng = RngStream(config.master_seed, stream_id).generator()
-    eta01 = first_hop_magnitude(config.model, rng) * config.gains.node_gains(1, 1)[0]
+    eta01, coefs = _hop_coefficients(config.model, config.gains, rng, config.n_nodes)
     i_prev, i_cur = mpmath.mpf(config.i0), mpmath.mpf(eta01) * config.i0
     w = [mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)]
     log_i = [float(mpmath.log(i_cur))]
     log_n2 = [float(mpmath.log(config.n0))]
-    for start, magnitudes in hop_magnitude_chunks(config.model, rng, config.n_nodes,
-                                                  _CHUNK_STEPS):
-        coefs = magnitudes * config.gains.node_gains(start, len(magnitudes))[:, None]
-        for e2, e1 in coefs.tolist():
-            i_prev, i_cur = i_cur, mpmath.mpf(e2) * i_prev + mpmath.mpf(e1) * i_cur
-            q2, q1 = mpmath.mpf(e2) ** 2, mpmath.mpf(e1) ** 2
-            w = [w[1] + config.n0 * w[2],
-                 q2 * w[0] + q1 * w[1] + config.n0 * w[2],
-                 w[2]]
-            log_i.append(float(mpmath.log(i_cur)))
-            log_n2.append(float(mpmath.log(w[1])))
+    for e2, e1 in coefs.tolist():
+        i_prev, i_cur = i_cur, mpmath.mpf(e2) * i_prev + mpmath.mpf(e1) * i_cur
+        q2, q1 = mpmath.mpf(e2) ** 2, mpmath.mpf(e1) ** 2
+        w = [w[1] + config.n0 * w[2],
+             q2 * w[0] + q1 * w[1] + config.n0 * w[2],
+             w[2]]
+        log_i.append(float(mpmath.log(i_cur)))
+        log_n2.append(float(mpmath.log(w[1])))
     return log_i, log_n2

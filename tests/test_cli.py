@@ -142,35 +142,44 @@ class TestParseConfig:
                                           "network.gains": gains, "run.n": 3})
         assert params.model == Rayleigh(1.0) and params.gains is gains
 
-    _ECHOED = {"command", "network.model", "network.gains", "network.n0", "network.i0",
-               "run.n", "run.replicas", "run.seed", "run.burn_in", "run.renorm_period"}
+    # echoed by every command, and by the commands that run a chain under
+    # given gains or estimate over replicas
+    _ECHOED = {"command", "network.model", "run.n", "run.seed", "run.renorm_period"}
+    _CHAIN = {"network.gains", "network.i0"}
+    _ESTIMATE = {"run.replicas", "run.burn_in"}
 
     @pytest.mark.parametrize("command,flags,keys,burn_in", [
-        ("lyapunov", (), {"lyapunov.kind", "lyapunov.validation"}, 100),
-        # the tail ratio estimates with burn-in n // 2 and echoes it
-        ("lyapunov", ("--kind", "tail_ratio"), {"lyapunov.kind", "lyapunov.validation"},
-         500),
-        ("simulate", (), {"simulate.trajectories"}, 100),
-        ("calibrate", (), {"calibrate.tol", "calibrate.g_init", "calibrate.max_doublings"},
+        ("lyapunov", (), _CHAIN | _ESTIMATE | {"lyapunov.kind", "lyapunov.validation"},
          100),
-        ("verify", (), {"verify.tolerance_sigma", "verify.slope_tol"}, 100),
-        ("sweep", ("--gain-grid", "0.5,1"), {"sweep.gain_grid"}, 100),
+        # the tail ratio estimates with burn-in n // 2 and echoes it
+        ("lyapunov", ("--kind", "tail_ratio"),
+         _CHAIN | _ESTIMATE | {"lyapunov.kind", "lyapunov.validation"}, 500),
+        ("simulate", (), _CHAIN | {"network.n0", "simulate.trajectories"}, None),
+        ("calibrate", (), _ESTIMATE | {"calibrate.tol", "calibrate.g_init",
+                                       "calibrate.max_doublings"}, 100),
+        ("verify", (), _CHAIN | _ESTIMATE | {"network.n0", "verify.tolerance_sigma",
+                                             "verify.slope_tol"}, 100),
+        ("sweep", ("--gain-grid", "0.5,1"), _ESTIMATE | {"network.i0", "sweep.gain_grid"},
+         100),
     ], ids=("lyapunov", "lyapunov-tail-ratio", "simulate", "calibrate", "verify", "sweep"))
     def test_manifest_round_trips_config(self, command, flags, keys, burn_in, tmp_path,
                                          capsys):
-        """The echo holds the command's keys but network.gain and
+        """The echo holds the keys the command reads but network.gain and
         run.workers, with the burn-in the run used, and reads back to the
         same parameters."""
-        rc = main([command, "--model", "deterministic:c=1", "--gain", "0.5", "--n", "1000",
-                   "--replicas", "1", "--seed", "11", "--workers", "1", *flags,
-                   "--output-dir", str(tmp_path)])
+        if "network.gains" in keys:
+            flags += ("--gain", "0.5")
+        if "run.replicas" in keys:
+            flags += ("--replicas", "1")
+        rc = main([command, "--model", "deterministic:c=1", "--n", "1000", "--seed", "11",
+                   "--workers", "1", *flags, "--output-dir", str(tmp_path)])
         assert rc == 0
         echo = json.loads((tmp_path / "manifest.json").read_text())["config_echo"]
         assert set(echo) == self._ECHOED | keys
-        assert echo["run.burn_in"] == burn_in
+        assert echo.get("run.burn_in") == burn_in
         params = resolve(command, read_config_file(tmp_path / "manifest.json"))
         assert params.seed == 11
-        assert params.gains.g == 0.5
+        assert params.gains.g == (0.5 if "network.gains" in keys else 1.0)
         assert params.echo() == echo
 
 
@@ -406,8 +415,8 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("command,flags,run,key", [
         ("lyapunov", ("--i0", "inf"), {}, "network.i0"),
-        ("lyapunov", ("--n0", "inf"), {}, "network.n0"),
-        ("lyapunov", ("--n0", "nan"), {}, "network.n0"),
+        ("simulate", ("--n0", "inf"), {}, "network.n0"),
+        ("simulate", ("--n0", "nan"), {}, "network.n0"),
         ("sweep", ("--gain-grid", "1,inf"), {}, "sweep.gain_grid"),
         ("lyapunov", (), {"n": 2000.7}, "run.n"),
         ("lyapunov", (), {"replicas": 1.5}, "run.replicas"),
@@ -429,6 +438,18 @@ class TestConfigValues:
         rc, err = self._run(command, config, tmp_path, capsys, flags)
         assert rc == 2
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("calibrate", "--gain"), ("sweep", "--gains"), ("sweep", "--gain"),
+        ("lyapunov", "--n0"), ("simulate", "--replicas")])
+    def test_flag_of_a_key_the_command_does_not_read(self, command, flag, tmp_path,
+                                                      capsys):
+        """Each key is a flag of the commands that read it only: another
+        command exits 2 naming the flag, not taking it for another."""
+        config = {"network": {"model": "rayleigh"}, "sweep": {"gain_grid": [0.5]}}
+        rc, err = self._run(command, config, tmp_path, capsys, (flag, "2"))
+        assert rc == 2
+        assert f"unrecognized arguments: {flag} 2" in err
 
     @pytest.mark.parametrize("config,flags", [
         ({"network": {"model": "rayleigh"}}, ("--gain-grid", ",")),
@@ -493,6 +514,17 @@ class TestPublicApi:
             for attr in attrs:
                 obj = getattr(obj, attr, None)
             assert callable(obj), name
+
+    def test_benchmark_preflight_import(self):
+        """The benchmark's preflight reads ``fibrelay._kernels.info_steps``
+        as an attribute after ``import fibrelay, fibrelay.cli`` in a fresh
+        process, where ``import_module`` above would load the submodule
+        itself; numba is never imported."""
+        code = ("import sys, fibrelay, fibrelay.cli\n"
+                "print(callable(fibrelay._kernels.info_steps), 'numba' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "True False\n"
 
 
 class TestNumericalFailures:

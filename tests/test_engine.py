@@ -4,10 +4,9 @@ The numpy engine and the sequential ``_kernels`` loops round differently
 (block products and a different renormalization cadence), so their logs
 are compared at |engine - reference| <= 1e-12 * max(1, |reference|):
 relative error 1e-12, absolute 1e-12 for logs of magnitude below 1.  The
-reference is the sequential path the engine runs when numba is installed,
-selected here by setting ``cocycle._JIT``.  Batches of R > 1 replicas are
-checked replica by replica against the sequential kernels run on that
-replica alone.
+reference is ``conftest.sequential_logs``: one kernel call over the whole
+chain of one replica.  Batches of R > 1 replicas are checked replica by
+replica against it.
 """
 import math
 
@@ -30,7 +29,7 @@ from fibrelay import (
 from fibrelay import cocycle
 from fibrelay.cocycle import NOISE, SIGNAL, SIGNED, _block_length, _trajectories, logs_at
 
-from conftest import SEED
+from conftest import SEED, sequential_logs
 
 TOL = 1e-12
 POSITIVE_MODELS = [Deterministic(0.2), Deterministic(1.0), Deterministic(2.0),
@@ -39,17 +38,13 @@ SIGNED_MODELS = [SignedBernoulli(0.5), SignedBernoulli(0.3)]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def _engine(jit, fn, chunk_steps=None):
-    """fn() on the blocked engine (jit False) or the sequential kernels."""
+def _chunked(chunk_steps, fn):
+    """fn() on the engine with chunks of ``chunk_steps`` (None: the real
+    chunk)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cocycle, "_JIT", jit)
         if chunk_steps is not None:
             mp.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
         return fn()
-
-
-def _blocked_and_sequential(fn, chunk_steps=None):
-    return [_engine(jit, fn, chunk_steps) for jit in (False, True)]
 
 
 def _assert_close(got, ref):
@@ -90,24 +85,25 @@ def chains(draw, models):
 
 def _check_logs_at(kind, chain, chunk_steps=None, sids=(0,)):
     """The blocked engine on the batch ``sids`` against the sequential
-    kernels on each replica alone; the sequential batch is exact."""
+    reference on each replica alone."""
     model, g, n, period, checkpoints = chain
-
-    def run(jit, stream_ids):
-        return _engine(jit, lambda: logs_at(
-            kind, model, [ConstantGain(g)], [RngStream(SEED, s) for s in stream_ids],
-            checkpoints, i0=1.7, n0=0.6, renorm_period=period), chunk_steps)
-
-    got = run(False, sids)
-    seq = run(True, sids) if len(sids) > 1 else None
+    got = _chunked(chunk_steps, lambda: logs_at(
+        kind, model, [ConstantGain(g)], [RngStream(SEED, s) for s in sids], checkpoints,
+        i0=1.7, n0=0.6, renorm_period=period))
     assert sorted(got) == checkpoints
     for q, sid in enumerate(sids):
-        ref = run(True, [sid])
-        assert sorted(ref) == checkpoints
-        ref = [ref[c][0] for c in checkpoints]
-        _assert_close([got[c][q] for c in checkpoints], ref)
-        if seq is not None:
-            assert [seq[c][q] for c in checkpoints] == ref
+        ref = sequential_logs(kind, model, g, sid, n, i0=1.7, n0=0.6, period=period)
+        _assert_close([got[c][q] for c in checkpoints], [ref[c - 1] for c in checkpoints])
+
+
+def _check_records(traj, chain, sid):
+    """A trajectory's signal and noise logs against the sequential
+    reference of its replica."""
+    model, g, n, period, _ = chain
+    log_i, log_n2 = (sequential_logs(kind, model, g, sid, n, i0=1.7, n0=0.6, period=period)
+                     for kind in (SIGNAL, NOISE))
+    _assert_close(traj.log_i_sq, 2.0 * log_i)
+    _assert_close(traj.log_n_sq, log_n2)
 
 
 class TestCheckpointMode:
@@ -155,10 +151,8 @@ class TestRecordMode:
         model, g, n, period, _ = chain
         cfg = NetworkConfig(model, ConstantGain(g), n0=0.6, i0=1.7, n_nodes=n,
                             master_seed=SEED)
-        got, ref = _blocked_and_sequential(
-            lambda: run_trajectory(cfg, stream_id=2, renorm_period=period), chunk_steps)
-        _assert_close(got.log_i_sq, ref.log_i_sq)
-        _assert_close(got.log_n_sq, ref.log_n_sq)
+        traj = _chunked(chunk_steps, lambda: run_trajectory(cfg, 2, period))
+        _check_records(traj, chain, 2)
 
 
 class TestReplicaBatches:
@@ -178,19 +172,17 @@ class TestReplicaBatches:
         cfg = NetworkConfig(model, ConstantGain(g), n0=0.6, i0=1.7, n_nodes=n,
                             master_seed=SEED)
         sids = range(2, 2 + n_replicas)
-        got = _engine(False, lambda: list(_trajectories(cfg, sids, period)), chunk_steps)
+        got = _chunked(chunk_steps, lambda: list(_trajectories(cfg, sids, period)))
         for traj, sid in zip(got, sids):
-            ref = _engine(True, lambda: run_trajectory(cfg, sid, period), chunk_steps)
-            _assert_close(traj.log_i_sq, ref.log_i_sq)
-            _assert_close(traj.log_n_sq, ref.log_n_sq)
+            _check_records(traj, chain, sid)
 
 
 class TestNonFiniteState:
-    @pytest.mark.parametrize("jit", [False, True], ids=("blocked", "sequential"))
-    def test_overflow_raises(self, jit, monkeypatch):
+    # the id names the engine path the test covers
+    @pytest.mark.parametrize("engine", ["blocked"])
+    def test_overflow_raises(self, engine):
         """A coefficient of 1e300 overflows within three steps unless every
         step renormalizes."""
-        monkeypatch.setattr(cocycle, "_JIT", jit)
         model = Deterministic(1e300)
         with pytest.raises(NumericalError, match="renorm_period"):
             logs_at(SIGNAL, model, [ConstantGain(1.0)], [RngStream(SEED)], (2000,),
@@ -198,9 +190,8 @@ class TestNonFiniteState:
         assert math.isfinite(logs_at(SIGNAL, model, [ConstantGain(1.0)], [RngStream(SEED)],
                                      (2000,))[2000][0])
 
-    @pytest.mark.parametrize("jit", [False, True], ids=("blocked", "sequential"))
-    def test_squared_coefficient_overflow_raises(self, jit, monkeypatch):
-        monkeypatch.setattr(cocycle, "_JIT", jit)
+    @pytest.mark.parametrize("engine", ["blocked"])
+    def test_squared_coefficient_overflow_raises(self, engine):
         cfg = NetworkConfig(Deterministic(1e200), ConstantGain(1.0), n_nodes=50)
         with pytest.raises(NumericalError, match="noise"):
             run_trajectory(cfg)
