@@ -2,7 +2,8 @@
 
 CPython's ``%`` spends most of a microsecond per double in its 17-digit
 conversion; this writer gets the same bytes from whole-array numpy
-operations, one block of rows at a time.
+operations, one block of rows at a time, and writes each block to a
+binary file as it is made (``csv_text`` joins the same blocks).
 
 Digits.  For |x| in [1e-280, 1e280], s = 16 - floor(log10 |x|) puts
 y = |x| * 10**s in [1e16, 1e17) when the floor is right.  10**s is held as
@@ -29,6 +30,7 @@ block's text is its character buffer under the mask.
 from __future__ import annotations
 
 import functools
+import io
 
 import numpy as np
 
@@ -187,11 +189,11 @@ def _field(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
         keep[i, :len(slow)] = True
 
 
-def _block(columns, first, width: int) -> np.ndarray:
-    """The text of the rows of one block: ``first`` + row number in
-    ``width`` columns when ``first`` is not None, then each column's
-    field."""
+def _block(columns, first) -> np.ndarray:
+    """The text of the rows of one block: ``first`` + row number when
+    ``first`` is not None, then each column's field."""
     rows = len(columns[0])
+    width = 0 if first is None else len(str(first + rows - 1))
     lead = 0 if first is None else width + 1
     chars = np.empty((rows, lead + _FIELD * len(columns)), np.uint8)
     keep = np.empty(chars.shape, bool)
@@ -210,16 +212,27 @@ def _block(columns, first, width: int) -> np.ndarray:
     return np.compress(keep.ravel(), chars.ravel())
 
 
+def write_csv(file, header: str, chunks, first: int | None = None) -> None:
+    """Write ``header``, then the rows of each chunk of ``chunks`` (a
+    sequence of columns of equal length), to the binary file ``file``,
+    one block of ``_BLOCK_ROWS`` rows at a time.  A row is its number
+    counted from ``first`` across the chunks (left out when None), then
+    ``"%.17g" % x`` of each column's element, comma-separated."""
+    file.write(header.encode("ascii") + b"\n")
+    for columns in chunks:
+        columns = [np.asarray(c, dtype=float) for c in columns]
+        n = len(columns[0])
+        for start in range(0, n, _BLOCK_ROWS):
+            cut = slice(start, start + _BLOCK_ROWS)
+            file.write(_block([c[cut] for c in columns],
+                              None if first is None else first + start))
+        if first is not None:
+            first += n
+        del columns  # free this chunk before the next one is made
+
+
 def csv_text(header: str, columns, first: int | None = None) -> str:
-    """``header``, then one line per row: the row's number counted from
-    ``first`` (left out when None), then ``"%.17g" % x`` of each column's
-    element, comma-separated."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    n = len(columns[0])
-    width = len(str(first + n - 1)) if first is not None and n else 1
-    text = bytearray(header.encode("ascii") + b"\n")
-    for start in range(0, n, _BLOCK_ROWS):
-        cut = slice(start, start + _BLOCK_ROWS)
-        text += _block([c[cut] for c in columns],
-                       None if first is None else first + start, width).data
-    return text.decode("ascii")
+    """The text ``write_csv`` writes for the one chunk ``columns``."""
+    text = io.BytesIO()
+    write_csv(text, header, (columns,), first)
+    return text.getvalue().decode("ascii")

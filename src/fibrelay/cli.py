@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .calibrate import find_zero_lyapunov_gain
 from .coeffs import ConstantGain
-from .cocycle import run_trajectory
+from .cocycle import _write_trajectory
 from .config import KEYS, RunParams, parse_config
 from .errors import ConfigError, NumericalError, UnbracketableError
 from .laws import verify_laws
@@ -57,8 +57,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _part(outdir: Path, name: str) -> Path:
+    """Where the file ``name`` is written before it is published."""
+    return outdir / f".{name}.part"
+
+
+def _discard(outdir: Path, names, published=()) -> None:
+    """Remove the parts of ``names`` and the files ``published``."""
+    for name in names:
+        _part(outdir, name).unlink(missing_ok=True)
+    for name in published:
+        (outdir / name).unlink(missing_ok=True)
+
+
 def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> None:
-    """Print stdout text and, when requested, persist files plus a manifest."""
+    """Print stdout text and, when requested, publish the data files and
+    then the manifest.
+
+    ``files`` maps each data file name to its text, or to None when its
+    part (``_part``) is already written.  Every file is written as its part
+    first, then the parts are renamed into place, the manifest last; on
+    any failure every part and every file already renamed is removed, so
+    a failed run leaves none of its files in the output directory.
+    """
     if stdout_text:
         sys.stdout.write(stdout_text)
     if output_dir is None:
@@ -66,13 +87,23 @@ def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> 
     outdir = Path(output_dir)
     manifest = manifest_json(__version__, params.command, params.echo(), params.seed,
                              sorted(files))
-    for name, text in {**files, MANIFEST_FILENAME: manifest}.items():
-        (outdir / name).write_bytes(text.encode("utf-8"))
+    files = {**files, MANIFEST_FILENAME: manifest}
+    published = []
+    try:
+        for name, text in files.items():
+            if text is not None:
+                _part(outdir, name).write_bytes(text.encode("utf-8"))
+        for name in files:
+            _part(outdir, name).replace(outdir / name)
+            published.append(name)
+    except BaseException:
+        _discard(outdir, files, published)
+        raise
 
 
 def _simulate_worker(payload):
-    config, sid, period = payload
-    return run_trajectory(config, sid, renorm_period=period).to_csv()
+    config, sid, period, path = payload
+    _write_trajectory(config, sid, period, path)
 
 
 def cmd_lyapunov(params: RunParams, output_dir) -> int:
@@ -94,12 +125,18 @@ def cmd_simulate(params: RunParams, output_dir) -> int:
         raise ConfigError("simulate requires --output-dir")
     from ._parallel import map_ordered
     config = params.network_config()
-    payloads = [(config, sid, params.renorm_period)
-                for sid in range(params.trajectories)]
-    csvs = map_ordered(_simulate_worker, payloads, params.workers)
-    files = {f"trajectory_{sid:03d}.csv": text for sid, text in enumerate(csvs)}
-    _emit(params, output_dir, files,
-          f"wrote {len(files)} trajectory file(s) to {output_dir}\n")
+    outdir = Path(output_dir)
+    names = [f"trajectory_{sid:03d}.csv" for sid in range(params.trajectories)]
+    # each worker writes its trajectory's part; the parent publishes them
+    payloads = [(config, sid, params.renorm_period, _part(outdir, name))
+                for sid, name in enumerate(names)]
+    try:
+        map_ordered(_simulate_worker, payloads, params.workers)
+    except BaseException:
+        _discard(outdir, names)
+        raise
+    _emit(params, output_dir, dict.fromkeys(names),
+          f"wrote {len(names)} trajectory file(s) to {output_dir}\n")
     return EXIT_OK
 
 

@@ -32,6 +32,13 @@ folds are done for all columns at once.  A column's value is the same, bit
 for bit, in any batch and next to any other gains, so it does not depend on
 the batch size, the gains run with it or the worker count;
 ``_BATCH_STEPS`` caps the column-steps of one call.
+
+Every-node records come out one chunk at a time (``_records``), and
+``_columns`` derives the five trajectory columns from each chunk.  Two
+consumers read them: ``_trajectories`` (``run_trajectory`` and ``verify``)
+fills whole arrays, and ``_write_trajectory`` (``simulate``) writes each
+chunk's CSV rows to the file as they come, so a written trajectory holds
+one chunk in memory whatever its length.
 """
 from __future__ import annotations
 
@@ -464,38 +471,58 @@ class Trajectory:
 
 
 def _records(config: NetworkConfig, stream_ids, renorm_period: int):
-    """Per-node log signal and log noise power (replicas x nodes) of one
-    engine pass over the replicas ``stream_ids``."""
-    n = config.n_nodes
+    """Yield (first node, log signal, log noise power) of one engine pass
+    over the replicas ``stream_ids``, as replicas x nodes arrays: node 1
+    alone, then one engine chunk of nodes at a time."""
     rngs = [RngStream(config.master_seed, sid).generator() for sid in stream_ids]
     first = _first_hops(config.model, (config.gains,), rngs)
-    log_i = np.empty((len(rngs), n))
-    log_n2 = np.empty((len(rngs), n))
-    signal, log_i[:, 0] = _start(SIGNAL, first, config.i0, config.n0, renorm_period)
-    noise, log_n2[:, 0] = _start(NOISE, first, config.i0, config.n0, renorm_period)
-    for start, lanes in _chunks(config.model, (config.gains,), rngs, n):
-        rows = slice(start - 1, start - 1 + lanes.k)
-        signal.advance(lanes, out=log_i[:, rows])
-        noise.advance(lanes, out=log_n2[:, rows])
-    return log_i, log_n2
+    signal, log_i = _start(SIGNAL, first, config.i0, config.n0, renorm_period)
+    noise, log_n2 = _start(NOISE, first, config.i0, config.n0, renorm_period)
+    yield 1, log_i[:, None], log_n2[:, None]
+    for start, lanes in _chunks(config.model, (config.gains,), rngs, config.n_nodes):
+        log_i = np.empty((len(rngs), lanes.k))
+        log_n2 = np.empty((len(rngs), lanes.k))
+        signal.advance(lanes, out=log_i)
+        noise.advance(lanes, out=log_n2)
+        yield start, log_i, log_n2
+        del log_i, log_n2  # not held while the next chunk is drawn and run
+
+
+def _columns(log_i, log_n2) -> tuple:
+    """The five trajectory columns, in ``CSV_HEADER`` order, from the log
+    signal and the log noise power."""
+    log_i_sq = 2.0 * log_i
+    log_snr = metrics.snr_log(log_i_sq, log_n2)
+    return (log_i_sq, log_n2, log_snr, metrics.capacity_nats(log_snr),
+            metrics.transmit_power_log(log_i_sq, log_n2))
 
 
 def _trajectories(config: NetworkConfig, stream_ids, renorm_period: int = 1):
     """Yield ``run_trajectory(config, sid, renorm_period)`` for each stream
     id, all replicas run in one engine pass."""
-    log_i, log_n2 = _records(config, stream_ids, renorm_period)
-    for sid, log_i_q, log_n2_q in zip(stream_ids, log_i, log_n2):
-        log_i_sq = 2.0 * log_i_q
-        log_snr = metrics.snr_log(log_i_sq, log_n2_q)
-        yield Trajectory(
-            log_i_sq=log_i_sq,
-            log_n_sq=log_n2_q,
-            log_snr=log_snr,
-            capacity_nats=metrics.capacity_nats(log_snr),
-            log_x_sq=metrics.transmit_power_log(log_i_sq, log_n2_q),
-            config=config,
-            stream_id=sid,
-        )
+    log_i = np.empty((len(stream_ids), config.n_nodes))
+    log_n2 = np.empty((len(stream_ids), config.n_nodes))
+    for start, *logs in _records(config, stream_ids, renorm_period):
+        nodes = slice(start - 1, start - 1 + logs[0].shape[1])
+        log_i[:, nodes], log_n2[:, nodes] = logs
+    for sid, *logs in zip(stream_ids, log_i, log_n2):
+        yield Trajectory(*_columns(*logs), config=config, stream_id=sid)
+
+
+def _write_trajectory(config: NetworkConfig, stream_id: int, renorm_period: int,
+                      path) -> None:
+    """Write ``run_trajectory(config, stream_id, renorm_period).to_csv()``
+    to the file ``path``, each engine chunk as soon as it is run, so memory
+    is bounded by the chunk whatever the chain length."""
+    from ._csv import write_csv  # loaded with the first file written
+
+    def chunks():
+        for _, log_i, log_n2 in _records(config, (stream_id,), renorm_period):
+            yield [column[0] for column in _columns(log_i, log_n2)]
+            del log_i, log_n2  # as in _records
+
+    with open(path, "wb") as file:
+        write_csv(file, CSV_HEADER, chunks(), first=1)
 
 
 def run_trajectory(config: NetworkConfig, stream_id: int = 0,

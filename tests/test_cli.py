@@ -496,6 +496,84 @@ class TestConfigValues:
         assert err.startswith("error:") and str(path) in err
 
 
+# Run one command in a child forked from a small Python parent, so that
+# the child's peak RSS is its own rather than the test process's, and print
+# the exit status and the peak in kB.  argv: chunk steps, then the CLI's.
+_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    from fibrelay import cocycle
+    from fibrelay.cli import main
+    cocycle._CHUNK_STEPS = int(sys.argv[1])
+    os._exit(main(sys.argv[2:]))
+_, status, usage = os.wait4(pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
+
+class TestStreamedOutput:
+    """simulate streams each trajectory to a part file in its worker and
+    publishes the parts; every command publishes its files the same way."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_steps", [7, 64])
+    def test_files_equal_whole_trajectory_text(self, workers, chunk_steps, tmp_path,
+                                               monkeypatch, capsys):
+        """Chunk edges (node 1 alone, then ``chunk_steps`` nodes) and block
+        edges (5 rows) fall inside the file and across each other."""
+        from fibrelay import ConstantGain, NetworkConfig, cocycle, run_trajectory
+        from fibrelay import _csv
+        monkeypatch.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
+        monkeypatch.setattr(_csv, "_BLOCK_ROWS", 5)
+        rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--gain", "0.6", "--n", "150",
+                   "--trajectories", "3", "--seed", "11", "--workers", str(workers),
+                   "--output-dir", str(tmp_path)])
+        assert rc == 0
+        config = NetworkConfig(Rayleigh(1.0), ConstantGain(0.6), n_nodes=150, master_seed=11)
+        names = [f"trajectory_{sid:03d}.csv" for sid in range(3)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", *names]
+        for sid, name in enumerate(names):
+            want = run_trajectory(config, sid).to_csv().encode("ascii")
+            assert (tmp_path / name).read_bytes() == want
+
+    def test_failed_publish_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """A write that fails (ENOSPC, say) after the first file removes
+        the files written before it: the directory stays empty."""
+        write_bytes = cli.Path.write_bytes
+        calls = []
+
+        def failing(path, data):
+            calls.append(path.name)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device", str(path))
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(cli.Path, "write_bytes", failing)
+        rc = main(["verify", "--model", "deterministic:c=1", "--gain", "0.5",
+                   "--n", "2000", "--replicas", "2", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert len(calls) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_peak_memory_flat_in_n(self, tmp_path):
+        """Quadrupling the chain leaves simulate's own peak RSS where it
+        was: the file is written a chunk at a time."""
+        peaks = []
+        for n in (100_000, 400_000):
+            out = subprocess.run(
+                [sys.executable, "-c", _PEAK_RSS, str(1 << 14), "simulate",
+                 "--model", "rayleigh:mu=1.0", "--gain", "0.6", "--n", str(n),
+                 "--trajectories", "1", "--workers", "1",
+                 "--output-dir", str(tmp_path / str(n))],
+                capture_output=True, text=True, check=True)
+            status, peak_kb = map(int, out.stdout.splitlines()[-1].split())
+            assert status == 0, out.stderr
+            peaks.append(peak_kb / 1024)
+        assert abs(peaks[1] - peaks[0]) < 10.0, peaks
+
+
 class TestPublicApi:
     def test_every_exported_name_resolves(self):
         for name in fibrelay.__all__:
@@ -563,7 +641,10 @@ class TestNumericalFailures:
          "--replicas", "1", "--renorm-period", "3"],
         # a coefficient of 1e200 squares to inf in the noise cocycle
         ["simulate", "--model", "deterministic:c=1e200", "--n", "50"],
-    ], ids=("lyapunov", "simulate"))
+        # every worker fails after opening its part file
+        ["simulate", "--model", "deterministic:c=1e200", "--n", "50", "--trajectories", "3",
+         "--workers", "2"],
+    ], ids=("lyapunov", "simulate", "simulate-workers-2"))
     def test_forced_overflow_exits_3(self, args, tmp_path, capsys, caplog):
         rc, err = self._run(args, tmp_path, capsys, caplog)
         assert rc == 3
