@@ -3,7 +3,8 @@
 CPython's ``%`` spends most of a microsecond per double in its 17-digit
 conversion; this writer gets the same bytes from whole-array numpy
 operations, one block of rows at a time, and writes each block to a
-binary file as it is made (``csv_text`` joins the same blocks).
+binary file as it is made (``csv_text`` joins the same blocks after a
+header).
 
 Digits.  For |x| in [1e-280, 1e280], s = 16 - floor(log10 |x|) puts
 y = |x| * 10**s in [1e16, 1e17) when the floor is right.  10**s is held as
@@ -212,27 +213,21 @@ def _block(columns, first) -> np.ndarray:
     return np.compress(keep.ravel(), chars.ravel())
 
 
-def write_csv(file, header: str, chunks, first: int | None = None) -> None:
-    """Write ``header``, then the rows of each chunk of ``chunks`` (a
-    sequence of columns of equal length), to the binary file ``file``,
-    one block of ``_BLOCK_ROWS`` rows at a time.  A row is its number
-    counted from ``first`` across the chunks (left out when None), then
+def write_rows(file, columns, first: int | None = None) -> None:
+    """Write the rows of ``columns`` (sequences of equal length) to the
+    binary file ``file``, one block of ``_BLOCK_ROWS`` rows at a time.  A
+    row is its number counted from ``first`` (left out when None), then
     ``"%.17g" % x`` of each column's element, comma-separated."""
-    file.write(header.encode("ascii") + b"\n")
-    for columns in chunks:
-        columns = [np.asarray(c, dtype=float) for c in columns]
-        n = len(columns[0])
-        for start in range(0, n, _BLOCK_ROWS):
-            cut = slice(start, start + _BLOCK_ROWS)
-            file.write(_block([c[cut] for c in columns],
-                              None if first is None else first + start))
-        if first is not None:
-            first += n
-        del columns  # free this chunk before the next one is made
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cut = slice(start, start + _BLOCK_ROWS)
+        file.write(_block([c[cut] for c in columns],
+                          None if first is None else first + start))
 
 
 def csv_text(header: str, columns, first: int | None = None) -> str:
-    """The text ``write_csv`` writes for the one chunk ``columns``."""
+    """``header``, then the rows ``write_rows`` writes for ``columns``."""
     text = io.BytesIO()
-    write_csv(text, header, (columns,), first)
+    text.write(header.encode("ascii") + b"\n")
+    write_rows(text, columns, first)
     return text.getvalue().decode("ascii")

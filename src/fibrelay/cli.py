@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .calibrate import find_zero_lyapunov_gain
 from .coeffs import ConstantGain
-from .cocycle import _write_trajectory
+from .cocycle import _calls, _write_trajectories
 from .config import KEYS, RunParams, parse_config
 from .errors import ConfigError, NumericalError, UnbracketableError
 from .laws import verify_laws
@@ -71,39 +71,37 @@ def _discard(outdir: Path, names, published=()) -> None:
 
 
 def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> None:
-    """Print stdout text and, when requested, publish the data files and
-    then the manifest.
+    """When requested, publish the data files and then the manifest; then
+    print stdout text.
 
     ``files`` maps each data file name to its text, or to None when its
     part (``_part``) is already written.  Every file is written as its part
     first, then the parts are renamed into place, the manifest last; on
     any failure every part and every file already renamed is removed, so
-    a failed run leaves none of its files in the output directory.
+    a failed run leaves none of its files in the output directory and
+    prints nothing.
     """
-    if stdout_text:
-        sys.stdout.write(stdout_text)
-    if output_dir is None:
-        return
-    outdir = Path(output_dir)
-    manifest = manifest_json(__version__, params.command, params.echo(), params.seed,
-                             sorted(files))
-    files = {**files, MANIFEST_FILENAME: manifest}
-    published = []
-    try:
-        for name, text in files.items():
-            if text is not None:
-                _part(outdir, name).write_bytes(text.encode("utf-8"))
-        for name in files:
-            _part(outdir, name).replace(outdir / name)
-            published.append(name)
-    except BaseException:
-        _discard(outdir, files, published)
-        raise
+    if output_dir is not None:
+        outdir = Path(output_dir)
+        manifest = manifest_json(__version__, params.command, params.echo(), params.seed,
+                                 sorted(files))
+        files = {**files, MANIFEST_FILENAME: manifest}
+        published = []
+        try:
+            for name, text in files.items():
+                if text is not None:
+                    _part(outdir, name).write_bytes(text.encode("utf-8"))
+            for name in files:
+                _part(outdir, name).replace(outdir / name)
+                published.append(name)
+        except BaseException:
+            _discard(outdir, files, published)
+            raise
+    sys.stdout.write(stdout_text)
 
 
 def _simulate_worker(payload):
-    config, sid, period, path = payload
-    _write_trajectory(config, sid, period, path)
+    _write_trajectories(*payload)
 
 
 def cmd_lyapunov(params: RunParams, output_dir) -> int:
@@ -127,9 +125,10 @@ def cmd_simulate(params: RunParams, output_dir) -> int:
     config = params.network_config()
     outdir = Path(output_dir)
     names = [f"trajectory_{sid:03d}.csv" for sid in range(params.trajectories)]
-    # each worker writes its trajectory's part; the parent publishes them
-    payloads = [(config, sid, params.renorm_period, _part(outdir, name))
-                for sid, name in enumerate(names)]
+    # each worker writes the parts of one engine call's trajectories; the
+    # parent publishes them
+    payloads = [(config, sids, params.renorm_period, [_part(outdir, names[s]) for s in sids])
+                for _, sids in _calls(config.n_nodes, len(names), params.workers)]
     try:
         map_ordered(_simulate_worker, payloads, params.workers)
     except BaseException:

@@ -36,9 +36,9 @@ the batch size, the gains run with it or the worker count;
 Every-node records come out one chunk at a time (``_records``), and
 ``_columns`` derives the five trajectory columns from each chunk.  Two
 consumers read them: ``_trajectories`` (``run_trajectory`` and ``verify``)
-fills whole arrays, and ``_write_trajectory`` (``simulate``) writes each
-chunk's CSV rows to the file as they come, so a written trajectory holds
-one chunk in memory whatever its length.
+fills whole arrays, and ``_write_trajectories`` (``simulate``) appends each
+chunk's CSV rows to the files as they come, so a written range of
+trajectories holds one chunk in memory whatever its length.
 """
 from __future__ import annotations
 
@@ -509,20 +509,21 @@ def _trajectories(config: NetworkConfig, stream_ids, renorm_period: int = 1):
         yield Trajectory(*_columns(*logs), config=config, stream_id=sid)
 
 
-def _write_trajectory(config: NetworkConfig, stream_id: int, renorm_period: int,
-                      path) -> None:
-    """Write ``run_trajectory(config, stream_id, renorm_period).to_csv()``
-    to the file ``path``, each engine chunk as soon as it is run, so memory
-    is bounded by the chunk whatever the chain length."""
-    from ._csv import write_csv  # loaded with the first file written
-
-    def chunks():
-        for _, log_i, log_n2 in _records(config, (stream_id,), renorm_period):
-            yield [column[0] for column in _columns(log_i, log_n2)]
-            del log_i, log_n2  # as in _records
-
-    with open(path, "wb") as file:
-        write_csv(file, CSV_HEADER, chunks(), first=1)
+def _write_trajectories(config: NetworkConfig, stream_ids, renorm_period: int,
+                        paths) -> None:
+    """Write ``run_trajectory(config, sid, renorm_period).to_csv()`` of each
+    stream id to its file in ``paths``, all replicas run in one engine pass
+    and each chunk's rows appended as soon as it is run, so memory is
+    bounded by the chunk whatever the chain length."""
+    from ._csv import write_rows  # loaded with the first file written
+    for start, log_i, log_n2 in _records(config, stream_ids, renorm_period):
+        for path, *logs in zip(paths, log_i, log_n2):
+            # one file open at a time: a pass may run thousands of replicas
+            with open(path, "ab" if start > 1 else "wb") as file:
+                if start == 1:
+                    file.write(CSV_HEADER.encode("ascii") + b"\n")
+                write_rows(file, _columns(*logs), start)
+        del log_i, log_n2, logs  # as in _records
 
 
 def run_trajectory(config: NetworkConfig, stream_id: int = 0,

@@ -290,8 +290,7 @@ def resolve(command: str, file_values: dict | None = None,
                               f"got {values['burn_in']}")
         values["burn_in"] = n // 2
     elif values["burn_in"] is None:
-        values["burn_in"] = default_burn_in(n) if command == "verify" \
-            else min(DEFAULT_BURN_IN, n // 2)
+        values["burn_in"] = default_burn_in(n) if command == "verify" else DEFAULT_BURN_IN
     if values["workers"] is None:
         # named by its source; an empty variable counts as unset
         values["workers"] = _positive_int(_ENV_WORKERS, os.environ.get(_ENV_WORKERS) or 1)

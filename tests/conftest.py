@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import mpmath
 import numpy as np
 
@@ -7,6 +10,15 @@ from fibrelay.coeffs import RngStream, first_hop_magnitude, hop_magnitude_chunks
 
 # one fixed seed for every deterministic-given-seed statistical test
 SEED = 20260809
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports fibrelay from this
+    checkout's ``src``, as the tests do, ahead of any other PYTHONPATH."""
+    paths = [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 def _hop_coefficients(model, gains, rng, n_nodes):

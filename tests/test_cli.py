@@ -21,6 +21,8 @@ from fibrelay.cli import main
 from fibrelay.config import parse_config, read_config_file, resolve
 from fibrelay.manifest import canonical_digest, dumps_17g
 
+from conftest import child_env
+
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the command ran an estimate")
@@ -324,7 +326,7 @@ class TestCommands:
 
     def test_entry_point_subprocess(self):
         out = subprocess.run([sys.executable, "-m", "fibrelay", "--version"],
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, env=child_env())
         assert out.returncode == 0
         assert "fibrelay" in out.stdout
 
@@ -349,7 +351,7 @@ class TestCommands:
             proc = subprocess.run(
                 [sys.executable, "-c", code, hook, "lyapunov", "--model", "rayleigh:mu=1",
                  "--n", "1000", "--replicas", "2", "--output-dir", str(out)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=child_env())
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == f"frozen {hook == 'on'}\n"
             if hook != "import":
@@ -365,7 +367,8 @@ class TestCommands:
                 "'--n', '1000', '--replicas', '2'])\n"
                 "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in "
                 "('scipy', 'multiprocessing', 'concurrent')))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env())
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "0 []"
 
@@ -375,7 +378,8 @@ class TestCommands:
         code = ("import logging, sys, fibrelay, fibrelay.cli\n"
                 "print(logging.getLogger('fibrelay').handlers, "
                 "'fibrelay._csv' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env())
         assert out.returncode == 0, out.stderr
         assert out.stdout == "[] False\n"
 
@@ -511,10 +515,20 @@ _, status, usage = os.wait4(pid, 0)
 print(status, usage.ru_maxrss)
 """
 
+# Run the CLI (argv) with at most 64 open files.
+_NOFILE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from fibrelay.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 class TestStreamedOutput:
-    """simulate streams each trajectory to a part file in its worker and
-    publishes the parts; every command publishes its files the same way."""
+    """simulate's workers each stream the trajectories of one engine call
+    to their part files, and the parent publishes the parts; every command
+    publishes its files the same way."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk_steps", [7, 64])
@@ -538,40 +552,94 @@ class TestStreamedOutput:
             assert (tmp_path / name).read_bytes() == want
 
     def test_failed_publish_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        """A write that fails (ENOSPC, say) after the first file removes
-        the files written before it: the directory stays empty."""
+        """A write that fails (ENOSPC, say) removes the files written
+        before it: the directory stays empty and nothing is printed.
+        verify fails on its second file; simulate, whose workers wrote the
+        trajectories, on the manifest, so it claims no written file."""
         write_bytes = cli.Path.write_bytes
         calls = []
 
         def failing(path, data):
             calls.append(path.name)
-            if len(calls) == 2:
+            if len(calls) == nth:
                 raise OSError(28, "No space left on device", str(path))
             return write_bytes(path, data)
 
         monkeypatch.setattr(cli.Path, "write_bytes", failing)
-        rc = main(["verify", "--model", "deterministic:c=1", "--gain", "0.5",
-                   "--n", "2000", "--replicas", "2", "--output-dir", str(tmp_path)])
-        assert rc == 2
-        assert len(calls) == 2
-        assert "No space left" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        for args, nth in [
+                (["verify", "--model", "deterministic:c=1", "--gain", "0.5",
+                  "--n", "2000", "--replicas", "2"], 2),
+                (["simulate", "--model", "rayleigh:mu=1.0", "--n", "150",
+                  "--trajectories", "2"], 1)]:
+            calls.clear()
+            outdir = tmp_path / args[0]
+            rc = main([*args, "--output-dir", str(outdir)])
+            assert rc == 2
+            assert len(calls) == nth
+            out, err = capsys.readouterr()
+            assert out == "" and "No space left" in err
+            assert not list(outdir.iterdir())
 
     def test_peak_memory_flat_in_n(self, tmp_path):
         """Quadrupling the chain leaves simulate's own peak RSS where it
-        was: the file is written a chunk at a time."""
-        peaks = []
-        for n in (100_000, 400_000):
-            out = subprocess.run(
-                [sys.executable, "-c", _PEAK_RSS, str(1 << 14), "simulate",
-                 "--model", "rayleigh:mu=1.0", "--gain", "0.6", "--n", str(n),
-                 "--trajectories", "1", "--workers", "1",
-                 "--output-dir", str(tmp_path / str(n))],
-                capture_output=True, text=True, check=True)
-            status, peak_kb = map(int, out.stdout.splitlines()[-1].split())
-            assert status == 0, out.stderr
-            peaks.append(peak_kb / 1024)
-        assert abs(peaks[1] - peaks[0]) < 10.0, peaks
+        was: the files are written a chunk at a time, also when one engine
+        call runs three trajectories (15 fit at 2^14 chunk steps)."""
+        for trajectories in (1, 3):
+            peaks = []
+            for n in (100_000, 400_000):
+                out = subprocess.run(
+                    [sys.executable, "-c", _PEAK_RSS, str(1 << 14), "simulate",
+                     "--model", "rayleigh:mu=1.0", "--gain", "0.6", "--n", str(n),
+                     "--trajectories", str(trajectories), "--workers", "1",
+                     "--output-dir", str(tmp_path / f"{trajectories}-{n}")],
+                    capture_output=True, text=True, check=True, env=child_env())
+                status, peak_kb = map(int, out.stdout.splitlines()[-1].split())
+                assert status == 0, out.stderr
+                peaks.append(peak_kb / 1024)
+            assert abs(peaks[1] - peaks[0]) < 10.0, (trajectories, peaks)
+
+    def test_open_files_bounded(self, tmp_path):
+        """One engine call runs all 200 short trajectories, yet simulate
+        holds one file open at a time: it succeeds under a limit of 64
+        open files."""
+        from fibrelay import ConstantGain, NetworkConfig, cocycle, run_trajectory
+        assert cocycle._calls(50, 200) == [(range(1), range(200))]
+        out = subprocess.run(
+            [sys.executable, "-c", _NOFILE, "simulate", "--model", "rayleigh:mu=1.0",
+             "--gain", "0.6", "--n", "50", "--trajectories", "200", "--seed", "11",
+             "--workers", "1", "--output-dir", str(tmp_path)],
+            capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr
+        config = NetworkConfig(Rayleigh(1.0), ConstantGain(0.6), n_nodes=50, master_seed=11)
+        for sid in range(200):
+            want = run_trajectory(config, sid).to_csv().encode("ascii")
+            assert (tmp_path / f"trajectory_{sid:03d}.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_passes_follow_the_call_plan(self, workers, tmp_path, monkeypatch,
+                                                capsys):
+        """Each engine pass of simulate runs one stream-id range of
+        ``_calls``, in the parent or in a worker (which reports through a
+        file); a lane budget of 6 replicas makes 3 calls at one worker and
+        4 at two."""
+        from fibrelay import cocycle
+        monkeypatch.setattr(cocycle, "_BATCH_STEPS", 1000)
+        log = tmp_path / "passes.txt"
+        records = cocycle._records
+
+        def spy(config, stream_ids, renorm_period):
+            with open(log, "a") as file:
+                file.write(f"{stream_ids.start} {stream_ids.stop}\n")
+            return records(config, stream_ids, renorm_period)
+
+        monkeypatch.setattr(cocycle, "_records", spy)
+        rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--n", "150",
+                   "--trajectories", "13", "--workers", str(workers),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 0
+        plan = [f"{sids.start} {sids.stop}" for _, sids in cocycle._calls(150, 13, workers)]
+        assert len(plan) == 2 + workers
+        assert sorted(log.read_text().splitlines()) == sorted(plan)
 
 
 class TestPublicApi:
@@ -600,7 +668,8 @@ class TestPublicApi:
         itself; numba is never imported."""
         code = ("import sys, fibrelay, fibrelay.cli\n"
                 "print(callable(fibrelay._kernels.info_steps), 'numba' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=child_env())
         assert out.returncode == 0, out.stderr
         assert out.stdout == "True False\n"
 
