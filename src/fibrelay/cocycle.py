@@ -28,10 +28,13 @@ policies, G * R columns in gain-major order.  Each replica draws its own
 Philox stream once, in its own order and chunking, and every gain
 multiplies the same magnitudes (common random numbers); the B blocks of
 every column sit side by side in one sweep of B * G * R lanes and the
-folds are done for all columns at once.  A column's value is the same, bit
-for bit, in any batch and next to any other gains, so it does not depend on
-the batch size, the gains run with it or the worker count;
-``_BATCH_STEPS`` caps the column-steps of one call.
+folds are done for all columns at once.  A replica's chunk is drawn and
+transformed in place in one buffer that every replica and chunk reuses,
+then copied into its G columns while it is in cache: the copy from stream
+order into lanes is the product magnitude * gain itself.  A column's value
+is the same, bit for bit, in any batch and next to any other gains, so it
+does not depend on the batch size, the gains run with it or the worker
+count; ``_BATCH_STEPS`` caps the column-steps of one call.
 
 Every-node records come out one chunk at a time (``_records``), and
 ``_columns`` derives the five trajectory columns from each chunk.  Two
@@ -64,9 +67,10 @@ CSV_HEADER = "n,log_I_sq,log_N_sq,log_snr,capacity_nats,log_X_sq"
 _CHUNK_STEPS = 1 << 19
 # column-steps of lanes per engine call, a column being one replica under
 # one gain: a call takes as many replicas as fit with all its gains (at
-# least one), about 1200-2600 lanes and a few MB at common sizes; a
-# calibration pass of 3 gains x 16 replicas x 5000 steps is one call
-_BATCH_STEPS = 1 << 18
+# least one), for at most 8 MB of coefficients.  A call pays a fixed Python
+# cost per step and per block of its sweep and fold, whatever its width:
+# at 2^19, 32 replicas x 25000 steps run in two calls rather than four
+_BATCH_STEPS = 1 << 19
 
 # cocycle kinds: positive 2x2 signal recursion, signed 2x2 validation
 # recursion, 3x3 noise-power system (fed squared coefficients)
@@ -149,43 +153,39 @@ def _logs(x) -> np.ndarray:
 
 
 class _Lanes:
-    """One chunk of k steps of C columns, laid out for the engine.
+    """One chunk of k steps of G gain policies x R replicas, laid out for
+    the engine.
 
     ``K[0]`` holds the two-back and ``K[1]`` the one-back coefficients as
-    L x (C * B) arrays: column q's steps j*L .. j*L+L-1 fill lane q*B + j.
-    Unit coefficients pad each column's last lane, whose partial product
-    is read at step k like any checkpoint.
+    L x (C * B) arrays, C = G * R columns gain-major: column c's steps
+    j*L .. j*L+L-1 fill lane c*B + j.  Unit coefficients pad each column's
+    last lane, whose partial product is read at step k like any
+    checkpoint.
+
+    ``rows`` yields R times one buffer whose first 2k entries hold the
+    next replica's magnitudes in stream order (a node's two-back then
+    one-back hop); its entries up to 2 * B * L are overwritten with the
+    unit pads.  Each replica's columns are filled by one multiply, its
+    magnitudes times every policy's gains of nodes start..: the gain
+    product is the one transposing copy from stream order into lanes.
     """
 
-    def __init__(self, k: int, n_columns: int):
+    def __init__(self, k: int, gains, n_replicas: int, start: int, rows):
         self.k = k
-        self.L = _block_length(k)
-        self.B = -(-k // self.L)
-        # side x step x column x lane within the column; K is its lane view
-        self._by_column = np.ones((2, self.L, n_columns, self.B))
-        self.K = self._by_column.reshape(2, self.L, n_columns * self.B)
-
-    def put(self, q: int, two_back, one_back) -> None:
-        L, B = self.L, self.B
-        full = (B - 1) * L
-        for lanes, c in zip(self._by_column[:, :, q], (two_back, one_back)):
-            lanes[:, :-1] = c[:full].reshape(B - 1, L).T
-            lanes[:self.k - full, -1] = c[full:]
-
-    def scale(self, gains, start: int, n_replicas: int) -> None:
-        """Turn the magnitudes put in columns 0..R-1 into the coefficients
-        of every gain policy of ``gains``: column i * R + q becomes replica
-        q's magnitudes times policy i's gains of nodes start..; unit pads
-        stay 1."""
-        L, B, k, R = self.L, self.B, self.k, n_replicas
-        magnitudes = self._by_column[:, :, :R]
-        # the first group last: it holds the magnitudes until then
-        for i in reversed(range(len(gains))):
-            group = self._by_column[:, :, i * R:(i + 1) * R]
-            factor = np.concatenate([gains[i].node_gains(start, k), np.ones(B * L - k)])
-            factor = factor.reshape(B, L).T[:, None, :]
+        L = self.L = _block_length(k)
+        B = self.B = -(-k // L)
+        self.K = np.empty((2, L, len(gains) * n_replicas * B))
+        # replica x gain x side x step x lane within the column
+        columns = self.K.reshape(2, L, len(gains), n_replicas, B).transpose(3, 2, 0, 1, 4)
+        pads = np.ones(B * L - k)
+        # each policy's gain of the node of every lane step, G x 1 x L x B
+        factors = np.stack([np.concatenate([policy.node_gains(start, k), pads])
+                            .reshape(B, L).T for policy in gains])[:, None]
+        for replica, row in zip(columns, rows):
+            row[2 * k:2 * B * L] = 1.0
+            steps = row[:2 * B * L].reshape(B, L, 2).transpose(2, 1, 0)
             with np.errstate(over="ignore"):  # reported as non-finite state
-                np.multiply(magnitudes, factor, out=group)
+                np.multiply(steps, factors, out=replica)
 
 
 def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:
@@ -195,21 +195,27 @@ def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:
     return np.array([m * policy.node_gains(1, 1)[0] for policy in gains for m in magnitudes])
 
 
+def _rows(row, others):
+    """``row`` once per replica of a chunk: as the first replica's draw
+    left it, then after each other replica's next chunk is drawn into it."""
+    yield row
+    for chunks in others:
+        next(chunks)
+        yield row
+
+
 def _chunks(model: CoefficientModel, gains, rngs, n_nodes: int):
     """Yield (start node, _Lanes) per chunk of ``_CHUNK_STEPS`` steps into
     nodes 2..n_nodes, columns gain-major as in ``_first_hops``.  Each
-    replica draws its chunk through ``hop_magnitude_chunks``, one replica
-    at a time, and each gain policy multiplies the same magnitudes."""
-    first, *others = [hop_magnitude_chunks(model, rng, n_nodes, _CHUNK_STEPS)
+    replica draws its chunk through ``hop_magnitude_chunks`` into one
+    buffer, reused by every replica and chunk (the first chunk is the
+    longest), and every gain policy multiplies its magnitudes while they
+    are in cache.  No reference to a yielded chunk is kept."""
+    row = np.empty(2 * _column_steps(n_nodes))
+    first, *others = [hop_magnitude_chunks(model, rng, n_nodes, _CHUNK_STEPS, out=row)
                       for rng in rngs]
     for start, magnitudes in first:
-        lanes = _Lanes(len(magnitudes), len(gains) * len(rngs))
-        lanes.put(0, *magnitudes.T)
-        del magnitudes  # the lanes hold them now
-        for q, chunks in enumerate(others, 1):
-            lanes.put(q, *next(chunks)[1].T)
-        lanes.scale(gains, start, len(rngs))
-        yield start, lanes
+        yield start, _Lanes(len(magnitudes), gains, len(rngs), start, _rows(row, others))
 
 
 class _Walk:
@@ -472,19 +478,22 @@ class Trajectory:
 
 def _records(config: NetworkConfig, stream_ids, renorm_period: int):
     """Yield (first node, log signal, log noise power) of one engine pass
-    over the replicas ``stream_ids``, as replicas x nodes arrays: node 1
-    alone, then one engine chunk of nodes at a time."""
+    over the replicas ``stream_ids``, as replicas x nodes arrays: one
+    engine chunk of nodes at a time, node 1 leading the first."""
     rngs = [RngStream(config.master_seed, sid).generator() for sid in stream_ids]
     first = _first_hops(config.model, (config.gains,), rngs)
-    signal, log_i = _start(SIGNAL, first, config.i0, config.n0, renorm_period)
-    noise, log_n2 = _start(NOISE, first, config.i0, config.n0, renorm_period)
-    yield 1, log_i[:, None], log_n2[:, None]
+    signal, log_i_1 = _start(SIGNAL, first, config.i0, config.n0, renorm_period)
+    noise, log_n2_1 = _start(NOISE, first, config.i0, config.n0, renorm_period)
     for start, lanes in _chunks(config.model, (config.gains,), rngs, config.n_nodes):
-        log_i = np.empty((len(rngs), lanes.k))
-        log_n2 = np.empty((len(rngs), lanes.k))
-        signal.advance(lanes, out=log_i)
-        noise.advance(lanes, out=log_n2)
-        yield start, log_i, log_n2
+        lead = int(start == 2)
+        log_i = np.empty((len(rngs), lead + lanes.k))
+        log_n2 = np.empty((len(rngs), lead + lanes.k))
+        if lead:
+            log_i[:, 0], log_n2[:, 0] = log_i_1, log_n2_1
+        signal.advance(lanes, out=log_i[:, lead:])
+        noise.advance(lanes, out=log_n2[:, lead:])
+        del lanes  # not held while the chunk's records are used
+        yield start - lead, log_i, log_n2
         del log_i, log_n2  # not held while the next chunk is drawn and run
 
 

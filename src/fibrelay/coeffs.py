@@ -66,7 +66,10 @@ class CoefficientModel:
     validation_only = False
 
     def transform_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms from a stream to magnitude draws, one per uniform."""
+        """Map uniforms from a stream to magnitude draws, one per uniform.
+
+        ``u`` may be overwritten: the models below transform it in place
+        and return it.  A model may also return a new array."""
         raise NotImplementedError
 
     def expected_log_magnitude(self) -> float:
@@ -87,7 +90,8 @@ class Deterministic(CoefficientModel):
             raise ConfigError(f"deterministic c must be positive, got {self.c}")
 
     def transform_uniforms(self, u):
-        return np.full(u.shape, float(self.c))
+        u.fill(self.c)
+        return u
 
     def expected_log_magnitude(self):
         return math.log(self.c)
@@ -110,7 +114,12 @@ class Rayleigh(CoefficientModel):
             raise ConfigError(f"rayleigh mu must be positive, got {self.mu}")
 
     def transform_uniforms(self, u):
-        return np.sqrt(-self.mu * np.log1p(-(u + _U_SHIFT)))
+        # sqrt(-mu * log1p(-(u + shift))), one ufunc at a time in place
+        np.add(u, _U_SHIFT, out=u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.multiply(u, -self.mu, out=u)
+        return np.sqrt(u, out=u)
 
     def expected_log_magnitude(self):
         return 0.5 * (math.log(self.mu) - np.euler_gamma)
@@ -134,7 +143,12 @@ class LogNormal(CoefficientModel):
         # imported here: scipy is most of the package's import time and
         # memory, and only this model needs it
         from scipy.special import ndtri
-        return np.exp(self.m + self.s * ndtri(u + _U_SHIFT))
+        # exp(m + s * ndtri(u + shift)), one ufunc at a time in place
+        np.add(u, _U_SHIFT, out=u)
+        ndtri(u, out=u)
+        np.multiply(u, self.s, out=u)
+        np.add(u, self.m, out=u)
+        return np.exp(u, out=u)
 
     def expected_log_magnitude(self):
         return self.m
@@ -155,7 +169,8 @@ class Uniform(CoefficientModel):
             raise ConfigError(f"uniform requires 0 < a < b, got a={self.a}, b={self.b}")
 
     def transform_uniforms(self, u):
-        return self.a + (self.b - self.a) * u
+        np.multiply(u, self.b - self.a, out=u)
+        return np.add(u, self.a, out=u)
 
     def expected_log_magnitude(self):
         a, b = self.a, self.b
@@ -181,7 +196,10 @@ class SignedBernoulli(CoefficientModel):
             raise ConfigError(f"signed p must be a probability, got {self.p}")
 
     def transform_uniforms(self, u):
-        return np.where(u < self.p, 1.0, -1.0)
+        # 1 where u < p, else -1: (u < p) * 2 - 1 in place
+        np.less(u, self.p, out=u)
+        np.multiply(u, 2.0, out=u)
+        return np.subtract(u, 1.0, out=u)
 
     def expected_log_magnitude(self):
         raise ValidationOnlyModelError("validation-only model has no log-moment")
@@ -275,7 +293,7 @@ def first_hop_magnitude(model: CoefficientModel, rng: Generator) -> float:
 
 
 def hop_magnitude_chunks(model: CoefficientModel, rng: Generator, n_nodes: int,
-                         chunk_steps: int):
+                         chunk_steps: int, out: np.ndarray | None = None):
     """Yield ``(start node, magnitudes)`` for the hops into nodes 2..n_nodes,
     ``magnitudes`` being count x (two-back, one-back) for the next count
     <= ``chunk_steps`` nodes.
@@ -287,11 +305,20 @@ def hop_magnitude_chunks(model: CoefficientModel, rng: Generator, n_nodes: int,
     ``chunk_steps``.  A hop's coefficient under a gain policy is its
     magnitude times the receiving node's gain.  The engine draws every
     replica through it, once for all the gain policies of a pass.
+
+    With ``out``, a contiguous float array of at least
+    2 * min(chunk_steps, n_nodes - 1) entries, each chunk is drawn and
+    transformed in its first 2 * count entries, and ``magnitudes`` is a
+    view of them that the next chunk overwrites.
     """
     start = 2
     while start <= n_nodes:
         count = min(chunk_steps, n_nodes - start + 1)
-        yield start, model.transform_uniforms(rng.random(2 * count)).reshape(count, 2)
+        u = rng.random(2 * count) if out is None else rng.random(out=out[:2 * count])
+        magnitudes = model.transform_uniforms(u)
+        if magnitudes is not u:  # a model that returns a new array
+            u[...] = magnitudes
+        yield start, u.reshape(count, 2)
         start += count
 
 

@@ -154,37 +154,41 @@ def test_batches_cover_replicas_within_budget():
 def test_chunk_lanes_are_magnitudes_times_gains(monkeypatch):
     """Each column of a chunk holds its replica's magnitudes, as
     ``hop_magnitude_chunks`` draws them, times its policy's gains of the
-    chunk's nodes, and unit pads after its last step; chunks of 7 steps
-    cross a 20-node chain."""
+    chunk's nodes, and unit pads after its last step, for each model and
+    for three policies (the calibration shape) that mix per-node and
+    constant gains; chunks of 7 steps cross a 20-node chain."""
     monkeypatch.setattr(cocycle, "_CHUNK_STEPS", 7)
     n, sids = 20, (3, 8)
-    model = Rayleigh(1.0)
-    policies = [PerNodeGain(tuple(0.5 + 0.1 * j for j in range(n))), ConstantGain(0.8)]
-    drawn = [list(hop_magnitude_chunks(model, RngStream(SEED, s).generator(), n, 7))
-             for s in sids]
-    chunks = cocycle._chunks(model, policies, [RngStream(SEED, s).generator() for s in sids], n)
-    starts = []
-    for c, (start, lanes) in enumerate(chunks):
-        starts.append(start)
-        k, L, B = lanes.k, lanes.L, lanes.B
-        for i, policy in enumerate(policies):
-            for q in range(len(sids)):
-                assert drawn[q][c][0] == start
-                want = drawn[q][c][1] * policy.node_gains(start, k)[:, None]
-                column = i * len(sids) + q
-                # lane j of the column holds its steps j*L .. j*L+L-1
-                steps = lanes.K[:, :, column * B:(column + 1) * B].transpose(0, 2, 1)
-                steps = steps.reshape(2, B * L)
-                assert np.array_equal(steps[:, :k], want.T)
-                assert (steps[:, k:] == 1.0).all()
-    assert starts == [2, 9, 16]
+    policies = [PerNodeGain(tuple(0.5 + 0.1 * j for j in range(n))), ConstantGain(0.8),
+                PerNodeGain(tuple(1.7 - 0.05 * j for j in range(n)))]
+    for model in (Rayleigh(1.0), SignedBernoulli(0.5), LogNormal(0.0, 0.8),
+                  Deterministic(0.7)):
+        drawn = [list(hop_magnitude_chunks(model, RngStream(SEED, s).generator(), n, 7))
+                 for s in sids]
+        chunks = cocycle._chunks(model, policies,
+                                 [RngStream(SEED, s).generator() for s in sids], n)
+        starts = []
+        for c, (start, lanes) in enumerate(chunks):
+            starts.append(start)
+            k, L, B = lanes.k, lanes.L, lanes.B
+            for i, policy in enumerate(policies):
+                for q in range(len(sids)):
+                    assert drawn[q][c][0] == start
+                    want = drawn[q][c][1] * policy.node_gains(start, k)[:, None]
+                    column = i * len(sids) + q
+                    # lane j of the column holds its steps j*L .. j*L+L-1
+                    steps = lanes.K[:, :, column * B:(column + 1) * B].transpose(0, 2, 1)
+                    steps = steps.reshape(2, B * L)
+                    assert np.array_equal(steps[:, :k], want.T)
+                    assert (steps[:, k:] == 1.0).all()
+        assert starts == [2, 9, 16]
 
 
 def test_run_over_budget_splits_into_calls(monkeypatch, batch_sizes, swept):
-    """32 replicas of 10000 steps exceed the budget: two engine calls, and
-    no sweep is wider than the budget."""
-    n, n_replicas = 10_000, 32
-    assert n * n_replicas > cocycle._BATCH_STEPS
+    """32 replicas of a chain of 1/24 of the budget exceed it and 16 fit:
+    two engine calls, and no sweep is wider than the budget."""
+    n, n_replicas = cocycle._BATCH_STEPS // 24, 32
+    assert 16 * _padded_steps(n) <= cocycle._BATCH_STEPS < n_replicas * _padded_steps(n)
     est = estimate_lambda(Rayleigh(1.0), ConstantGain(0.7), n, n_replicas, SEED)
     assert batch_sizes == [16, 16]
     assert swept and max(swept) <= cocycle._BATCH_STEPS
@@ -335,17 +339,19 @@ def test_gain_lane_restart_reruns_that_gain_only(monkeypatch):
     assert _hex(got[1][4:5]) == _hex((alone[N] - alone[burn]) / (N - burn))
 
 
-@pytest.mark.parametrize("n", (40_000, 200_000))
-def test_wide_sweep_stays_within_budget(n, swept, passes, capsys):
+@pytest.mark.parametrize("groups", (2, 12))
+def test_wide_sweep_stays_within_budget(groups, swept, passes, capsys):
     """A sweep of 12 gains never sweeps wider than the budget or one
-    replica under one gain; the gains run in as few passes as fit."""
+    replica under one gain; the gains run in as few passes as fit: two of
+    six gains on a chain of 1/8 of the budget, one per gain on a chain of
+    3/4 of it."""
+    n = cocycle._BATCH_STEPS // 8 if groups == 2 else 3 * cocycle._BATCH_STEPS // 4
     grid = [0.3 + 0.05 * i for i in range(12)]
     assert main(["sweep", "--model", "rayleigh:mu=1", "--n", str(n), "--replicas", "2",
                  "--gain-grid", ",".join(map(str, grid))]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 13
     assert swept and max(swept) <= max(cocycle._BATCH_STEPS, _padded_steps(n))
-    groups = len({gains for gains, _ in cocycle._calls(n, 2, 1, 12)})
-    assert groups == (2 if n == 40_000 else 12)
+    assert len({gains for gains, _ in cocycle._calls(n, 2, 1, 12)}) == groups
     assert set(passes.values()) == {groups}
 
 

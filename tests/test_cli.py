@@ -534,8 +534,9 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("chunk_steps", [7, 64])
     def test_files_equal_whole_trajectory_text(self, workers, chunk_steps, tmp_path,
                                                monkeypatch, capsys):
-        """Chunk edges (node 1 alone, then ``chunk_steps`` nodes) and block
-        edges (5 rows) fall inside the file and across each other."""
+        """Chunk edges (``chunk_steps`` nodes, node 1 leading the first
+        chunk) and block edges (5 rows) fall inside the file and across
+        each other."""
         from fibrelay import ConstantGain, NetworkConfig, cocycle, run_trajectory
         from fibrelay import _csv
         monkeypatch.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
@@ -550,6 +551,31 @@ class TestStreamedOutput:
         for sid, name in enumerate(names):
             want = run_trajectory(config, sid).to_csv().encode("ascii")
             assert (tmp_path / name).read_bytes() == want
+
+    @pytest.mark.parametrize("chunk_steps", [7, 200])
+    def test_one_write_per_file_per_chunk(self, chunk_steps, tmp_path, monkeypatch, capsys):
+        """Node 1 leads the first engine chunk: each file gets one
+        ``write_rows`` call per chunk, numbered from the chunk's first
+        node, 22 calls of a 150-node chain in 7-step chunks and one
+        call in one chunk."""
+        from fibrelay import _csv, cocycle
+        monkeypatch.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
+        write_rows = _csv.write_rows
+        calls = {}
+
+        def spy(file, columns, first=None):
+            calls.setdefault(file.name, []).append((first, len(columns[0])))
+            return write_rows(file, columns, first)
+
+        monkeypatch.setattr(_csv, "write_rows", spy)
+        assert cocycle._calls(150, 3) == [(range(1), range(3))]
+        rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--n", "150",
+                   "--trajectories", "3", "--workers", "1", "--output-dir", str(tmp_path)])
+        assert rc == 0
+        starts = [1, *range(2 + chunk_steps, 151, chunk_steps)]
+        want = [(a, b - a) for a, b in zip(starts, [*starts[1:], 151])]
+        assert len(want) == (22 if chunk_steps == 7 else 1)
+        assert len(calls) == 3 and all(got == want for got in calls.values())
 
     def test_failed_publish_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         """A write that fails (ENOSPC, say) removes the files written

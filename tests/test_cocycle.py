@@ -21,7 +21,7 @@ from fibrelay import (
     run_trajectory,
 )
 from fibrelay import _kernels
-from fibrelay.cocycle import NOISE, SIGNAL, _Lanes, _signal_walk, _Walk, logs_at
+from fibrelay.cocycle import NOISE, SIGNAL, _column_steps, _Lanes, _signal_walk, _Walk, logs_at
 
 from conftest import SEED, mp_oracle_logs
 
@@ -40,9 +40,10 @@ def _state(walk):
 
 def _advance(walk, c2, c1):
     """Push one replica's steps c2, c1 through the walk."""
-    lanes = _Lanes(len(c2), 1)
-    lanes.put(0, c2, c1)
-    walk.advance(lanes)
+    k = len(c2)
+    row = np.empty(2 * _column_steps(k + 1))
+    row[:2 * k] = np.column_stack([c2, c1]).ravel()
+    walk.advance(_Lanes(k, [ConstantGain(1.0)], 1, 2, [row]))
 
 
 class TestInitInfo:

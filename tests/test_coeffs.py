@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from fibrelay import (
     ConfigError,
@@ -21,7 +22,7 @@ from fibrelay import (
     parse_gains,
     parse_model,
 )
-from fibrelay.coeffs import first_hop_magnitude, hop_magnitude_chunks
+from fibrelay.coeffs import _U_SHIFT, first_hop_magnitude, hop_magnitude_chunks
 
 from conftest import SEED
 
@@ -120,6 +121,71 @@ class TestExpectedLogEta:
         closed = expected_log_eta(model, gain)
         tol = 4 * se if se > 0 else 1e-12
         assert abs(closed - mc) < tol
+
+
+# the out-of-place formula of each model, as written before the models
+# transformed their input in place
+FORMULAS = {
+    Deterministic: lambda m, u: np.full(u.shape, float(m.c)),
+    Rayleigh: lambda m, u: np.sqrt(-m.mu * np.log1p(-(u + _U_SHIFT))),
+    LogNormal: lambda m, u: np.exp(m.m + m.s * ndtri(u + _U_SHIFT)),
+    Uniform: lambda m, u: m.a + (m.b - m.a) * u,
+    SignedBernoulli: lambda m, u: np.where(u < m.p, 1.0, -1.0),
+}
+
+# edges: u = 0 (the shifted end of the rayleigh and lognormal inverses),
+# the largest uniform ``Generator.random`` draws, and each signed p below
+EDGES = [0.0, 2.0 ** -60, 0.3, 0.5, 1.0 - 2.0 ** -53]
+
+
+class TestInPlaceTransforms:
+    @pytest.mark.parametrize("model", PRODUCTION_MODELS + [
+        SignedBernoulli(0.5), SignedBernoulli(0.3), SignedBernoulli(0.0), SignedBernoulli(1.0)],
+        ids=lambda m: m.spec_string())
+    def test_bits_equal_out_of_place_formula(self, model):
+        """The in-place transform returns its input, holding the formula's
+        values bit for bit."""
+        u = np.concatenate([EDGES, RngStream(SEED, 4).generator().random(100_000)])
+        # u + shift rounds to 1 at the largest uniform: both give inf there
+        with np.errstate(divide="ignore"):
+            want = FORMULAS[type(model)](model, u.copy())
+            got = model.transform_uniforms(u)
+        assert got is u
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("p", (0.0, 0.3, 0.5, 1.0))
+    def test_signed_edges(self, p):
+        """u exactly p gives -1; p = 0 gives -1 and p = 1 gives +1 on every
+        uniform."""
+        u = np.array(EDGES)
+        signs = SignedBernoulli(p).transform_uniforms(u.copy())
+        assert signs.tolist() == [1.0 if x < p else -1.0 for x in u]
+        if p in EDGES:
+            assert signs[EDGES.index(p)] == -1.0
+        assert set(signs) == ({-1.0} if p == 0.0 else {1.0} if p == 1.0 else {-1.0, 1.0})
+
+    @pytest.mark.parametrize("model", (Rayleigh(1.0), LogNormal(0.3, 0.9)),
+                             ids=lambda m: m.spec_string())
+    def test_zero_uniform_gives_positive_magnitude(self, model):
+        value = model.transform_uniforms(np.zeros(1))[0]
+        assert 0.0 < value < math.inf
+
+    def test_model_returning_new_array_fills_out(self):
+        """``hop_magnitude_chunks`` with ``out`` leaves the magnitudes in
+        ``out`` also for a model that returns a new array."""
+
+        class Fresh(Uniform):
+            def transform_uniforms(self, u):
+                return self.a + (self.b - self.a) * u
+
+        out = np.empty(10)
+        want = list(hop_magnitude_chunks(Uniform(0.5, 1.5), RngStream(SEED, 2).generator(),
+                                         9, 4))
+        got = hop_magnitude_chunks(Fresh(0.5, 1.5), RngStream(SEED, 2).generator(), 9, 4,
+                                   out=out)
+        for (start, a), (got_start, b) in zip(want, got):
+            assert got_start == start and np.shares_memory(b, out)
+            assert np.array_equal(a, b)
 
 
 class TestRngStream:
