@@ -14,7 +14,6 @@ import atexit
 import functools
 import gc
 import io
-import logging
 import sys
 from pathlib import Path
 
@@ -225,28 +224,8 @@ def _register_exit_hook() -> None:
     atexit.register(gc.freeze)
 
 
-class _StderrHandler(logging.StreamHandler):
-    """A stream handler on ``sys.stderr`` as it is at each record, not as
-    it was at creation, so a later redirection of stderr gets the
-    records."""
-
-    stream = property(lambda self: sys.stderr, lambda self, value: None)
-
-
-@functools.cache
-def _add_log_handler() -> None:
-    """Print the package's warnings on stderr as ``LEVEL logger: message``.
-    Added on the first ``main`` call, not on import, so a program that
-    imports fibrelay keeps its own logging setup."""
-    handler = _StderrHandler()
-    handler.setLevel(logging.WARNING)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logging.getLogger("fibrelay").addHandler(handler)
-
-
 def main(argv=None) -> int:
     _register_exit_hook()
-    _add_log_handler()
     parser = _build_parser()
     try:
         args = vars(parser.parse_args(argv))

@@ -191,8 +191,9 @@ class _Lanes:
 def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:
     """Source-hop coefficients of the columns, gain-major (gain i, replica q
     at i * R + q); one uniform per stream whatever the number of gains."""
-    magnitudes = [first_hop_magnitude(model, rng) for rng in rngs]
-    return np.array([m * policy.node_gains(1, 1)[0] for policy in gains for m in magnitudes])
+    magnitudes = np.array([first_hop_magnitude(model, rng) for rng in rngs])
+    with np.errstate(over="ignore"):  # reported as non-finite state
+        return np.concatenate([magnitudes * policy.node_gains(1, 1)[0] for policy in gains])
 
 
 def _rows(row, others):
@@ -238,7 +239,8 @@ class _Walk:
         self.node = 1
         vec = np.array(np.broadcast_arrays(*map(np.atleast_1d, vec)), dtype=float)
         m = np.abs(vec).max(axis=0)
-        self.vec = vec / m
+        with np.errstate(invalid="ignore"):  # an infinite start is read as non-finite
+            self.vec = vec / m
         self.log_scale = _logs(m)
 
     def _error(self, k: int) -> NumericalError:
@@ -251,15 +253,11 @@ class _Walk:
             f"{advice}")
 
     def _read(self, v, s, k: int) -> np.ndarray:
-        """log |v[1]| + s per replica; -inf marks an exact zero of the
-        signed recursion."""
-        b = np.abs(v[1])
-        value = s + _logs(b)
-        checked = value
-        if self.signed:
-            value[b == 0.0] = -math.inf
-            checked = value[b != 0.0]
-        if not np.isfinite(checked).all():
+        """log |v[1]| + s per replica; the signed kind reads the log of the
+        state's max-norm, log max(|v[0]|, |v[1]|) + s, which is s itself for
+        a normalized state and never -inf."""
+        value = s + _logs(np.abs(v).max(axis=0) if self.signed else np.abs(v[1]))
+        if not np.isfinite(value).all():
             raise self._error(k)
         return value
 
@@ -435,9 +433,10 @@ def logs_at(kind: str, model: CoefficientModel, gains, streams, checkpoints, *,
     node to the array of the G * R logs, gain-major: gain i's replica q is
     entry i * R + q.  Each replica draws its stream once, in the order of
     ``run_trajectory``, for all the gains.  ``SIGNAL`` reads
-    log value[node] started from (i0, eta01 * i0); ``SIGNED`` reads
-    log |value[node]| started from (1, coeff01), -inf at an exact zero;
-    ``NOISE`` reads the log noise power.  Raises NumericalError when a
+    log value[node] started from (i0, eta01 * i0); ``SIGNED`` reads the log
+    of the state's max-norm, log max(|value[node-1]|, |value[node]|),
+    started from (1, coeff01), which has the same growth rate and is never
+    -inf; ``NOISE`` reads the log noise power.  Raises NumericalError when a
     state leaves double range.
     """
     rngs = [stream.generator() for stream in streams]

@@ -24,8 +24,11 @@ from .errors import ConfigError, ValidationOnlyModelError
 
 # Half-ulp shift applied before inverting a CDF with a singular endpoint,
 # so u=0 (possible: Generator.random() is [0,1)) cannot produce a zero or
-# infinite coefficient.
+# infinite coefficient.  The shift rounds the largest uniform, 1 - 2^-53,
+# up to 1, so the shifted uniform is clamped back to it: a no-op on every
+# other uniform.
 _U_SHIFT = 2.0 ** -54
+_U_MAX = 1.0 - 2.0 ** -53
 
 _MASK64 = (1 << 64) - 1
 
@@ -114,8 +117,9 @@ class Rayleigh(CoefficientModel):
             raise ConfigError(f"rayleigh mu must be positive, got {self.mu}")
 
     def transform_uniforms(self, u):
-        # sqrt(-mu * log1p(-(u + shift))), one ufunc at a time in place
+        # sqrt(-mu * log1p(-min(u + shift, u_max))), one ufunc at a time in place
         np.add(u, _U_SHIFT, out=u)
+        np.minimum(u, _U_MAX, out=u)
         np.negative(u, out=u)
         np.log1p(u, out=u)
         np.multiply(u, -self.mu, out=u)
@@ -143,8 +147,9 @@ class LogNormal(CoefficientModel):
         # imported here: scipy is most of the package's import time and
         # memory, and only this model needs it
         from scipy.special import ndtri
-        # exp(m + s * ndtri(u + shift)), one ufunc at a time in place
+        # exp(m + s * ndtri(min(u + shift, u_max))), one ufunc at a time in place
         np.add(u, _U_SHIFT, out=u)
+        np.minimum(u, _U_MAX, out=u)
         ndtri(u, out=u)
         np.multiply(u, self.s, out=u)
         np.add(u, self.m, out=u)

@@ -14,4 +14,4 @@ class UnbracketableError(RuntimeError):
 
 
 class NumericalError(ArithmeticError):
-    """A recursion left double range, or a degenerate value persists."""
+    """A recursion state left double range."""

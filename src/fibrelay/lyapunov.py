@@ -25,7 +25,6 @@ count.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -34,9 +33,7 @@ import numpy as np
 from ._parallel import map_ordered
 from .coeffs import CoefficientModel, Deterministic, GainPolicy, RngStream
 from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, _calls, logs_at
-from .errors import ConfigError, NumericalError, ValidationOnlyModelError
-
-logger = logging.getLogger("fibrelay")
+from .errors import ConfigError, ValidationOnlyModelError
 
 GROWTH_RATE = "growth_rate"
 TAIL_RATIO = "tail_ratio"
@@ -44,11 +41,6 @@ TAIL_RATIO = "tail_ratio"
 Z95 = 1.96
 DEFAULT_BURN_IN = 100
 MIN_GROWTH_STEPS = 1000
-
-# offset for restarted replicas keeps their stream ids disjoint from all
-# ordinary replica ids
-_RESTART_STRIDE = 1 << 48
-_MAX_RESTARTS = 8
 
 
 @dataclass(frozen=True)
@@ -110,36 +102,16 @@ def _check_counts(n_steps, n_replicas, what=GROWTH_RATE, minimum=MIN_GROWTH_STEP
 def _rate_replicas(payload):
     """Rates (log value[n] - log value[burn]) / (n - burn) of one
     contiguous range of replicas under each of a few gain policies, run as
-    one engine batch; one list per policy."""
+    one engine batch; one list per policy.  Every read is finite: a
+    state that leaves double range raises NumericalError, and the signed
+    kind reads the state's norm, which is never zero."""
     kind, model, gains, n, seed, sids, burn, i0, n0, period = payload
     # burn_in = 0 is the bare formula (1/n) * log value[n], source factor kept
     checkpoints = (n,) if burn == 0 else (burn, n)
-
-    def rates(stream_ids, policies):
-        logs = logs_at(kind, model, policies, [RngStream(seed, s) for s in stream_ids],
-                       checkpoints, i0=i0, n0=n0, renorm_period=period)
-        with np.errstate(invalid="ignore"):  # -inf - -inf marks a restart too
-            rate = (logs[n] - (0.0 if burn == 0 else logs[burn])) / (n - burn)
-        return rate.reshape(len(policies), -1).tolist()
-
-    values = rates(sids, gains)
-    # only the signed recursion reads -inf (an exact zero); the other
-    # cocycles raise NumericalError instead.  Such a replica reruns alone,
-    # under that gain only.
-    for policy, per_gain in zip(gains, values):
-        for q, sid in enumerate(sids):
-            attempt = 0
-            while not math.isfinite(per_gain[q]):
-                if attempt == _MAX_RESTARTS:
-                    raise NumericalError(
-                        f"replica {sid}: exactly-zero values persist after "
-                        f"{_MAX_RESTARTS} restarts")
-                attempt += 1
-                logger.warning(
-                    "replica %d hit an exactly-zero value at a checkpoint; restarting "
-                    "with offset stream (attempt %d)", sid, attempt)
-                [[per_gain[q]]] = rates([sid + attempt * _RESTART_STRIDE], (policy,))
-    return values
+    logs = logs_at(kind, model, gains, [RngStream(seed, s) for s in sids], checkpoints,
+                   i0=i0, n0=n0, renorm_period=period)
+    rate = (logs[n] - (0.0 if burn == 0 else logs[burn])) / (n - burn)
+    return rate.reshape(len(gains), -1).tolist()
 
 
 def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kind,
@@ -189,9 +161,9 @@ def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: i
     ``burn_in`` is a ConfigError); it is restricted to deterministic
     models, where convergence is exponential.  Signed
     validation models are accepted only with ``validation=True``
-    (growth_rate kind, signed arithmetic on log |value|); a replica whose
-    checkpoint lands on an exact zero is restarted on an offset stream with
-    a logged warning.
+    (growth_rate kind, signed arithmetic), and their value is read through
+    the log of the state's max-norm, log max(|value[n-1]|, |value[n]|),
+    whose growth rate is the same top exponent and which is never -inf.
     """
     if kind not in (GROWTH_RATE, TAIL_RATIO):
         raise ConfigError(f"unknown estimator kind {kind!r}")

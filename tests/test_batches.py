@@ -6,9 +6,8 @@ gain policies (one column per replica and gain), within a budget of
 column-steps (``cocycle._BATCH_STEPS``).  These tests pin the per-replica
 values (compared as float hex, so bit for bit) of the signal, signed and
 noise checkpoint modes and of the verify records across batch sizes 1, 3
-and all replicas, across worker counts, under a budget smaller than the
-run, and when one replica of a batch restarts; and the per-gain values of
-multi-gain runs against single-gain runs, the lane budget of wide sweeps,
+and all replicas, across worker counts and under a budget smaller than
+the run; and the per-gain values of multi-gain runs against single-gain runs, the lane budget of wide sweeps,
 and the draws a calibration makes.
 """
 import math
@@ -33,7 +32,7 @@ from fibrelay import (
     find_zero_lyapunov_gain,
     verify_laws,
 )
-from fibrelay import cocycle, lyapunov
+from fibrelay import cocycle
 from fibrelay.cli import main
 from fibrelay.cocycle import SIGNAL, SIGNED, _block_length, logs_at
 from fibrelay.coeffs import hop_magnitude_chunks
@@ -197,35 +196,6 @@ def test_run_over_budget_splits_into_calls(monkeypatch, batch_sizes, swept):
     assert _hex(est.replica_values) == _hex(one_by_one.replica_values)
 
 
-def test_forced_zero_restarts_only_that_replica(monkeypatch, caplog):
-    """A -inf read on one replica of a batch reruns that replica alone on
-    its offset stream; its neighbours keep their values bit for bit."""
-    clean = estimate_lambda(SignedBernoulli(0.5), ConstantGain(1.0), N, R, SEED,
-                            validation=True).replica_values
-    calls = []
-    real = lyapunov.logs_at
-
-    def forced(kind, model, gains, streams, checkpoints, **kwargs):
-        calls.append([s.stream_id for s in streams])
-        logs = real(kind, model, gains, streams, checkpoints, **kwargs)
-        if len(calls) == 1:
-            logs[N][2] = -math.inf
-        return logs
-
-    monkeypatch.setattr(lyapunov, "logs_at", forced)
-    with caplog.at_level("WARNING", logger="fibrelay"):
-        values = estimate_lambda(SignedBernoulli(0.5), ConstantGain(1.0), N, R, SEED,
-                                 validation=True).replica_values
-    restarted = 2 + lyapunov._RESTART_STRIDE
-    assert calls == [list(range(R)), [restarted]]
-    assert sum("restarting" in rec.message for rec in caplog.records) == 1
-    assert _hex(values[:2] + values[3:]) == _hex(clean[:2] + clean[3:])
-    alone = real(SIGNED, SignedBernoulli(0.5), [ConstantGain(1.0)],
-                 [RngStream(SEED, restarted)], (lyapunov.DEFAULT_BURN_IN, N))
-    expected = (alone[N] - alone[lyapunov.DEFAULT_BURN_IN]) / (N - lyapunov.DEFAULT_BURN_IN)
-    assert _hex(values[2:3]) == _hex(expected)
-
-
 def test_logs_at_batch_equals_single_streams():
     streams = [RngStream(SEED, sid) for sid in (4, 0, 9)]
     nodes = (1, 2, 57, 800, 1201)
@@ -308,35 +278,6 @@ def test_lane_pads_stay_unit():
     logs = logs_at(SIGNAL, Deterministic(1e-101), [ConstantGain(1e103)], [RngStream(SEED)],
                    (1000,), renorm_period=3)
     assert math.isfinite(logs[1000][0])
-
-
-def test_gain_lane_restart_reruns_that_gain_only(monkeypatch):
-    """A -inf read on one column reruns that replica under that gain
-    alone; every other column keeps its value."""
-    gains = [ConstantGain(1.0), ConstantGain(0.5)]
-    clean = [e.replica_values for e in estimate_lambdas(
-        SignedBernoulli(0.5), gains, N, R, SEED, validation=True)]
-    calls = []
-    real = lyapunov.logs_at
-
-    def forced(kind, model, policies, streams, checkpoints, **kwargs):
-        calls.append(([s.stream_id for s in streams], list(policies)))
-        logs = real(kind, model, policies, streams, checkpoints, **kwargs)
-        if len(calls) == 1:
-            logs[N][R + 4] = -math.inf  # gain 1, replica 4
-        return logs
-
-    monkeypatch.setattr(lyapunov, "logs_at", forced)
-    got = [e.replica_values for e in estimate_lambdas(
-        SignedBernoulli(0.5), gains, N, R, SEED, validation=True)]
-    restarted = 4 + lyapunov._RESTART_STRIDE
-    assert calls == [(list(range(R)), gains), ([restarted], gains[1:])]
-    assert _hex(got[0]) == _hex(clean[0])
-    assert _hex(got[1][:4] + got[1][5:]) == _hex(clean[1][:4] + clean[1][5:])
-    burn = lyapunov.DEFAULT_BURN_IN
-    alone = real(SIGNED, SignedBernoulli(0.5), gains[1:], [RngStream(SEED, restarted)],
-                 (burn, N))
-    assert _hex(got[1][4:5]) == _hex((alone[N] - alone[burn]) / (N - burn))
 
 
 @pytest.mark.parametrize("groups", (2, 12))

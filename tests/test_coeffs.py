@@ -1,8 +1,11 @@
 """Coefficient models, gain policies, and the random-stream contract."""
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from fibrelay import (
@@ -22,7 +25,7 @@ from fibrelay import (
     parse_gains,
     parse_model,
 )
-from fibrelay.coeffs import _U_SHIFT, first_hop_magnitude, hop_magnitude_chunks
+from fibrelay.coeffs import _U_MAX, _U_SHIFT, first_hop_magnitude, hop_magnitude_chunks
 
 from conftest import SEED
 
@@ -127,8 +130,8 @@ class TestExpectedLogEta:
 # transformed their input in place
 FORMULAS = {
     Deterministic: lambda m, u: np.full(u.shape, float(m.c)),
-    Rayleigh: lambda m, u: np.sqrt(-m.mu * np.log1p(-(u + _U_SHIFT))),
-    LogNormal: lambda m, u: np.exp(m.m + m.s * ndtri(u + _U_SHIFT)),
+    Rayleigh: lambda m, u: np.sqrt(-m.mu * np.log1p(-np.minimum(u + _U_SHIFT, _U_MAX))),
+    LogNormal: lambda m, u: np.exp(m.m + m.s * ndtri(np.minimum(u + _U_SHIFT, _U_MAX))),
     Uniform: lambda m, u: m.a + (m.b - m.a) * u,
     SignedBernoulli: lambda m, u: np.where(u < m.p, 1.0, -1.0),
 }
@@ -146,10 +149,8 @@ class TestInPlaceTransforms:
         """The in-place transform returns its input, holding the formula's
         values bit for bit."""
         u = np.concatenate([EDGES, RngStream(SEED, 4).generator().random(100_000)])
-        # u + shift rounds to 1 at the largest uniform: both give inf there
-        with np.errstate(divide="ignore"):
-            want = FORMULAS[type(model)](model, u.copy())
-            got = model.transform_uniforms(u)
+        want = FORMULAS[type(model)](model, u.copy())
+        got = model.transform_uniforms(u)
         assert got is u
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -168,6 +169,26 @@ class TestInPlaceTransforms:
                              ids=lambda m: m.spec_string())
     def test_zero_uniform_gives_positive_magnitude(self, model):
         value = model.transform_uniforms(np.zeros(1))[0]
+        assert 0.0 < value < math.inf
+
+    @pytest.mark.parametrize("model", (Rayleigh(1.0), LogNormal(0.3, 0.9)),
+                             ids=lambda m: m.spec_string())
+    def test_largest_uniform_gives_finite_magnitude(self, model):
+        """u + shift rounds the largest uniform up to 1; the clamp keeps
+        its magnitude finite, with no floating-point warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = model.transform_uniforms(np.array([1.0 - 2.0 ** -53]))[0]
+        assert 0.0 < value < math.inf
+
+    @pytest.mark.parametrize("model", (Rayleigh(2.5), LogNormal(0.3, 0.9)),
+                             ids=lambda m: m.spec_string())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(u=st.floats(0.0, 1.0 - 2.0 ** -53))
+    def test_every_uniform_gives_positive_finite_magnitude(self, model, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = model.transform_uniforms(np.array([u]))[0]
         assert 0.0 < value < math.inf
 
     def test_model_returning_new_array_fills_out(self):

@@ -48,14 +48,10 @@ def _chunked(chunk_steps, fn):
 
 
 def _assert_close(got, ref):
-    """Finite logs within TOL; -inf (an exact zero of the signed
-    recursion) at the same nodes."""
+    """Finite logs within TOL."""
     got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
-    finite = np.isfinite(ref)
-    assert np.array_equal(np.isfinite(got), finite)
-    assert np.array_equal(got[~finite], ref[~finite])
-    assert np.all(ref[~finite] == -np.inf)
-    err = np.abs(got[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
+    assert np.isfinite(got).all() and np.isfinite(ref).all()
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
     assert err.max(initial=0.0) <= TOL, f"worst relative error {err.max():.3e}"
 
 
