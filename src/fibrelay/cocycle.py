@@ -152,42 +152,6 @@ def _logs(x) -> np.ndarray:
                      for v in x.tolist()])
 
 
-class _Lanes:
-    """One chunk of k steps of G gain policies x R replicas, laid out for
-    the engine.
-
-    ``K[0]`` holds the two-back and ``K[1]`` the one-back coefficients as
-    L x (C * B) arrays, C = G * R columns gain-major: column c's steps
-    j*L .. j*L+L-1 fill lane c*B + j.  Unit coefficients pad each column's
-    last lane, whose partial product is read at step k like any
-    checkpoint.
-
-    ``rows`` yields R times one buffer whose first 2k entries hold the
-    next replica's magnitudes in stream order (a node's two-back then
-    one-back hop); its entries up to 2 * B * L are overwritten with the
-    unit pads.  Each replica's columns are filled by one multiply, its
-    magnitudes times every policy's gains of nodes start..: the gain
-    product is the one transposing copy from stream order into lanes.
-    """
-
-    def __init__(self, k: int, gains, n_replicas: int, start: int, rows):
-        self.k = k
-        L = self.L = _block_length(k)
-        B = self.B = -(-k // L)
-        self.K = np.empty((2, L, len(gains) * n_replicas * B))
-        # replica x gain x side x step x lane within the column
-        columns = self.K.reshape(2, L, len(gains), n_replicas, B).transpose(3, 2, 0, 1, 4)
-        pads = np.ones(B * L - k)
-        # each policy's gain of the node of every lane step, G x 1 x L x B
-        factors = np.stack([np.concatenate([policy.node_gains(start, k), pads])
-                            .reshape(B, L).T for policy in gains])[:, None]
-        for replica, row in zip(columns, rows):
-            row[2 * k:2 * B * L] = 1.0
-            steps = row[:2 * B * L].reshape(B, L, 2).transpose(2, 1, 0)
-            with np.errstate(over="ignore"):  # reported as non-finite state
-                np.multiply(steps, factors, out=replica)
-
-
 def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:
     """Source-hop coefficients of the columns, gain-major (gain i, replica q
     at i * R + q); one uniform per stream whatever the number of gains."""
@@ -196,27 +160,49 @@ def _first_hops(model: CoefficientModel, gains, rngs) -> np.ndarray:
         return np.concatenate([magnitudes * policy.node_gains(1, 1)[0] for policy in gains])
 
 
-def _rows(row, others):
-    """``row`` once per replica of a chunk: as the first replica's draw
-    left it, then after each other replica's next chunk is drawn into it."""
-    yield row
-    for chunks in others:
-        next(chunks)
-        yield row
-
-
 def _chunks(model: CoefficientModel, gains, rngs, n_nodes: int):
-    """Yield (start node, _Lanes) per chunk of ``_CHUNK_STEPS`` steps into
-    nodes 2..n_nodes, columns gain-major as in ``_first_hops``.  Each
-    replica draws its chunk through ``hop_magnitude_chunks`` into one
+    """Yield (start node, k, lanes) per chunk of k <= ``_CHUNK_STEPS`` steps
+    into nodes 2..n_nodes, for G gain policies x R replicas.
+
+    ``lanes[0]`` holds the two-back and ``lanes[1]`` the one-back
+    coefficients as L x (C * B) arrays, C = G * R columns gain-major as in
+    ``_first_hops``: column c's steps j*L .. j*L+L-1 fill lane c*B + j.
+    Unit coefficients pad each column's last lane, whose partial product
+    is read at step k like any checkpoint.
+
+    Each replica draws its chunk through ``hop_magnitude_chunks`` into one
     buffer, reused by every replica and chunk (the first chunk is the
-    longest), and every gain policy multiplies its magnitudes while they
-    are in cache.  No reference to a yielded chunk is kept."""
+    longest); the first replica's draws drive the loop.  The buffer's
+    entries up to 2 * B * L are overwritten with the unit pads, and one
+    multiply fills the replica's columns with its magnitudes times every
+    policy's gains of nodes start..: the gain product is the one
+    transposing copy from stream order into lanes.
+    """
     row = np.empty(2 * _column_steps(n_nodes))
     first, *others = [hop_magnitude_chunks(model, rng, n_nodes, _CHUNK_STEPS, out=row)
                       for rng in rngs]
     for start, magnitudes in first:
-        yield start, _Lanes(len(magnitudes), gains, len(rngs), start, _rows(row, others))
+        k = len(magnitudes)
+        L = _block_length(k)
+        B = -(-k // L)
+        lanes = [np.empty((2, L, len(gains) * len(rngs) * B))]
+        pads = np.ones(B * L - k)
+        # each policy's gain of the node of every lane step, G x 1 x L x B
+        factors = np.stack([np.concatenate([policy.node_gains(start, k), pads])
+                            .reshape(B, L).T for policy in gains])[:, None]
+        # replica x gain x side x step x lane within the column
+        columns = lanes[0].reshape(2, L, len(gains), len(rngs), B).transpose(3, 2, 0, 1, 4)
+        for q in range(len(rngs)):
+            if q:
+                next(others[q - 1])
+            row[2 * k:2 * B * L] = 1.0
+            steps = row[:2 * B * L].reshape(B, L, 2).transpose(2, 1, 0)
+            with np.errstate(over="ignore"):  # reported as non-finite state
+                np.multiply(steps, factors, out=columns[q])
+        # keep nothing of the chunk but the draw buffer: the consumer's
+        # reference to the lanes is their only one
+        del columns, factors
+        yield start, k, lanes.pop()
 
 
 class _Walk:
@@ -244,6 +230,13 @@ class _Walk:
         self.log_scale = _logs(m)
 
     def _error(self, k: int) -> NumericalError:
+        """The error of a state that is not finite after k steps of the
+        current chunk; k = 0 is the node-1 start, before any step."""
+        if k == 0:
+            return NumericalError(
+                f"{self.kind} cocycle state at node 1 is not finite and nonzero: the "
+                "source-hop coefficient (magnitude * gain) or i0 left double range; "
+                "change the coefficient scale (model or gain) or i0")
         advice = (f"lower renorm_period (now {self.period}) or the coefficient scale"
                   if self.period > 1 else "renorm_period is already 1; change the "
                   "coefficient scale (model or gain)")
@@ -264,18 +257,19 @@ class _Walk:
     def log_value(self) -> np.ndarray:
         return self._read(self.vec, self.log_scale, 0)
 
-    def advance(self, lanes: _Lanes, reads=(), out=None) -> list:
-        """Apply one chunk of steps; return the R logs after each count of
-        steps in ``reads`` (ascending, 1..k); fill ``out`` (R x k) with the
-        log after every step when given.  The noise kind squares the lanes
-        in place, so it is the last walk to read them."""
+    def advance(self, k: int, lanes, reads=(), out=None) -> list:
+        """Apply one chunk of k steps laid out as ``_chunks`` yields them;
+        return the R logs after each count of steps in ``reads`` (ascending,
+        1..k); fill ``out`` (R x k) with the log after every step when
+        given.  The noise kind squares the lanes in place, so it is the last
+        walk to read them."""
         # overflow shows as non-finite state, checked below; keep numpy quiet
         with np.errstate(all="ignore"):
             if self.kind == NOISE:
-                lanes.K *= lanes.K
-            K2, K1 = lanes.K
-            logs = self._advance_blocked(K2, K1, lanes, reads, out)
-        self.node += lanes.k
+                lanes *= lanes
+            K2, K1 = lanes
+            logs = self._advance_blocked(K2, K1, k, reads, out)
+        self.node += k
         return logs
 
     def _sweep(self, S, K2, K1, visit=None, renorm_last=False):
@@ -330,9 +324,9 @@ class _Walk:
             raise self._error(k)
         return w / m, s + lm + log_m
 
-    def _advance_blocked(self, K2, K1, lanes, reads, out):
-        k, L, B = lanes.k, lanes.L, lanes.B
+    def _advance_blocked(self, K2, K1, k, reads, out):
         d, R = self.vec.shape
+        L, B = K2.shape[0], K2.shape[1] // R
 
         # basis pass: block transfer matrices of every replica, plus the
         # partial products (matrices, lane within the replica, step) the
@@ -398,17 +392,6 @@ class _Walk:
         return logs
 
 
-def _signal_walk(i0: float, eta01, period: int) -> _Walk:
-    """Signal walk from the raw vectors (i0, eta01 * i0), one per entry of
-    eta01."""
-    if not (i0 > 0.0):
-        raise ConfigError(f"i0 must be positive, got {i0}")
-    eta01 = np.asarray(eta01, dtype=float)
-    if not (eta01 > 0.0).all():
-        raise ConfigError(f"eta01 must be positive, got {eta01.min()}")
-    return _Walk(SIGNAL, (i0, eta01 * i0), period)
-
-
 def _start(kind: str, first, i0: float, n0: float, period: int):
     """The walk of one cocycle from node 1 over the columns whose
     source-hop coefficients are ``first``, and the node-1 log of each
@@ -419,8 +402,10 @@ def _start(kind: str, first, i0: float, n0: float, period: int):
     if kind == NOISE:
         walk = _Walk(kind, (0.0, 0.0, np.ones(len(first))), period, n0)
         return walk, np.full(len(first), np.log(n0))
-    walk = _Walk(kind, (1.0, first), period) if kind == SIGNED \
-        else _signal_walk(i0, first, period)
+    if kind == SIGNAL and not (i0 > 0.0):
+        raise ConfigError(f"i0 must be positive, got {i0}")
+    with np.errstate(over="ignore"):  # an infinite start reads as non-finite
+        walk = _Walk(kind, (1.0, first) if kind == SIGNED else (i0, first * i0), period)
     return walk, walk.log_value()
 
 
@@ -443,9 +428,9 @@ def logs_at(kind: str, model: CoefficientModel, gains, streams, checkpoints, *,
     walk, node_1 = _start(kind, _first_hops(model, gains, rngs), i0, n0, renorm_period)
     want = sorted(set(checkpoints))
     out = {1: node_1} if want[0] == 1 else {}
-    for start, lanes in _chunks(model, gains, rngs, want[-1]):
-        here = [c for c in want if start <= c < start + lanes.k]
-        out.update(zip(here, walk.advance(lanes, [c - start + 1 for c in here])))
+    for start, k, lanes in _chunks(model, gains, rngs, want[-1]):
+        here = [c for c in want if start <= c < start + k]
+        out.update(zip(here, walk.advance(k, lanes, [c - start + 1 for c in here])))
     return out
 
 
@@ -483,14 +468,14 @@ def _records(config: NetworkConfig, stream_ids, renorm_period: int):
     first = _first_hops(config.model, (config.gains,), rngs)
     signal, log_i_1 = _start(SIGNAL, first, config.i0, config.n0, renorm_period)
     noise, log_n2_1 = _start(NOISE, first, config.i0, config.n0, renorm_period)
-    for start, lanes in _chunks(config.model, (config.gains,), rngs, config.n_nodes):
+    for start, k, lanes in _chunks(config.model, (config.gains,), rngs, config.n_nodes):
         lead = int(start == 2)
-        log_i = np.empty((len(rngs), lead + lanes.k))
-        log_n2 = np.empty((len(rngs), lead + lanes.k))
+        log_i = np.empty((len(rngs), lead + k))
+        log_n2 = np.empty((len(rngs), lead + k))
         if lead:
             log_i[:, 0], log_n2[:, 0] = log_i_1, log_n2_1
-        signal.advance(lanes, out=log_i[:, lead:])
-        noise.advance(lanes, out=log_n2[:, lead:])
+        signal.advance(k, lanes, out=log_i[:, lead:])
+        noise.advance(k, lanes, out=log_n2[:, lead:])
         del lanes  # not held while the chunk's records are used
         yield start - lead, log_i, log_n2
         del log_i, log_n2  # not held while the next chunk is drawn and run

@@ -15,7 +15,7 @@ values and across model variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -64,6 +64,8 @@ class CoefficientModel:
     A hop coefficient is ``magnitude * gain`` where the magnitude is drawn
     from one of the concrete subclasses below.  All production variants are
     strictly positive with probability 1 and have a finite log-moment.
+    Each subclass is a dataclass whose fields are the parameters of its
+    spec string ``kind:name=value,...``, ``kind`` being a class attribute.
     """
 
     validation_only = False
@@ -79,13 +81,17 @@ class CoefficientModel:
         raise NotImplementedError
 
     def spec_string(self) -> str:
-        raise NotImplementedError
+        """``kind:name=value,...`` over the fields in order, each value as
+        ``%.17g``, which round-trips every double."""
+        return f"{self.kind}:" + ",".join(f"{f.name}={getattr(self, f.name):.17g}"
+                                          for f in fields(self))
 
 
 @dataclass(frozen=True)
 class Deterministic(CoefficientModel):
     """Constant magnitude ``c``; draws still consume one uniform each."""
 
+    kind = "deterministic"
     c: float
 
     def __post_init__(self):
@@ -99,9 +105,6 @@ class Deterministic(CoefficientModel):
     def expected_log_magnitude(self):
         return math.log(self.c)
 
-    def spec_string(self):
-        return f"deterministic:c={self.c:.17g}"
-
 
 @dataclass(frozen=True)
 class Rayleigh(CoefficientModel):
@@ -110,6 +113,7 @@ class Rayleigh(CoefficientModel):
     The internal scale is sqrt(mu/2), so E[magnitude^2] = mu.
     """
 
+    kind = "rayleigh"
     mu: float = 1.0
 
     def __post_init__(self):
@@ -128,14 +132,12 @@ class Rayleigh(CoefficientModel):
     def expected_log_magnitude(self):
         return 0.5 * (math.log(self.mu) - np.euler_gamma)
 
-    def spec_string(self):
-        return f"rayleigh:mu={self.mu:.17g}"
-
 
 @dataclass(frozen=True)
 class LogNormal(CoefficientModel):
     """Magnitude with log-magnitude ~ Normal(m, s)."""
 
+    kind = "lognormal"
     m: float = 0.0
     s: float = 1.0
 
@@ -158,14 +160,12 @@ class LogNormal(CoefficientModel):
     def expected_log_magnitude(self):
         return self.m
 
-    def spec_string(self):
-        return f"lognormal:m={self.m:.17g},s={self.s:.17g}"
-
 
 @dataclass(frozen=True)
 class Uniform(CoefficientModel):
     """Magnitude uniform on [a, b), 0 < a < b."""
 
+    kind = "uniform"
     a: float = 0.5
     b: float = 1.5
 
@@ -181,9 +181,6 @@ class Uniform(CoefficientModel):
         a, b = self.a, self.b
         return (b * math.log(b) - a * math.log(a)) / (b - a) - 1.0
 
-    def spec_string(self):
-        return f"uniform:a={self.a:.17g},b={self.b:.17g}"
-
 
 @dataclass(frozen=True)
 class SignedBernoulli(CoefficientModel):
@@ -193,6 +190,7 @@ class SignedBernoulli(CoefficientModel):
     signed-recursion growth constant; every other operation rejects it.
     """
 
+    kind = "signed"
     p: float = 0.5
     validation_only = True
 
@@ -208,9 +206,6 @@ class SignedBernoulli(CoefficientModel):
 
     def expected_log_magnitude(self):
         raise ValidationOnlyModelError("validation-only model has no log-moment")
-
-    def spec_string(self):
-        return f"signed:p={self.p:.17g}"
 
 
 def _reject_validation_only(model: CoefficientModel, op: str) -> None:
@@ -294,7 +289,8 @@ def expected_log_eta(model: CoefficientModel, gain: float) -> float:
 def first_hop_magnitude(model: CoefficientModel, rng: Generator) -> float:
     """Magnitude of the source-to-node-1 hop; consumes one uniform.  Its
     coefficient under a gain policy is ``magnitude * gains.node_gains(1, 1)[0]``."""
-    return model.transform_uniforms(rng.random(1))[0]
+    with np.errstate(over="ignore"):  # the engine reports the non-finite state
+        return model.transform_uniforms(rng.random(1))[0]
 
 
 def hop_magnitude_chunks(model: CoefficientModel, rng: Generator, n_nodes: int,
@@ -320,7 +316,8 @@ def hop_magnitude_chunks(model: CoefficientModel, rng: Generator, n_nodes: int,
     while start <= n_nodes:
         count = min(chunk_steps, n_nodes - start + 1)
         u = rng.random(2 * count) if out is None else rng.random(out=out[:2 * count])
-        magnitudes = model.transform_uniforms(u)
+        with np.errstate(over="ignore"):  # the engine reports the non-finite state
+            magnitudes = model.transform_uniforms(u)
         if magnitudes is not u:  # a model that returns a new array
             u[...] = magnitudes
         yield start, u.reshape(count, 2)
@@ -331,13 +328,8 @@ def hop_magnitude_chunks(model: CoefficientModel, rng: Generator, n_nodes: int,
 # model / gain specification grammar
 # ---------------------------------------------------------------------------
 
-_MODEL_KINDS = {
-    "deterministic": (Deterministic, ("c",)),
-    "rayleigh": (Rayleigh, ("mu",)),
-    "lognormal": (LogNormal, ("m", "s")),
-    "uniform": (Uniform, ("a", "b")),
-    "signed": (SignedBernoulli, ("p",)),
-}
+_MODEL_KINDS = {cls.kind: cls
+                for cls in (Deterministic, Rayleigh, LogNormal, Uniform, SignedBernoulli)}
 
 
 def _parse_kv(body: str, spec: str) -> dict:
@@ -361,7 +353,8 @@ def parse_model(spec: str) -> CoefficientModel:
     kind = kind.strip().lower()
     if kind not in _MODEL_KINDS:
         raise ConfigError(f"unknown model kind {kind!r} in spec {spec!r}")
-    cls, names = _MODEL_KINDS[kind]
+    cls = _MODEL_KINDS[kind]
+    names = [f.name for f in fields(cls)]
     kwargs = _parse_kv(body.strip(), spec)
     unknown = set(kwargs) - set(names)
     if unknown:

@@ -26,7 +26,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -168,48 +168,31 @@ KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunParams:
-    """Fully resolved parameters for one command invocation."""
+def _network_config(self) -> NetworkConfig:
+    return NetworkConfig(model=self.model, gains=self.gains, n0=self.n0,
+                         i0=self.i0, n_nodes=self.n, master_seed=self.seed)
 
-    command: str
-    model: CoefficientModel
-    gains: GainPolicy
-    n0: float
-    i0: float
-    n: int
-    replicas: int
-    seed: int
-    burn_in: int
-    renorm_period: int
-    workers: int
-    kind: str
-    validation: bool
-    trajectories: int
-    tol: float
-    g_init: float
-    max_doublings: int
-    tolerance_sigma: float
-    slope_tol: float
-    gain_grid: tuple | None
 
-    def network_config(self) -> NetworkConfig:
-        return NetworkConfig(model=self.model, gains=self.gains, n0=self.n0,
-                             i0=self.i0, n_nodes=self.n, master_seed=self.seed)
+def _echo(self) -> dict:
+    """Dotted-key view of everything that determines the outputs: the
+    keys the command reads but the worker count, an execution detail,
+    and ``network.gain``, which ``network.gains`` holds."""
+    out = {"command": self.command}
+    for key, entry in KEYS.items():
+        if self.command in entry.commands and key not in ("network.gain", "run.workers"):
+            value = getattr(self, key.partition(".")[2])
+            if key == "sweep.gain_grid":
+                value = ",".join(f"{g:.17g}" for g in value)
+            out[key] = value.spec_string() if hasattr(value, "spec_string") else value
+    return out
 
-    def echo(self) -> dict:
-        """Dotted-key view of everything that determines the outputs: the
-        keys the command reads but the worker count, an execution detail,
-        and ``network.gain``, which ``network.gains`` holds."""
-        out = {"command": self.command}
-        for key, entry in KEYS.items():
-            if self.command in entry.commands and key not in ("network.gain",
-                                                              "run.workers"):
-                value = getattr(self, key.partition(".")[2])
-                if key == "sweep.gain_grid":
-                    value = ",".join(f"{g:.17g}" for g in value)
-                out[key] = value.spec_string() if hasattr(value, "spec_string") else value
-        return out
+
+# one field per key, named after the dot, network.gain folded into gains
+RunParams = make_dataclass(
+    "RunParams", ["command", *(key.partition(".")[2] for key in KEYS if key != "network.gain")],
+    frozen=True, namespace={
+        "__doc__": "Fully resolved parameters for one command invocation.",
+        "__module__": __name__, "network_config": _network_config, "echo": _echo})
 
 
 def _flatten(obj) -> dict:

@@ -14,11 +14,20 @@ SEED = 20260809
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+# the one stderr line of a run whose source-hop coefficient leaves double range
+SOURCE_HOP_ERROR = ("error: signal cocycle state at node 1 is not finite and nonzero: the "
+                    "source-hop coefficient (magnitude * gain) or i0 left double range; "
+                    "change the coefficient scale (model or gain) or i0")
+
+
 def child_env() -> dict:
     """The environment of a child Python that imports fibrelay from this
-    checkout's ``src``, as the tests do, ahead of any other PYTHONPATH."""
+    checkout's ``src``, as the tests do, ahead of any other PYTHONPATH, and
+    turns a RuntimeWarning into an error, as ``filterwarnings`` in
+    pyproject.toml does for the tests."""
     paths = [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths),
+                PYTHONWARNINGS="error::RuntimeWarning")
 
 
 def _hop_coefficients(model, gains, rng, n_nodes):

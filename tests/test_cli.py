@@ -20,7 +20,7 @@ from fibrelay.cli import main
 from fibrelay.config import parse_config, read_config_file, resolve
 from fibrelay.manifest import canonical_digest, dumps_17g
 
-from conftest import child_env
+from conftest import SOURCE_HOP_ERROR, child_env
 
 
 def _must_not_run(*args, **kwargs):
@@ -736,13 +736,40 @@ class TestNumericalFailures:
         # every worker fails after opening its part file
         ["simulate", "--model", "deterministic:c=1e200", "--n", "50", "--trajectories", "3",
          "--workers", "2"],
-        # the source-hop coefficient 1e300 * 1e10 is already infinite
-        ["lyapunov", "--model", "deterministic:c=1e300", "--gain", "1e10", "--n", "2000"],
-    ], ids=("lyapunov", "simulate", "simulate-workers-2", "lyapunov-infinite-source-hop"))
+    ], ids=("lyapunov", "simulate", "simulate-workers-2"))
     def test_forced_overflow_exits_3(self, args, tmp_path, capsys):
         rc, err = self._run(args, tmp_path, capsys)
         assert rc == 3
         assert err.startswith("error:") and "renorm_period" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        # the coefficient 1e300 * 1e10 is infinite before any step
+        ["lyapunov", "--model", "deterministic:c=1e300", "--gain", "1e10", "--n", "2000"],
+        # a magnitude below 0.5 times the gain 5e-324 rounds to 0
+        ["lyapunov", "--model", "rayleigh:mu=1", "--gain", "5e-324", "--n", "2000"],
+        # exp(1e300 * ndtri(u)) is 0 or inf
+        ["lyapunov", "--model", "lognormal:m=0,s=1e300", "--n", "2000"],
+        ["calibrate", "--model", "rayleigh:mu=1", "--g-init", "5e-324", "--n", "2000",
+         "--replicas", "4"],
+    ], ids=("infinite", "zero", "lognormal", "calibrate"))
+    def test_source_hop_out_of_range_exits_3(self, args, tmp_path, capsys):
+        """A source-hop coefficient outside double range is a numerical
+        failure at node 1, not a configuration error or an overflow
+        between renormalizations."""
+        rc, err = self._run(args, tmp_path, capsys)
+        assert rc == 3
+        assert err.splitlines() == [SOURCE_HOP_ERROR]
+        assert not list(tmp_path.iterdir())
+
+    def test_overflowing_transform_warns_nothing(self, tmp_path, capsys):
+        """Magnitudes that overflow in the transform are reported once, as
+        the engine's non-finite state: under the tests' warnings-as-errors
+        policy a numpy warning would escape ``main``."""
+        rc, err = self._run(["lyapunov", "--model", "rayleigh:mu=1e308", "--n", "1000",
+                             "--replicas", "2"], tmp_path, capsys)
+        assert rc == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
     def test_signed_chain_through_exact_zeros_exits_0(self, capsys):

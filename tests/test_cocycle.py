@@ -21,7 +21,7 @@ from fibrelay import (
     run_trajectory,
 )
 from fibrelay import _kernels
-from fibrelay.cocycle import NOISE, SIGNAL, _column_steps, _Lanes, _signal_walk, _Walk, logs_at
+from fibrelay.cocycle import NOISE, SIGNAL, _block_length, _start, _Walk, logs_at
 
 from conftest import SEED, mp_oracle_logs
 
@@ -38,31 +38,39 @@ def _state(walk):
     return walk.vec[:, 0].tolist(), float(walk.log_scale[0])
 
 
+def _signal_start(i0, first):
+    """The signal walk of one column whose source-hop coefficient is first."""
+    return _start(SIGNAL, np.array([first]), i0, 1.0, 1)[0]
+
+
 def _advance(walk, c2, c1):
-    """Push one replica's steps c2, c1 through the walk."""
+    """Push one replica's steps c2, c1 through the walk, in the lanes of one
+    column as ``_chunks`` lays them out: step j*L + t in lane j, unit pads
+    after step k."""
     k = len(c2)
-    row = np.empty(2 * _column_steps(k + 1))
-    row[:2 * k] = np.column_stack([c2, c1]).ravel()
-    walk.advance(_Lanes(k, [ConstantGain(1.0)], 1, 2, [row]))
+    L = _block_length(k)
+    steps = np.ones((2, -(-k // L) * L))
+    steps[:, :k] = c2, c1
+    walk.advance(k, np.ascontiguousarray(steps.reshape(2, -1, L).transpose(0, 2, 1)))
 
 
 class TestInitInfo:
     """The signal walk starts from the raw vector (i0, eta01 * i0)."""
 
     def test_identity_start(self):
-        walk = _signal_walk(1.0, 1.0, 1)
+        walk = _signal_start(1.0, 1.0)
         assert _state(walk) == ([1.0, 1.0], 0.0)
         assert _det_logs(SIGNAL, 1.0, [1]) == {1: 0.0}
 
     def test_renormalizes_by_max(self):
-        walk = _signal_walk(1.0, 2.0, 1)
+        walk = _signal_start(1.0, 2.0)
         assert _state(walk)[0] == [0.5, 1.0]
         assert _state(walk)[1] == pytest.approx(math.log(2.0), abs=1e-15)
         # start (1, 2): the node-1 value is 2
         assert _det_logs(SIGNAL, 2.0, [1])[1] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_decaying_start(self):
-        walk = _signal_walk(2.0, 0.5, 1)
+        walk = _signal_start(2.0, 0.5)
         assert _state(walk)[0] == [1.0, 0.5]
         assert _state(walk)[1] == pytest.approx(math.log(2.0), abs=1e-15)
         # start (2, 1), then 0.5 * 2 + 0.5 * 1 = 1.5 at node 2
@@ -75,8 +83,6 @@ class TestInitInfo:
             estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 2000, 1, SEED, i0=0.0)
         with pytest.raises(ConfigError):
             _det_logs(SIGNAL, 1.0, [5], i0=-1.0)
-        with pytest.raises(ConfigError):
-            _signal_walk(1.0, -1.0, 1)
 
 
 class TestStepInfo:
@@ -93,7 +99,7 @@ class TestStepInfo:
         assert _det_logs(SIGNAL, 0.2, [2])[2] == pytest.approx(math.log(0.24), abs=1e-12)
 
     def test_state_stays_renormalized(self):
-        walk = _signal_walk(1.0, 3.7, 1)
+        walk = _signal_start(1.0, 3.7)
         for _ in range(50):
             _advance(walk, np.array([0.9]), np.array([1.4]))
             assert max(_state(walk)[0]) == 1.0 and min(_state(walk)[0]) > 0.0

@@ -276,6 +276,18 @@ class TestSpecGrammar:
     def test_spec_string_round_trip(self, model):
         assert parse_model(model.spec_string()) == model
 
+    @pytest.mark.parametrize("model,text", [
+        (Deterministic(0.2), "deterministic:c=0.20000000000000001"),
+        (Rayleigh(1.0), "rayleigh:mu=1"),
+        (LogNormal(0.0, 1.0), "lognormal:m=0,s=1"),
+        (Uniform(0.5, 1.5), "uniform:a=0.5,b=1.5"),
+        (SignedBernoulli(0.5), "signed:p=0.5"),
+    ])
+    def test_spec_string_text(self, model, text):
+        """The exact text manifests echo and ``lyapunov.json`` carries as
+        ``model_spec``: parameters in field order, each as ``%.17g``."""
+        assert model.spec_string() == text
+
     @pytest.mark.parametrize("bad", [
         "nope:a=1",
         "rayleigh:mu=abc",
