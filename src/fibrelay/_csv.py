@@ -21,12 +21,18 @@ p + floor(t) outside [1e16, 1e17) or digits that round up to 1e17
 (floor(log10) is off by one next to powers of ten; 1e-6 is
 9.9999999999999995e-07).
 
-Layout.  A field is built in fixed columns: the sign, the ``0.000``
-prefix of %g's fixed notation below 1, the 17 digits each followed by a
-point slot, ``e`` with a signed three-digit exponent, and the separator.
-Which of them %g keeps depends only on the sign, the decimal exponent and
-the last nonzero digit, so one table lookup gives each field's mask, and a
-block's text is its character buffer under the mask.
+Layout.  A field is six 8-byte words in fixed columns: the sign, the
+``0.000`` prefix of %g's fixed notation below 1, the 17 digits each
+followed by a point slot, ``e`` with a signed three-digit exponent, the
+separator and two pad bytes.  Each word is gathered from a table (the
+leading digit, a 4-digit group, the exponent) and ANDed with the field's
+mask, whose bytes keep a column or zero it.  Which columns %g keeps
+depends only on the sign, the decimal exponent and the last nonzero digit,
+so one table lookup gives each field's mask.  A row is the row number's
+digits and a comma, zero-padded to whole words, then its fields; a block
+of rows is one zero-initialized buffer reused by every block of a call,
+and its text is that buffer with the zero bytes deleted
+(``bytes.translate``).
 """
 from __future__ import annotations
 
@@ -35,7 +41,7 @@ import io
 
 import numpy as np
 
-# rows formatted at a time; bounds the buffers at a few MB
+# rows formatted at a time; bounds the buffer at a few MB
 _BLOCK_ROWS = 8192
 # |x| range of the fast path: Dekker's products neither overflow nor lose
 # bits to subnormals there
@@ -52,13 +58,14 @@ _PREFIX = 1   # "0.000"
 _DIGITS = 6   # digit j at _DIGITS + 2j, its point slot after it
 _EXP = 40     # "e", exponent sign, three exponent digits
 _SEP = 45
-_FIELD = 46
+_FIELD = 48   # two pad bytes make six whole words
 # mask classes: fixed notation for decimal exponents -4..16, then
 # scientific notation with a two- or three-digit exponent
 _FIXED_LO, _FIXED_HI = -4, 16
 _SCI2, _SCI3 = 21, 22
-
-_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,", np.uint8)
+# where the first and the last words of a field start in the word table
+_FIRSTS = 10000
+_LASTS = _FIRSTS + 10
 
 # hi, hi's two Dekker halves and lo of 10**s at column s + _S_MAX, filled
 # on first use of each exponent
@@ -92,17 +99,36 @@ def _powers(col: np.ndarray) -> np.ndarray:
     return np.take(_POW10, col, axis=1)
 
 
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Rows of 8 characters as one uint64 each."""
+    return np.ascontiguousarray(chars, np.uint8).view(np.uint64)[:, 0]
+
+
 @functools.cache
 def _tables() -> tuple:
-    """The 4-digit groups 0000..9999, the exponents -300..300 as sign and
-    three digits, and the kept columns of a field per (mask class, last
-    nonzero digit, sign)."""
+    """The 4-digit groups 0000..9999 as 4 characters in a uint32; the word
+    table: each group with a point slot after every digit, then a field's
+    first word per leading digit (from ``_FIRSTS``) and its last word per
+    exponent -300..300 (from ``_LASTS``); the trailing zeros of each group
+    (4 for 0000); 2 * 17 times the mask class of each exponent; and the
+    six mask words of a field, as six rows, per (mask class, last nonzero
+    digit, sign)."""
     i = np.arange(10000)
     groups = (i[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    zeros = (groups[:, ::-1] != 48).argmax(axis=1)
+    zeros[0] = 4
+    pairs = np.full((10000, 8), ord("."), np.uint8)
+    pairs[:, ::2] = groups
+    firsts = np.frombuffer(b"-0.0000." * 10, np.uint8).reshape(10, 8).copy()
+    firsts[:, _DIGITS] += np.arange(10, dtype=np.uint8)
     e = np.arange(-_S_MAX, _S_MAX + 1)
-    exps = np.empty((len(e), 4), np.uint8)
-    exps[:, 0] = np.where(e < 0, ord("-"), ord("+"))
-    exps[:, 1:] = np.abs(e)[:, None] // np.array([100, 10, 1]) % 10 + 48
+    lasts = np.zeros((len(e), 8), np.uint8)
+    lasts[:, 0] = ord("e")
+    lasts[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    lasts[:, 2:5] = np.abs(e)[:, None] // np.array([100, 10, 1]) % 10 + 48
+    lasts[:, _SEP - _EXP] = ord(",")
+    classes = np.where((e >= _FIXED_LO) & (e <= _FIXED_HI), e - _FIXED_LO,
+                       np.where(np.abs(e) < 100, _SCI2, _SCI3))
 
     masks = np.zeros((_SCI3 + 1, 17, 2, _FIELD), bool)
     masks[..., _SEP] = True
@@ -127,9 +153,10 @@ def _tables() -> tuple:
             row[:, _DIGITS:_DIGITS + 2 * end + 1:2] = True
             if point is not None:
                 row[:, _DIGITS + 2 * point + 1] = True
-    # four characters as one uint32 each: gathering scalars beats rows
-    return groups.view(np.uint32)[:, 0], exps.view(np.uint32)[:, 0], \
-        masks.reshape(-1, _FIELD)
+    masks = (masks.reshape(-1, _FIELD).view(np.uint8) * 255).view(np.uint64).T.copy()
+    # gathering words beats gathering their characters
+    words = np.concatenate([_words(pairs), _words(firsts), _words(lasts)])
+    return groups.view(np.uint32)[:, 0], words, zeros, classes * 34, masks
 
 
 def _percent(x: float) -> bytes:
@@ -137,10 +164,21 @@ def _percent(x: float) -> bytes:
     return b"%.17g" % x
 
 
-def _field(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
-    """Write the %.17g text of each element of x into its row of ``chars``
-    (rows x _FIELD) and the columns to keep into ``keep``."""
-    groups, exps, masks = _tables()
+def _split(n: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Fill the rows of ``quads`` with the 4-digit groups of n, the lowest
+    last; return what is left above them."""
+    for j in range(len(quads) - 1, -1, -1):
+        top = np.floor_divide(n, 10000)
+        np.subtract(n, top * 10000, out=quads[j])
+        n = top
+    return n
+
+
+def _field(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the %.17g text of each element of x, a separator and zero
+    bytes in place of the columns it leaves out, into its row of ``out``
+    (rows x 6 words)."""
+    _, words, zeros, bases, masks = _tables()
     a = np.abs(x)
     fast = (a >= 1.0 / _LIMIT) & (a <= _LIMIT)
     a[~fast] = 1.0
@@ -165,52 +203,26 @@ def _field(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
     digits[~fast] = 10 ** 16
     e10[~fast] = 0
 
-    # 17 digit characters: the leading digit, then four groups of four
-    top, low8 = np.divmod(digits, 10 ** 8)
-    lead, high8 = np.divmod(top, 10 ** 8)
-    quads = np.empty((len(x), 4), np.int64)
-    np.divmod(high8, 10 ** 4, out=(quads[:, 0], quads[:, 1]))
-    np.divmod(low8, 10 ** 4, out=(quads[:, 2], quads[:, 3]))
-    text = np.empty((len(x), 17), np.uint8)
-    text[:, 0] = lead + 48
-    text[:, 1:] = groups[quads].view(np.uint8)
-    last = 16 - (text[:, ::-1] != 48).argmax(axis=1)
-
-    chars[:] = _TEMPLATE
-    chars[:, _DIGITS:_EXP:2] = text
-    chars[:, _EXP + 1:_SEP] = exps[e10 + _S_MAX, None].view(np.uint8)
-    cls = np.where((e10 >= _FIXED_LO) & (e10 <= _FIXED_HI), e10 - _FIXED_LO,
-                   np.where(np.abs(e10) < 100, _SCI2, _SCI3))
-    keep[:] = np.take(masks, (cls * 17 + last) * 2 + (x < 0), axis=0)
+    # the words of a field: its leading digit, four groups of four digits
+    # and its exponent
+    index = np.empty((6, len(x)), np.intp)
+    index[0] = _split(digits, index[1:5]) + _FIRSTS
+    e = e10 + _S_MAX
+    np.add(e, _LASTS, out=index[5])
+    # the last nonzero digit is in the lowest nonzero group
+    tail = zeros[index[4]]
+    short = np.flatnonzero(tail == 4)
+    for j in (3, 2, 1):
+        more = zeros[index[j, short]]
+        tail[short] += more
+        short = short[more == 4]
+    text = np.take(masks, bases[e] + 32 - 2 * tail + (x < 0), axis=1)
+    text &= np.take(words, index)
 
     for i in np.flatnonzero(~fast).tolist():
-        slow = _percent(float(x[i]))
-        chars[i, :len(slow)] = np.frombuffer(slow, np.uint8)
-        keep[i, :_SEP] = False
-        keep[i, :len(slow)] = True
-
-
-def _block(columns, first) -> np.ndarray:
-    """The text of the rows of one block: ``first`` + row number when
-    ``first`` is not None, then each column's field."""
-    rows = len(columns[0])
-    width = 0 if first is None else len(str(first + rows - 1))
-    lead = 0 if first is None else width + 1
-    chars = np.empty((rows, lead + _FIELD * len(columns)), np.uint8)
-    keep = np.empty(chars.shape, bool)
-    if first is not None:
-        numbers = np.arange(first, first + rows)[:, None]
-        place = 10 ** np.arange(width - 1, -1, -1)
-        chars[:, :width] = numbers // place % 10 + 48
-        keep[:, :width] = numbers >= place
-        keep[:, width - 1] = True
-        chars[:, width] = ord(",")
-        keep[:, width] = True
-    for k, x in enumerate(columns):
-        cut = slice(lead + k * _FIELD, lead + (k + 1) * _FIELD)
-        _field(x, chars[:, cut], keep[:, cut])
-    chars[:, -1] = ord("\n")
-    return np.compress(keep.ravel(), chars.ravel())
+        slow = _percent(float(x[i])).ljust(_SEP, b"\0") + b",\0\0"
+        text[:, i] = np.frombuffer(slow, np.uint64)
+    out[:] = text.T
 
 
 def write_rows(file, columns, first: int | None = None) -> None:
@@ -219,10 +231,36 @@ def write_rows(file, columns, first: int | None = None) -> None:
     row is its number counted from ``first`` (left out when None), then
     ``"%.17g" % x`` of each column's element, comma-separated."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cut = slice(start, start + _BLOCK_ROWS)
-        file.write(_block([c[cut] for c in columns],
-                          None if first is None else first + start))
+    n = len(columns[0])
+    if n == 0:
+        return
+    size = min(n, _BLOCK_ROWS)
+    # the row number in whole 4-digit groups, then a comma, in whole words
+    width = 0 if first is None else 4 * -(-len(str(first + n - 1)) // 4)
+    lead = -(-(width + int(first is not None)) // 8)
+    text = bytearray(size * 8 * (lead + 6 * len(columns)))
+    block = np.frombuffer(text, np.uint64).reshape(size, -1)
+    chars = block.view(np.uint8)
+    fields = block[:, lead:].reshape(size, len(columns), 6)
+    if first is not None:
+        groups = _tables()[0]
+        numbers = block.view(np.uint32)
+        quads = np.empty((width // 4, size), np.int64)
+        chars[:, width] = ord(",")
+    for start in range(0, n, size):
+        rows = min(size, n - start)
+        if first is not None:
+            row = first + start
+            _split(np.arange(row, row + rows), quads[:, :rows])
+            for j, quad in enumerate(quads[:, :rows]):
+                numbers[:rows, j] = groups[quad]
+            for d in range(2, width + 1):  # rows below 10**(d-1) drop digit d
+                chars[:min(rows, max(0, 10 ** (d - 1) - row)), width - d] = 0
+        for k, x in enumerate(columns):
+            _field(x[start:start + rows], fields[:rows, k])
+        chars[:rows, -3] = ord("\n")  # the last field's separator
+        block[rows:] = 0  # past the last block's rows: deleted with the zeros
+        file.write(text.translate(None, b"\0"))
 
 
 def csv_text(header: str, columns, first: int | None = None) -> str:

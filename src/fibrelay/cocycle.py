@@ -40,8 +40,9 @@ Every-node records come out one chunk at a time (``_records``), and
 ``_columns`` derives the five trajectory columns from each chunk.  Two
 consumers read them: ``_trajectories`` (``run_trajectory`` and ``verify``)
 fills whole arrays, and ``_write_trajectories`` (``simulate``) appends each
-chunk's CSV rows to the files as they come, so a written range of
-trajectories holds one chunk in memory whatever its length.
+chunk's CSV rows to the files as they come, deriving the columns one CSV
+block at a time, so a written range of trajectories holds one chunk of
+records in memory whatever its length.
 """
 from __future__ import annotations
 
@@ -268,9 +269,30 @@ class _Walk:
             if self.kind == NOISE:
                 lanes *= lanes
             K2, K1 = lanes
-            logs = self._advance_blocked(K2, K1, k, reads, out)
+            try:
+                logs = self._advance_blocked(K2, K1, k, reads, out)
+            except NumericalError as exc:
+                # the noise kind's lanes are squared; the signal walk of
+                # the same chunk reads them first
+                if self.kind != NOISE:
+                    raise self._hop_error(lanes) or exc from None
+                raise
         self.node += k
         return logs
+
+    def _hop_error(self, lanes):
+        """The error naming the first node of the chunk with a hop
+        coefficient that is not finite, or None when all are finite."""
+        L, C = lanes.shape[1], self.vec.shape[1]
+        # column x lane x step within the lane, in step order per column
+        bad = ~np.isfinite(lanes).all(axis=0).reshape(L, C, -1).transpose(1, 2, 0)
+        steps = np.flatnonzero(bad.reshape(C, -1).any(axis=0))
+        if steps.size:
+            return NumericalError(
+                f"a hop coefficient (magnitude * gain) into node {self.node + 1 + steps[0]} "
+                "is not finite: the model's scale or the gain left double range; change "
+                "the coefficient scale (model or gain)")
+        return None
 
     def _sweep(self, S, K2, K1, visit=None, renorm_last=False):
         """Push lane states through the steps K2[t], K1[t], t = 0..L-1.
@@ -508,14 +530,17 @@ def _write_trajectories(config: NetworkConfig, stream_ids, renorm_period: int,
     stream id to its file in ``paths``, all replicas run in one engine pass
     and each chunk's rows appended as soon as it is run, so memory is
     bounded by the chunk whatever the chain length."""
-    from ._csv import write_rows  # loaded with the first file written
+    from . import _csv  # loaded with the first file written
     for start, log_i, log_n2 in _records(config, stream_ids, renorm_period):
         for path, *logs in zip(paths, log_i, log_n2):
             # one file open at a time: a pass may run thousands of replicas
             with open(path, "ab" if start > 1 else "wb") as file:
                 if start == 1:
                     file.write(CSV_HEADER.encode("ascii") + b"\n")
-                write_rows(file, _columns(*logs), start)
+                # the columns of one CSV block at a time
+                for cut in range(0, len(logs[0]), _csv._BLOCK_ROWS):
+                    rows = slice(cut, cut + _csv._BLOCK_ROWS)
+                    _csv.write_rows(file, _columns(*(v[rows] for v in logs)), start + cut)
         del log_i, log_n2, logs  # as in _records
 
 

@@ -23,6 +23,7 @@ from fibrelay import (
     Deterministic,
     LogNormal,
     NetworkConfig,
+    NumericalError,
     PerNodeGain,
     Rayleigh,
     RngStream,
@@ -321,10 +322,14 @@ def test_calibration_draws_each_stream_three_times(passes):
 _OVERFLOW = ("error: non-finite signal cocycle state between nodes 1 and {}: values "
              "left double range between renormalizations; renorm_period is already 1; "
              "change the coefficient scale (model or gain)")
+_HOP = ("error: a hop coefficient (magnitude * gain) into node {} is not finite: the "
+        "model's scale or the gain left double range; change the coefficient scale "
+        "(model or gain)")
 
 
 @pytest.mark.parametrize("model,g_init,flags,rc,message", [
-    ("rayleigh:mu=1.0", "1e308", (), 3, _OVERFLOW.format(2000)),
+    # magnitudes above 1.8 times the gain 1e308 are infinite when drawn
+    ("rayleigh:mu=1.0", "1e308", (), 3, _HOP.format(2)),
     ("rayleigh:mu=1.0", "5e-324", (), 3, SOURCE_HOP_ERROR),
     ("deterministic:c=1", "5e-324", (), 3, _OVERFLOW.format(100)),
     ("deterministic:c=1", "1e308", (),
@@ -339,3 +344,18 @@ def test_extreme_g_init_keeps_exit_and_message(model, g_init, flags, rc, message
     assert main(["calibrate", "--model", model, "--g-init", g_init, "--n", "2000",
                  "--replicas", "4", *flags]) == rc
     assert capsys.readouterr().err.strip().splitlines() == [message]
+
+
+@pytest.mark.parametrize("chunk_steps", [50, 1 << 19])
+def test_infinite_hop_names_its_first_node(chunk_steps, monkeypatch):
+    """The coefficient 1e300 times the gain 1e10 of nodes 777 and 900 is
+    infinite, in the second of two gain policies: the error names node 777,
+    in one chunk or in the sixteenth chunk of 50 steps."""
+    monkeypatch.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
+    gains = [1.0] * 1000
+    gains[776] = gains[899] = 1e10
+    policies = (ConstantGain(1.0), PerNodeGain(tuple(gains)))
+    with pytest.raises(NumericalError, match=r"^a hop coefficient \(magnitude \* gain\) "
+                       r"into node 777 is not finite"):
+        logs_at(SIGNAL, Deterministic(1e300), policies,
+                [RngStream(SEED, sid) for sid in range(3)], [1000])

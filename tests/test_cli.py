@@ -359,8 +359,7 @@ class TestCommands:
 
     def test_rayleigh_run_leaves_scipy_unimported(self):
         """scipy serves only the lognormal model and is imported on its
-        first draw; the process pool modules load only when a run fans out
-        to more than one worker."""
+        first draw; no run loads the process pool modules."""
         code = ("import sys, fibrelay.cli\n"
                 "rc = fibrelay.cli.main(['lyapunov', '--model', 'rayleigh:mu=1', "
                 "'--n', '1000', '--replicas', '2'])\n"
@@ -514,6 +513,24 @@ _, status, usage = os.wait4(pid, 0)
 print(status, usage.ru_maxrss)
 """
 
+# Run the engine passes of one simulate trajectory (Rayleigh, gain 0.6)
+# without writing it, in a child forked like ``_PEAK_RSS``.  argv: chunk
+# steps, chain length.
+_ENGINE_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    import fibrelay.cli  # the modules a CLI run holds
+    from fibrelay import ConstantGain, NetworkConfig, Rayleigh, cocycle
+    cocycle._CHUNK_STEPS = int(sys.argv[1])
+    config = NetworkConfig(Rayleigh(1.0), ConstantGain(0.6), n_nodes=int(sys.argv[2]))
+    for _ in cocycle._records(config, range(1), 1):
+        pass
+    os._exit(0)
+_, status, usage = os.wait4(pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
 # Run the CLI (argv) with at most 64 open files.
 _NOFILE = """
 import resource, sys
@@ -622,6 +639,25 @@ class TestStreamedOutput:
                 assert status == 0, out.stderr
                 peaks.append(peak_kb / 1024)
             assert abs(peaks[1] - peaks[0]) < 10.0, (trajectories, peaks)
+
+    def test_writing_holds_no_more_than_the_engine(self, tmp_path):
+        """simulate derives a chunk's five columns one CSV block at a time:
+        writing a 2^19-node chunk raises its own peak RSS less than 4 MB
+        above that of the engine pass that made the records (it was 13 MB
+        when the chunk's columns were derived at once)."""
+        n, chunk = str((1 << 19) + 1), str(1 << 19)
+        peaks = {}
+        for name, argv in [
+                ("engine", [_ENGINE_PEAK_RSS, chunk, n]),
+                ("simulate", [_PEAK_RSS, chunk, "simulate", "--model", "rayleigh:mu=1.0",
+                              "--gain", "0.6", "--n", n, "--trajectories", "1",
+                              "--workers", "1", "--output-dir", str(tmp_path)])]:
+            out = subprocess.run([sys.executable, "-c", *argv], capture_output=True,
+                                 text=True, check=True, env=child_env())
+            status, peak_kb = map(int, out.stdout.splitlines()[-1].split())
+            assert status == 0, out.stderr
+            peaks[name] = peak_kb / 1024
+        assert peaks["simulate"] - peaks["engine"] < 4.0, peaks
 
     def test_open_files_bounded(self, tmp_path):
         """One engine call runs all 200 short trajectories, yet simulate
@@ -760,6 +796,25 @@ class TestNumericalFailures:
         rc, err = self._run(args, tmp_path, capsys)
         assert rc == 3
         assert err.splitlines() == [SOURCE_HOP_ERROR]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args,node", [
+        # streams 0 and 1 of seed 6 first draw a magnitude above 1.8 (times
+        # 1e308, infinite) for nodes 17 and 7
+        (["lyapunov", "--model", "rayleigh:mu=1e308", "--n", "1000", "--replicas", "2"], 7),
+        # the first engine call runs trajectory 0 alone
+        (["simulate", "--model", "rayleigh:mu=1e308", "--n", "1000", "--trajectories", "3",
+          "--workers", "2"], 17),
+    ], ids=("lyapunov", "simulate-workers-2"))
+    def test_infinite_hop_coefficient_names_its_node(self, args, node, tmp_path, capsys):
+        """A hop coefficient infinite when drawn is named by its node, with
+        no renorm_period advice."""
+        rc, err = self._run(args + ["--seed", "6"], tmp_path, capsys)
+        assert rc == 3
+        assert err.splitlines() == [
+            f"error: a hop coefficient (magnitude * gain) into node {node} is not finite: "
+            "the model's scale or the gain left double range; change the coefficient "
+            "scale (model or gain)"]
         assert not list(tmp_path.iterdir())
 
     def test_overflowing_transform_warns_nothing(self, tmp_path, capsys):

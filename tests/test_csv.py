@@ -142,3 +142,45 @@ class TestRows:
         want = "".join("%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (i, *row)
                        for i, row in enumerate(cols.T.tolist(), 1))
         assert traj.to_csv() == CSV_HEADER + "\n" + want
+
+
+class TestBlockReuse:
+    """``write_rows`` formats every block of a call in one buffer: nothing
+    of a block may show in the next."""
+
+    def _rows(self, columns, first):
+        columns = np.asarray(columns, dtype=float)
+        number = "" if first is None else "%d,"
+        return "".join((number + ",".join(["%.17g"] * len(columns)) + "\n")
+                       % ((() if first is None else (first + i,)) + tuple(row))
+                       for i, row in enumerate(columns.T.tolist()))
+
+    @pytest.mark.parametrize("slow", [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 5e-324])
+    def test_fallback_field_then_fast_field(self, slow):
+        """A fallback field in block 1 and a fast field at the same row and
+        column of block 2, and the other way round."""
+        rng = np.random.default_rng(5)
+        columns = rng.standard_normal((3, 2 * BLOCK)) * 1e3
+        columns[1, 17] = slow
+        columns[2, BLOCK + 42] = slow
+        for first in (None, 1):
+            want = self._rows(columns, first)
+            assert csv_text("h", columns, first) == "h\n" + want
+
+    @pytest.mark.parametrize("first", [9990, BLOCK - 5, 10000 - BLOCK, 99999990])
+    def test_row_number_width_grows_in_one_call(self, first):
+        """Row numbers gain a digit inside one call: away from a block edge
+        (from 9990 and 8187), at one (10000 starts the second block) and
+        into a third group of four digits (from 99999990)."""
+        columns = np.linspace(-1.0, 1.0, 2 * BLOCK + 3)[None, :] * 123.456
+        assert csv_text("h", columns, first) == "h\n" + self._rows(columns, first)
+
+    @pytest.mark.parametrize("first", [None, 0, 1])
+    @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 777])
+    def test_last_block_shorter_than_the_first(self, first, n):
+        """The last block's rows are all written and nothing of the rows
+        past them in the buffer is."""
+        rng = np.random.default_rng(n)
+        columns = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-30, 30, (4, n))
+        columns[:, -1] = [0.5, -0.0, np.nan, 1e-300]
+        assert csv_text("h", columns, first) == "h\n" + self._rows(columns, first)
