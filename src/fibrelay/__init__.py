@@ -9,6 +9,14 @@ calibrates the amplification gain to the zero-growth operating point.
 
 __version__ = "0.1.0"
 
+import os
+
+# before numpy loads: its OpenBLAS starts a pool of one worker thread per
+# further core, and the idle pool busy-waits (about 0.1 s of CPU per
+# command on two cores).  The package makes no BLAS call, so the pool only
+# spins.  A value already set is kept; scipy's own OpenBLAS reads it too
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # cocycle first: it is the largest module, and when it is compiled from
 # source (no bytecode cache) its parse tree is the biggest transient of the
 # import; compiled before numpy loads, it does not raise peak memory.  scipy

@@ -26,15 +26,12 @@ decisions, and ``evaluations`` counts the gains it read.  Doubling
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .coeffs import CoefficientModel, ConstantGain
 from .errors import ConfigError, NumericalError, UnbracketableError, ValidationOnlyModelError
 from .lyapunov import Z95, LyapunovEstimate, estimate_lambda, estimate_lambdas
-
-logger = logging.getLogger("fibrelay")
 
 _MASK64 = (1 << 64) - 1
 # growth-rate evaluations of one calibration, the confirmation run excluded
@@ -189,9 +186,10 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
         ci_width = est.ci95_hi - est.ci95_lo
         resolution = rate(g_hi).lambda_hat - rate(g_lo).lambda_hat
         if ci_width > resolution and steps < steps_cap:
-            logger.info("calibration: CI width %.3g exceeds bracket resolution "
-                        "%.3g; doubling n_steps to %d", ci_width, resolution,
-                        steps * 2)
+            import logging  # loaded only on this branch, the package's one log call
+            logging.getLogger("fibrelay").info(
+                "calibration: CI width %.3g exceeds bracket resolution %.3g; "
+                "doubling n_steps to %d", ci_width, resolution, steps * 2)
             steps *= 2
             cache.clear()
             read.clear()

@@ -5,7 +5,8 @@ Subcommands: lyapunov, simulate, calibrate, verify, sweep.  Besides
 ``config.KEYS``.  Exit codes: 0 success, 1 verify verdict failure, 2 usage
 or configuration error (naming the bad key or path), 3 numerical failure
 (unbracketable calibration, non-convergence, or a recursion state that
-left double range).
+left double range), 4 a worker process ended without returning its
+results.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_WORKER = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,6 +241,9 @@ def main(argv=None) -> int:
     except (UnbracketableError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ChildProcessError as exc:  # a dead worker; nothing in the command was wrong
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except (ValueError, OSError) as exc:  # ConfigError, domain errors and bad paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,8 +38,9 @@ count; ``_BATCH_STEPS`` caps the column-steps of one call.
 
 Every-node records come out one chunk at a time (``_records``), and
 ``_columns`` derives the five trajectory columns from each chunk.  Two
-consumers read them: ``_trajectories`` (``run_trajectory`` and ``verify``)
-fills whole arrays, and ``_write_trajectories`` (``simulate``) appends each
+consumers read them: ``_node_logs`` fills whole arrays (``_trajectories``
+derives every column from them for ``run_trajectory``, ``verify`` only the
+columns it reads), and ``_write_trajectories`` (``simulate``) appends each
 chunk's CSV rows to the files as they come, deriving the columns one CSV
 block at a time, so a written range of trajectories holds one chunk of
 records in memory whatever its length.
@@ -272,26 +273,26 @@ class _Walk:
             try:
                 logs = self._advance_blocked(K2, K1, k, reads, out)
             except NumericalError as exc:
-                # the noise kind's lanes are squared; the signal walk of
-                # the same chunk reads them first
-                if self.kind != NOISE:
-                    raise self._hop_error(lanes) or exc from None
-                raise
+                raise self._hop_error(lanes) or exc from None
         self.node += k
         return logs
 
     def _hop_error(self, lanes):
         """The error naming the first node of the chunk with a hop
-        coefficient that is not finite, or None when all are finite."""
+        coefficient that is not finite (for the noise kind, whose lanes are
+        squared, one that is infinite or whose square overflows), or None
+        when all are finite."""
         L, C = lanes.shape[1], self.vec.shape[1]
         # column x lane x step within the lane, in step order per column
         bad = ~np.isfinite(lanes).all(axis=0).reshape(L, C, -1).transpose(1, 2, 0)
         steps = np.flatnonzero(bad.reshape(C, -1).any(axis=0))
         if steps.size:
+            what = ("or its square (the noise recursion's coefficient) "
+                    if self.kind == NOISE else "")
             return NumericalError(
                 f"a hop coefficient (magnitude * gain) into node {self.node + 1 + steps[0]} "
-                "is not finite: the model's scale or the gain left double range; change "
-                "the coefficient scale (model or gain)")
+                f"{what}is not finite: the model's scale or the gain left double range; "
+                "change the coefficient scale (model or gain)")
         return None
 
     def _sweep(self, S, K2, K1, visit=None, renorm_last=False):
@@ -512,15 +513,22 @@ def _columns(log_i, log_n2) -> tuple:
             metrics.transmit_power_log(log_i_sq, log_n2))
 
 
-def _trajectories(config: NetworkConfig, stream_ids, renorm_period: int = 1):
-    """Yield ``run_trajectory(config, sid, renorm_period)`` for each stream
-    id, all replicas run in one engine pass."""
+def _node_logs(config: NetworkConfig, stream_ids, renorm_period: int = 1) -> tuple:
+    """(log signal, log noise power) of each stream id at nodes
+    1..n_nodes, as replicas x nodes arrays, all replicas run in one engine
+    pass."""
     log_i = np.empty((len(stream_ids), config.n_nodes))
     log_n2 = np.empty((len(stream_ids), config.n_nodes))
     for start, *logs in _records(config, stream_ids, renorm_period):
         nodes = slice(start - 1, start - 1 + logs[0].shape[1])
         log_i[:, nodes], log_n2[:, nodes] = logs
-    for sid, *logs in zip(stream_ids, log_i, log_n2):
+    return log_i, log_n2
+
+
+def _trajectories(config: NetworkConfig, stream_ids, renorm_period: int = 1):
+    """Yield ``run_trajectory(config, sid, renorm_period)`` for each stream
+    id, all replicas run in one engine pass."""
+    for sid, *logs in zip(stream_ids, *_node_logs(config, stream_ids, renorm_period)):
         yield Trajectory(*_columns(*logs), config=config, stream_id=sid)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metrics
 from ._parallel import map_ordered
-from .cocycle import NetworkConfig, _calls, _trajectories
+from .cocycle import NetworkConfig, _calls, _node_logs
 from .errors import ConfigError
 from .lyapunov import (
     DEFAULT_BURN_IN,
@@ -140,8 +140,8 @@ class LawReport:
 
 def _capacity_series(payload):
     config, sids, period = payload
-    return [metrics.log_capacity_nats(traj.log_snr)
-            for traj in _trajectories(config, sids, period)]
+    return [metrics.log_capacity_nats(metrics.snr_log(2.0 * log_i, log_n2))
+            for log_i, log_n2 in zip(*_node_logs(config, sids, period))]
 
 
 def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: int,
@@ -161,15 +161,18 @@ def _verify_replicas(payload):
     contiguous range, from one trajectory each."""
     config, sids, burn, period = payload
     out = []
-    for traj in _trajectories(config, sids, period):
+    # only the trajectory columns the fits read, from the same engine pass
+    for log_i, log_n2 in zip(*_node_logs(config, sids, period)):
+        log_i_sq = 2.0 * log_i
         # the growth-rate estimator's replica value at its default burn-in
         # (log_i_sq is twice the log of the signal magnitude)
-        rise = traj.log_i_sq[-1] - traj.log_i_sq[DEFAULT_BURN_IN - 1]
+        rise = log_i_sq[-1] - log_i_sq[DEFAULT_BURN_IN - 1]
         lam = 0.5 * rise / (config.n_nodes - DEFAULT_BURN_IN)
         # log of the capacity via the log-domain helper: the raw capacity
         # column underflows once the SNR exponent is strongly negative
-        capacity = slope_estimate(metrics.log_capacity_nats(traj.log_snr), burn)
-        power = slope_estimate(traj.log_x_sq, burn)
+        log_snr = metrics.snr_log(log_i_sq, log_n2)
+        capacity = slope_estimate(metrics.log_capacity_nats(log_snr), burn)
+        power = slope_estimate(metrics.transmit_power_log(log_i_sq, log_n2), burn)
         out.append((float(lam), capacity, power))
     return out
 

@@ -36,7 +36,7 @@ from fibrelay import (
 )
 from fibrelay import cocycle
 from fibrelay.cli import main
-from fibrelay.cocycle import SIGNAL, SIGNED, _block_length, logs_at
+from fibrelay.cocycle import NOISE, SIGNAL, SIGNED, _block_length, logs_at
 from fibrelay.coeffs import hop_magnitude_chunks
 
 from conftest import SEED, SOURCE_HOP_ERROR, mp_oracle_logs
@@ -346,16 +346,45 @@ def test_extreme_g_init_keeps_exit_and_message(model, g_init, flags, rc, message
     assert capsys.readouterr().err.strip().splitlines() == [message]
 
 
+def _hop_policies(gain: float) -> tuple:
+    """Two gain policies over 1000 nodes, the second with ``gain`` at
+    nodes 777 and 900."""
+    gains = [1.0] * 1000
+    gains[776] = gains[899] = gain
+    return ConstantGain(1.0), PerNodeGain(tuple(gains))
+
+
 @pytest.mark.parametrize("chunk_steps", [50, 1 << 19])
 def test_infinite_hop_names_its_first_node(chunk_steps, monkeypatch):
     """The coefficient 1e300 times the gain 1e10 of nodes 777 and 900 is
     infinite, in the second of two gain policies: the error names node 777,
     in one chunk or in the sixteenth chunk of 50 steps."""
     monkeypatch.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
-    gains = [1.0] * 1000
-    gains[776] = gains[899] = 1e10
-    policies = (ConstantGain(1.0), PerNodeGain(tuple(gains)))
     with pytest.raises(NumericalError, match=r"^a hop coefficient \(magnitude \* gain\) "
                        r"into node 777 is not finite"):
-        logs_at(SIGNAL, Deterministic(1e300), policies,
+        logs_at(SIGNAL, Deterministic(1e300), _hop_policies(1e10),
                 [RngStream(SEED, sid) for sid in range(3)], [1000])
+
+
+@pytest.mark.parametrize("gain", [1e160, 1e10], ids=("infinite", "square-overflows"))
+@pytest.mark.parametrize("chunk_steps", [50, 1 << 19])
+def test_noise_hop_names_its_first_node(chunk_steps, gain, monkeypatch):
+    """The noise walk squares its lanes: the coefficient 1e150 times the
+    gain of nodes 777 and 900 is infinite (gain 1e160) or finite with an
+    infinite square (gain 1e10), and the error names node 777 and both
+    causes."""
+    monkeypatch.setattr(cocycle, "_CHUNK_STEPS", chunk_steps)
+    with pytest.raises(NumericalError, match=r"^a hop coefficient \(magnitude \* gain\) "
+                       r"into node 777 or its square \(.*\) is not finite"):
+        logs_at(NOISE, Deterministic(1e150), _hop_policies(gain),
+                [RngStream(SEED, sid) for sid in range(3)], [1000])
+
+
+def test_noise_exponent_names_the_bad_hop():
+    """The noise exponent alone runs no signal walk: a Rayleigh scale of
+    1e308 gives coefficients that are infinite or square to infinity, and
+    the error names the first such node, 7, rather than renormalization."""
+    cfg = NetworkConfig(Rayleigh(1e308), ConstantGain(1.0), master_seed=6)
+    with pytest.raises(NumericalError, match=r"^a hop coefficient \(magnitude \* gain\) "
+                       r"into node 7 or its square"):
+        estimate_noise_exponent(cfg, 1000, 2)

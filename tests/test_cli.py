@@ -359,16 +359,40 @@ class TestCommands:
 
     def test_rayleigh_run_leaves_scipy_unimported(self):
         """scipy serves only the lognormal model and is imported on its
-        first draw; no run loads the process pool modules."""
+        first draw; no run loads the process pool modules, and logging
+        loads only where calibration doubles n_steps."""
         code = ("import sys, fibrelay.cli\n"
                 "rc = fibrelay.cli.main(['lyapunov', '--model', 'rayleigh:mu=1', "
                 "'--n', '1000', '--replicas', '2'])\n"
                 "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in "
-                "('scipy', 'multiprocessing', 'concurrent')))")
+                "('scipy', 'multiprocessing', 'concurrent', 'logging')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=child_env())
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("preset", [None, "2"], ids=("unset", "preset"))
+    def test_blas_starts_with_one_thread(self, preset):
+        """Importing the package sets OPENBLAS_NUM_THREADS to 1 before
+        numpy loads, unless it is already set: the package makes no BLAS
+        call, and OpenBLAS's idle pool only spins.  Left unset, the process
+        then runs one OS thread."""
+        env = child_env()
+        # this process imported the package, which set the variable
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os, fibrelay.cli\n"
+                "tasks = '/proc/self/task'\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                "len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert out.returncode == 0, out.stderr
+        value, threads = out.stdout.split()
+        assert value == (preset or "1")
+        if preset is None:
+            assert threads == "1"
 
     def test_import_adds_no_log_handler_or_csv_writer(self):
         """Importing the package leaves logging to the importing program;
@@ -763,20 +787,22 @@ class TestNumericalFailures:
             else:
                 assert math.isfinite(json.loads(path.read_text())["lambda_hat"])
 
-    @pytest.mark.parametrize("args", [
+    @pytest.mark.parametrize("args,cause", [
         # a coefficient of 1e300 overflows within three unrenormalized steps
-        ["lyapunov", "--model", "deterministic:c=1e300", "--n", "2000",
-         "--replicas", "1", "--renorm-period", "3"],
-        # a coefficient of 1e200 squares to inf in the noise cocycle
-        ["simulate", "--model", "deterministic:c=1e200", "--n", "50"],
+        (["lyapunov", "--model", "deterministic:c=1e300", "--n", "2000",
+          "--replicas", "1", "--renorm-period", "3"], "renorm_period"),
+        # a coefficient of 1e200 squares to inf in the noise cocycle, from
+        # the first hop on
+        (["simulate", "--model", "deterministic:c=1e200", "--n", "50"],
+         "into node 2 or its square"),
         # every worker fails after opening its part file
-        ["simulate", "--model", "deterministic:c=1e200", "--n", "50", "--trajectories", "3",
-         "--workers", "2"],
+        (["simulate", "--model", "deterministic:c=1e200", "--n", "50", "--trajectories", "3",
+          "--workers", "2"], "into node 2 or its square"),
     ], ids=("lyapunov", "simulate", "simulate-workers-2"))
-    def test_forced_overflow_exits_3(self, args, tmp_path, capsys):
+    def test_forced_overflow_exits_3(self, args, cause, tmp_path, capsys):
         rc, err = self._run(args, tmp_path, capsys)
         assert rc == 3
-        assert err.startswith("error:") and "renorm_period" in err
+        assert err.startswith("error:") and cause in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [

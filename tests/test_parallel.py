@@ -94,8 +94,8 @@ class TestCommands:
     @pytest.mark.parametrize("how,status", [("exit", "exit code 9"),
                                             ("kill", "killed by signal 9")])
     def test_dead_simulate_worker(self, how, status, tmp_path, monkeypatch, capsys):
-        """A simulate worker that dies is one error line, exit 2 (an
-        OSError), and no file; the caller's own stripe ran to the end."""
+        """A simulate worker that dies is one error line, exit 4, and no
+        file; the caller's own stripe ran to the end."""
         worker = cli._simulate_worker
         dies = _dies(how)
         monkeypatch.setattr(cli, "_simulate_worker",
@@ -103,7 +103,7 @@ class TestCommands:
         rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--n", "200",
                    "--trajectories", "4", "--workers", "2", "--output-dir", str(tmp_path)])
         out, err = capsys.readouterr()
-        assert rc == 2 and out == ""
+        assert rc == 4 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: worker process") and status in err
         assert not list(tmp_path.iterdir())
@@ -118,7 +118,7 @@ class TestCommands:
         rc = main(["lyapunov", "--model", "rayleigh:mu=1.0", "--n", "1000",
                    "--replicas", "4", "--workers", "2"])
         out, err = capsys.readouterr()
-        assert rc == 2 and out == ""
+        assert rc == 4 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: worker process") and "exit code 9" in err
         _assert_no_child_left()
