@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from ._parallel import map_ordered
 from .calibrate import find_zero_lyapunov_gain
 from .coeffs import ConstantGain
 from .cocycle import _calls, _write_trajectories
@@ -101,10 +102,6 @@ def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> 
     sys.stdout.write(stdout_text)
 
 
-def _simulate_worker(payload):
-    _write_trajectories(*payload)
-
-
 def cmd_lyapunov(params: RunParams, output_dir) -> int:
     """estimate the signal growth rate"""
     est = estimate_lambda(
@@ -122,16 +119,19 @@ def cmd_simulate(params: RunParams, output_dir) -> int:
     """write per-node trajectory CSVs"""
     if output_dir is None:
         raise ConfigError("simulate requires --output-dir")
-    from ._parallel import map_ordered
     config = params.network_config()
     outdir = Path(output_dir)
     names = [f"trajectory_{sid:03d}.csv" for sid in range(params.trajectories)]
-    # each worker writes the parts of one engine call's trajectories; the
-    # parent publishes them
-    payloads = [(config, sids, params.renorm_period, [_part(outdir, names[s]) for s in sids])
-                for _, sids in _calls(config.n_nodes, len(names), params.workers)]
+
+    def write(call):
+        # the parts of one engine call's trajectories; the parent publishes them
+        sids = call[1]
+        _write_trajectories(config, sids, params.renorm_period,
+                            [_part(outdir, names[s]) for s in sids])
+
     try:
-        map_ordered(_simulate_worker, payloads, params.workers)
+        map_ordered(write, _calls(config.n_nodes, len(names), params.workers),
+                    params.workers)
     except BaseException:
         _discard(outdir, names)
         raise

@@ -38,12 +38,12 @@ count; ``_BATCH_STEPS`` caps the column-steps of one call.
 
 Every-node records come out one chunk at a time (``_records``), and
 ``_columns`` derives the five trajectory columns from each chunk.  Two
-consumers read them: ``_node_logs`` fills whole arrays (``_trajectories``
-derives every column from them for ``run_trajectory``, ``verify`` only the
-columns it reads), and ``_write_trajectories`` (``simulate``) appends each
-chunk's CSV rows to the files as they come, deriving the columns one CSV
-block at a time, so a written range of trajectories holds one chunk of
-records in memory whatever its length.
+consumers read them: ``_node_logs``, the one reader of whole arrays
+(``run_trajectory`` derives every column from them, ``verify`` and the
+capacity ensemble only the columns they read), and ``_write_trajectories``
+(``simulate``), which appends each chunk's CSV rows to the files as they
+come, deriving the columns one CSV block at a time, so a written range of
+trajectories holds one chunk of records in memory whatever its length.
 """
 from __future__ import annotations
 
@@ -525,13 +525,6 @@ def _node_logs(config: NetworkConfig, stream_ids, renorm_period: int = 1) -> tup
     return log_i, log_n2
 
 
-def _trajectories(config: NetworkConfig, stream_ids, renorm_period: int = 1):
-    """Yield ``run_trajectory(config, sid, renorm_period)`` for each stream
-    id, all replicas run in one engine pass."""
-    for sid, *logs in zip(stream_ids, *_node_logs(config, stream_ids, renorm_period)):
-        yield Trajectory(*_columns(*logs), config=config, stream_id=sid)
-
-
 def _write_trajectories(config: NetworkConfig, stream_ids, renorm_period: int,
                         paths) -> None:
     """Write ``run_trajectory(config, sid, renorm_period).to_csv()`` of each
@@ -562,5 +555,5 @@ def run_trajectory(config: NetworkConfig, stream_id: int = 0,
     recursion), and fills every per-node column.  Deterministic given
     (config, stream_id); the engine's batch of one replica.
     """
-    [traj] = _trajectories(config, (stream_id,), renorm_period)
-    return traj
+    [log_i], [log_n2] = _node_logs(config, (stream_id,), renorm_period)
+    return Trajectory(*_columns(log_i, log_n2), config=config, stream_id=stream_id)

@@ -340,8 +340,11 @@ def _parse_kv(body: str, spec: str) -> dict:
         if "=" not in item:
             raise ConfigError(f"malformed model spec {spec!r}: expected key=value, got {item!r}")
         key, _, val = item.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"malformed model spec {spec!r}: parameter {key!r} repeated")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError:
             raise ConfigError(f"malformed model spec {spec!r}: {val!r} is not a number") from None
     return out

@@ -238,7 +238,9 @@ def resolve(command: str, file_values: dict | None = None,
             overrides: dict | None = None) -> RunParams:
     """Merge defaults, file values and flag overrides into RunParams.
 
-    Unknown keys and invalid values raise ConfigError naming the key.
+    Unknown keys and invalid values raise ConfigError naming the key; a
+    file value may not be None (JSON null), an override of None is a flag
+    not given.
     ``run.seed`` may be the string ``auto`` to draw a fresh seed from the
     OS; the drawn value is what gets recorded downstream.
     """
@@ -251,6 +253,8 @@ def resolve(command: str, file_values: dict | None = None,
                 raise ConfigError(f"unknown configuration key {key!r}")
             if value is not None:
                 merged[key] = value
+            elif source is file_values:
+                raise ConfigError(f"{key}: expected a value, got null")
     if "network.model" not in merged:
         raise ConfigError("network.model is required")
     if "network.gains" in merged and "network.gain" in merged:

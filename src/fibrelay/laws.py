@@ -57,13 +57,7 @@ class SlopeFit:
     burn_in: int
 
     def to_report(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "std_err": self.std_err,
-            "n_points": self.n_points,
-            "burn_in": self.burn_in,
-        }
+        return dataclasses.asdict(self)
 
 
 def _check_fit(n: int, burn_in: int) -> None:
@@ -138,28 +132,24 @@ class LawReport:
         }
 
 
-def _capacity_series(payload):
-    config, sids, period = payload
-    return [metrics.log_capacity_nats(metrics.snr_log(2.0 * log_i, log_n2))
-            for log_i, log_n2 in zip(*_node_logs(config, sids, period))]
-
-
 def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: int,
                                *, renorm_period: int = 1, workers: int = 1) -> np.ndarray:
     """Replicas-by-nodes matrix of log c_n, for band checks."""
     if n_replicas < 1:
         raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
     cfg = dataclasses.replace(config, n_nodes=int(n_steps))
-    payloads = [(cfg, sids, renorm_period)
-                for _, sids in _calls(cfg.n_nodes, n_replicas, workers)]
-    return np.vstack([s for part in map_ordered(_capacity_series, payloads, workers)
-                      for s in part])
+
+    def capacity(call):
+        log_i, log_n2 = _node_logs(cfg, call[1], renorm_period)
+        return metrics.log_capacity_nats(metrics.snr_log(2.0 * log_i, log_n2))
+
+    return np.vstack(map_ordered(capacity, _calls(cfg.n_nodes, n_replicas, workers),
+                                 workers))
 
 
-def _verify_replicas(payload):
+def _verify_replicas(config: NetworkConfig, sids, burn: int, period: int) -> list:
     """Growth-rate value and both slope fits of each replica in one
     contiguous range, from one trajectory each."""
-    config, sids, burn, period = payload
     out = []
     # only the trajectory columns the fits read, from the same engine pass
     for log_i, log_n2 in zip(*_node_logs(config, sids, period)):
@@ -222,10 +212,9 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
     cfg = dataclasses.replace(config, n_nodes=n_steps)
     burn = default_burn_in(n_steps) if burn_in is None else int(burn_in)
     _check_fit(n_steps, burn)
-    payloads = [(cfg, sids, burn, renorm_period)
-                for _, sids in _calls(n_steps, n_replicas, workers)]
-    values, capacity, power = zip(*(
-        r for part in map_ordered(_verify_replicas, payloads, workers) for r in part))
+    parts = map_ordered(lambda call: _verify_replicas(cfg, call[1], burn, renorm_period),
+                        _calls(n_steps, n_replicas, workers), workers)
+    values, capacity, power = zip(*(r for part in parts for r in part))
     lam = _reduce(values, n_steps, GROWTH_RATE)
     two_lam, two_se = 2.0 * lam.lambda_hat, 2.0 * lam.std_err
     common = (lam, burn, tolerance_sigma, slope_tol)

@@ -86,11 +86,6 @@ def _reduce(values, n_steps, kind) -> LyapunovEstimate:
     )
 
 
-# ---------------------------------------------------------------------------
-# the replica worker (module-level so it pickles for process pools)
-# ---------------------------------------------------------------------------
-
-
 def _check_counts(n_steps, n_replicas, what=GROWTH_RATE, minimum=MIN_GROWTH_STEPS):
     """The replica-count and run-length checks every estimator shares."""
     if n_replicas < 1:
@@ -99,30 +94,31 @@ def _check_counts(n_steps, n_replicas, what=GROWTH_RATE, minimum=MIN_GROWTH_STEP
         raise ConfigError(f"{what} needs n_steps >= {minimum}, got {n_steps}")
 
 
-def _rate_replicas(payload):
-    """Rates (log value[n] - log value[burn]) / (n - burn) of one
-    contiguous range of replicas under each of a few gain policies, run as
-    one engine batch; one list per policy.  Every read is finite: a
-    state that leaves double range raises NumericalError, and the signed
-    kind reads the state's norm, which is never zero."""
-    kind, model, gains, n, seed, sids, burn, i0, n0, period = payload
-    # burn_in = 0 is the bare formula (1/n) * log value[n], source factor kept
-    checkpoints = (n,) if burn == 0 else (burn, n)
-    logs = logs_at(kind, model, gains, [RngStream(seed, s) for s in sids], checkpoints,
-                   i0=i0, n0=n0, renorm_period=period)
-    rate = (logs[n] - (0.0 if burn == 0 else logs[burn])) / (n - burn)
-    return rate.reshape(len(gains), -1).tolist()
-
-
 def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kind,
               *, i0=1.0, n0=1.0, renorm_period=1, workers=1) -> list:
     """One estimate per gain policy in ``gains``, from one engine pass per
-    group of gains that fits the lane budget."""
+    group of gains that fits the lane budget.
+
+    A replica's value is (log value[n] - log value[burn]) / (n - burn).
+    Every read is finite: a state that leaves double range raises
+    NumericalError, and the signed kind reads the state's norm, which is
+    never zero.
+    """
+    # burn_in = 0 is the bare formula (1/n) * log value[n], source factor kept
+    checkpoints = (n_steps,) if burn == 0 else (burn, n_steps)
+
+    def rates(call):
+        """The rates of one call's replicas, one list per gain of the call."""
+        group, sids = call
+        logs = logs_at(kind, model, [gains[i] for i in group],
+                       [RngStream(seed, s) for s in sids], checkpoints,
+                       i0=i0, n0=n0, renorm_period=renorm_period)
+        rate = (logs[n_steps] - (0.0 if burn == 0 else logs[burn])) / (n_steps - burn)
+        return rate.reshape(len(group), -1).tolist()
+
     calls = _calls(n_steps, n_replicas, workers, len(gains))
-    payloads = [(kind, model, tuple(gains[i] for i in group), n_steps, seed, sids, burn,
-                 i0, n0, renorm_period) for group, sids in calls]
     values = [[] for _ in gains]
-    for (group, _), part in zip(calls, map_ordered(_rate_replicas, payloads, workers)):
+    for (group, _), part in zip(calls, map_ordered(rates, calls, workers)):
         for i, per_gain in zip(group, part):
             values[i] += per_gain
     return [_reduce(v, n_steps, estimator_kind) for v in values]

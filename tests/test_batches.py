@@ -5,9 +5,9 @@ The engine runs a contiguous range of replicas per call, under one or more
 gain policies (one column per replica and gain), within a budget of
 column-steps (``cocycle._BATCH_STEPS``).  These tests pin the per-replica
 values (compared as float hex, so bit for bit) of the signal, signed and
-noise checkpoint modes and of the verify records across batch sizes 1, 3
-and all replicas, across worker counts and under a budget smaller than
-the run; and the per-gain values of multi-gain runs against single-gain runs, the lane budget of wide sweeps,
+noise checkpoint modes and of the verify and capacity-ensemble records
+across batch sizes 1, 3 and all replicas, across worker counts and under a
+budget smaller than the run; and the per-gain values of multi-gain runs against single-gain runs, the lane budget of wide sweeps,
 and the draws a calibration makes.
 """
 import math
@@ -32,6 +32,7 @@ from fibrelay import (
     estimate_lambdas,
     estimate_noise_exponent,
     find_zero_lyapunov_gain,
+    simulate_capacity_ensemble,
     verify_laws,
 )
 from fibrelay import cocycle
@@ -69,7 +70,14 @@ def _verify(workers):
             + (cap.measured.intercept, pwr.measured.intercept))
 
 
-MODES = {"signal": _signal, "signed": _signed, "noise": _noise, "verify": _verify}
+def _ensemble(workers):
+    cfg = NetworkConfig(Rayleigh(1.0), ConstantGain(0.6), n0=0.7, i0=1.3,
+                        master_seed=SEED)
+    return simulate_capacity_ensemble(cfg, N, R, renorm_period=3, workers=workers).ravel()
+
+
+MODES = {"signal": _signal, "signed": _signed, "noise": _noise, "verify": _verify,
+         "ensemble": _ensemble}
 
 
 def _hex(values):

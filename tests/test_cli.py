@@ -432,8 +432,9 @@ class TestConfigValues:
         ("lyapunov", {"network": {"model": "rayleigh", "n0": True}}, "network.n0"),
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"burn_in": True}},
          "run.burn_in"),
+        ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"n": None}}, "run.n"),
     ], ids=("gains-list", "model-number", "grid-number", "grid-bool", "grid-nan",
-            "n0-bool", "burn-in-bool"))
+            "n0-bool", "burn-in-bool", "n-null"))
     def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
         rc, err = self._run(command, config, tmp_path, capsys)
         assert rc == 2

@@ -295,6 +295,8 @@ class TestSpecGrammar:
         "uniform:a=2,b=1",
         "deterministic:c=-1",
         "deterministic",
+        "rayleigh:mu=1,mu=2",
+        "lognormal:m=0,s=1,s=3",
     ])
     def test_malformed_model_specs(self, bad):
         with pytest.raises(ConfigError):
@@ -312,6 +314,8 @@ class TestSpecGrammar:
             parse_gains("pernode:h=1,2")
         with pytest.raises(ConfigError):
             parse_gains("constant:g=-1")
+        with pytest.raises(ConfigError, match="'g' repeated"):
+            parse_gains("constant:g=1,g=2")
 
 
 class TestGainPolicies:

@@ -27,7 +27,16 @@ from fibrelay import (
     run_trajectory,
 )
 from fibrelay import cocycle
-from fibrelay.cocycle import NOISE, SIGNAL, SIGNED, _block_length, _trajectories, logs_at
+from fibrelay.cocycle import (
+    NOISE,
+    SIGNAL,
+    SIGNED,
+    Trajectory,
+    _block_length,
+    _columns,
+    _node_logs,
+    logs_at,
+)
 
 from conftest import SEED, sequential_logs
 
@@ -168,8 +177,9 @@ class TestReplicaBatches:
         cfg = NetworkConfig(model, ConstantGain(g), n0=0.6, i0=1.7, n_nodes=n,
                             master_seed=SEED)
         sids = range(2, 2 + n_replicas)
-        got = _chunked(chunk_steps, lambda: list(_trajectories(cfg, sids, period)))
-        for traj, sid in zip(got, sids):
+        got = _chunked(chunk_steps, lambda: _node_logs(cfg, sids, period))
+        for sid, *logs in zip(sids, *got):
+            traj = Trajectory(*_columns(*logs), config=cfg, stream_id=sid)
             _check_records(traj, chain, sid)
 
 

@@ -96,10 +96,10 @@ class TestCommands:
     def test_dead_simulate_worker(self, how, status, tmp_path, monkeypatch, capsys):
         """A simulate worker that dies is one error line, exit 4, and no
         file; the caller's own stripe ran to the end."""
-        worker = cli._simulate_worker
+        write = cli._write_trajectories
         dies = _dies(how)
-        monkeypatch.setattr(cli, "_simulate_worker",
-                            lambda payload: dies(1) and worker(payload))
+        monkeypatch.setattr(cli, "_write_trajectories",
+                            lambda *args: dies(1) and write(*args))
         rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--n", "200",
                    "--trajectories", "4", "--workers", "2", "--output-dir", str(tmp_path)])
         out, err = capsys.readouterr()
@@ -111,10 +111,10 @@ class TestCommands:
 
     def test_dead_lyapunov_worker(self, monkeypatch, capsys):
         lyapunov = sys.modules["fibrelay.lyapunov"]
-        rate = lyapunov._rate_replicas
+        logs_at = lyapunov.logs_at
         dies = _dies("exit")
-        monkeypatch.setattr(lyapunov, "_rate_replicas",
-                            lambda payload: dies(1) and rate(payload))
+        monkeypatch.setattr(lyapunov, "logs_at",
+                            lambda *args, **kwargs: dies(1) and logs_at(*args, **kwargs))
         rc = main(["lyapunov", "--model", "rayleigh:mu=1.0", "--n", "1000",
                    "--replicas", "4", "--workers", "2"])
         out, err = capsys.readouterr()
