@@ -61,7 +61,6 @@ from .laws import (
 )
 from .lyapunov import (
     GROWTH_RATE,
-    TAIL_RATIO,
     LyapunovEstimate,
     estimate_lambda,
     estimate_lambdas,
@@ -82,7 +81,7 @@ __all__ = [
     "LawReport", "SlopeFit", "ThetaBandCheck", "check_theta_p",
     "default_burn_in", "simulate_capacity_ensemble", "slope_estimate",
     "verify_laws",
-    "GROWTH_RATE", "TAIL_RATIO", "LyapunovEstimate", "estimate_lambda",
+    "GROWTH_RATE", "LyapunovEstimate", "estimate_lambda",
     "estimate_lambdas", "estimate_noise_exponent", "lambda_deterministic_closed_form",
     "capacity_nats", "log_capacity_nats", "snr_log", "transmit_power_log",
 ]

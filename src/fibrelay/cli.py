@@ -106,9 +106,8 @@ def cmd_lyapunov(params: RunParams, output_dir) -> int:
     """estimate the signal growth rate"""
     est = estimate_lambda(
         params.model, params.gains, params.n, params.replicas, params.seed,
-        params.kind, burn_in=params.burn_in, i0=params.i0,
-        validation=params.validation, renorm_period=params.renorm_period,
-        workers=params.workers)
+        burn_in=params.burn_in, i0=params.i0, validation=params.validation,
+        renorm_period=params.renorm_period, workers=params.workers)
     report = dumps_17g(est.to_report(params.model.spec_string(),
                                      params.gains.spec_string(), params.seed))
     _emit(params, output_dir, {"lyapunov.json": report}, report)

@@ -332,21 +332,21 @@ _MODEL_KINDS = {cls.kind: cls
                 for cls in (Deterministic, Rayleigh, LogNormal, Uniform, SignedBernoulli)}
 
 
-def _parse_kv(body: str, spec: str) -> dict:
+def _parse_kv(body: str, spec: str, noun: str) -> dict:
     out = {}
     if not body:
         return out
     for item in body.split(","):
         if "=" not in item:
-            raise ConfigError(f"malformed model spec {spec!r}: expected key=value, got {item!r}")
+            raise ConfigError(f"malformed {noun} spec {spec!r}: expected key=value, got {item!r}")
         key, _, val = item.partition("=")
         key = key.strip()
         if key in out:
-            raise ConfigError(f"malformed model spec {spec!r}: parameter {key!r} repeated")
+            raise ConfigError(f"malformed {noun} spec {spec!r}: parameter {key!r} repeated")
         try:
             out[key] = float(val)
         except ValueError:
-            raise ConfigError(f"malformed model spec {spec!r}: {val!r} is not a number") from None
+            raise ConfigError(f"malformed {noun} spec {spec!r}: {val!r} is not a number") from None
     return out
 
 
@@ -358,7 +358,7 @@ def parse_model(spec: str) -> CoefficientModel:
         raise ConfigError(f"unknown model kind {kind!r} in spec {spec!r}")
     cls = _MODEL_KINDS[kind]
     names = [f.name for f in fields(cls)]
-    kwargs = _parse_kv(body.strip(), spec)
+    kwargs = _parse_kv(body.strip(), spec, "model")
     unknown = set(kwargs) - set(names)
     if unknown:
         raise ConfigError(f"unknown parameter {sorted(unknown)[0]!r} for model {kind!r}")
@@ -375,7 +375,7 @@ def parse_gains(spec: str) -> GainPolicy:
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
     if kind == "constant":
-        kv = _parse_kv(body, spec)
+        kv = _parse_kv(body, spec, "gain")
         if set(kv) != {"g"}:
             raise ConfigError(f"constant gain spec needs exactly g=..., got {spec!r}")
         return ConstantGain(kv["g"])

@@ -34,7 +34,7 @@ from .coeffs import CoefficientModel, ConstantGain, GainPolicy, parse_gains, par
 from .cocycle import NetworkConfig
 from .errors import ConfigError
 from .laws import DEFAULT_SLOPE_TOL, DEFAULT_TOLERANCE_SIGMA, default_burn_in
-from .lyapunov import DEFAULT_BURN_IN, GROWTH_RATE, TAIL_RATIO
+from .lyapunov import DEFAULT_BURN_IN
 
 COMMANDS = ("lyapunov", "simulate", "calibrate", "verify", "sweep")
 
@@ -92,20 +92,18 @@ def _or_auto(parse):
 
 
 def _spec(parse, cls, what):
-    """Parse a spec string with ``parse``; pass a built ``cls`` through."""
+    """Parse a spec string with ``parse``, naming the key in its errors;
+    pass a built ``cls`` through."""
     def parse_spec(key, value):
         if isinstance(value, cls):
             return value
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a {what} spec string, got {value!r}")
-        return parse(value)
+        try:
+            return parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     return parse_spec
-
-
-def _kind(key, value) -> str:
-    if value not in (GROWTH_RATE, TAIL_RATIO):
-        raise ConfigError(f"{key}: must be {GROWTH_RATE} or {TAIL_RATIO}, got {value!r}")
-    return value
 
 
 def _grid(key, value) -> tuple:
@@ -150,8 +148,6 @@ KEYS = {
     "run.renorm_period": Key(COMMANDS, 1, _positive_int, "renormalize every k steps"),
     "run.workers": Key(COMMANDS, None, _positive_int,
                        f"replica parallelism (default ${_ENV_WORKERS} or 1)"),
-    "lyapunov.kind": Key(("lyapunov",), GROWTH_RATE, _kind,
-                         f"{GROWTH_RATE} or {TAIL_RATIO}"),
     "lyapunov.validation": Key(("lyapunov",), False, _boolean,
                                "allow the signed validation model"),
     "simulate.trajectories": Key(("simulate",), 1, _positive_int,
@@ -269,15 +265,9 @@ def resolve(command: str, file_values: dict | None = None,
     values["gains"] = values["gains"] or ConstantGain(gain)
     if values["seed"] is None:
         values["seed"] = secrets.randbits(63)
-    n = values["n"]
-    if command == "lyapunov" and values["kind"] == TAIL_RATIO:
-        # the tail ratio always discards the first half of the chain
-        if values["burn_in"] not in (None, n // 2):
-            raise ConfigError(f"run.burn_in: {TAIL_RATIO} uses n // 2 = {n // 2}, "
-                              f"got {values['burn_in']}")
-        values["burn_in"] = n // 2
-    elif values["burn_in"] is None:
-        values["burn_in"] = default_burn_in(n) if command == "verify" else DEFAULT_BURN_IN
+    if values["burn_in"] is None:
+        values["burn_in"] = default_burn_in(values["n"]) if command == "verify" \
+            else DEFAULT_BURN_IN
     if values["workers"] is None:
         # named by its source; an empty variable counts as unset
         values["workers"] = _positive_int(_ENV_WORKERS, os.environ.get(_ENV_WORKERS) or 1)

@@ -30,7 +30,6 @@ from .cocycle import NetworkConfig, _calls, _node_logs
 from .errors import ConfigError
 from .lyapunov import (
     DEFAULT_BURN_IN,
-    GROWTH_RATE,
     LyapunovEstimate,
     _check_counts,
     _reduce,
@@ -77,8 +76,8 @@ def slope_estimate(series, burn_in: int) -> SlopeFit:
     y = np.asarray(series, dtype=float)
     n = len(y)
     _check_fit(n, burn_in)
-    # plain reductions, not BLAS dot products: a 1-D `@` wakes OpenBLAS
-    # threads that keep spinning after the call
+    # plain reductions, not BLAS dot products: numpy's pairwise sums fix
+    # the summation order, and with it verify's output bytes
     x = np.arange(burn_in + 1, n + 1, dtype=float)
     y = y[burn_in:]
     m = len(x)
@@ -215,7 +214,7 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
     parts = map_ordered(lambda call: _verify_replicas(cfg, call[1], burn, renorm_period),
                         _calls(n_steps, n_replicas, workers), workers)
     values, capacity, power = zip(*(r for part in parts for r in part))
-    lam = _reduce(values, n_steps, GROWTH_RATE)
+    lam = _reduce(values, n_steps)
     two_lam, two_se = 2.0 * lam.lambda_hat, 2.0 * lam.std_err
     common = (lam, burn, tolerance_sigma, slope_tol)
     return (

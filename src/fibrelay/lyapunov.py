@@ -11,17 +11,17 @@ results do not depend on worker count.
 A burn-in prefix (default 100 nodes) is discarded from growth accounting:
 the replica value is (log value[n] - log value[burn]) / (n - burn).  With
 burn_in=0 nothing is subtracted and the value is the bare growth-rate
-formula (1/n) * log value[n], source magnitude included.  Every estimate
-(growth rate, tail ratio, signed validation, noise exponent) is this value
-on one cocycle, computed by one worker that takes a contiguous range of
-stream ids and runs it as one batch of the cocycle engine (ranges are
-split so no call exceeds the engine's lane budget, and there is at least
-one range per worker).  ``estimate_lambdas`` estimates several gain
-policies at once: their replicas run as extra columns of the same engine
-calls, so each stream is drawn once for all of them, and each gain's
-estimate is the one ``estimate_lambda`` gives for it alone.  A replica's
-value is the same in any batch, next to any gains and for any worker
-count.
+formula (1/n) * log value[n], source magnitude included; burn_in = n // 2
+gives the per-step log ratio over the last ceil(n/2) steps.  Every estimate
+(growth rate, signed validation, noise exponent) is this value on one
+cocycle, computed by one worker that takes a contiguous range of stream
+ids and runs it as one batch of the cocycle engine (ranges are split so
+no call exceeds the engine's lane budget, and there is at least one range
+per worker).  ``estimate_lambdas`` estimates several gain policies at
+once: their replicas run as extra columns of the same engine calls, so
+each stream is drawn once for all of them, and each gain's estimate is
+the one ``estimate_lambda`` gives for it alone.  A replica's value is the
+same in any batch, next to any gains and for any worker count.
 """
 from __future__ import annotations
 
@@ -31,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import map_ordered
-from .coeffs import CoefficientModel, Deterministic, GainPolicy, RngStream
+from .coeffs import CoefficientModel, GainPolicy, RngStream
 from .cocycle import NOISE, SIGNAL, SIGNED, NetworkConfig, _calls, logs_at
 from .errors import ConfigError, ValidationOnlyModelError
 
+# the estimator label in every report
 GROWTH_RATE = "growth_rate"
-TAIL_RATIO = "tail_ratio"
 
 Z95 = 1.96
 DEFAULT_BURN_IN = 100
@@ -53,7 +53,6 @@ class LyapunovEstimate:
     n_replicas: int
     ci95_lo: float
     ci95_hi: float
-    estimator_kind: str
     replica_values: tuple = ()
 
     def to_report(self, model_spec: str, gain_spec: str, master_seed: int) -> dict:
@@ -63,14 +62,14 @@ class LyapunovEstimate:
             "ci95": [self.ci95_lo, self.ci95_hi],
             "n_steps": self.n_steps,
             "n_replicas": self.n_replicas,
-            "estimator_kind": self.estimator_kind,
+            "estimator_kind": GROWTH_RATE,
             "master_seed": master_seed,
             "model_spec": model_spec,
             "gain_spec": gain_spec,
         }
 
 
-def _reduce(values, n_steps, kind) -> LyapunovEstimate:
+def _reduce(values, n_steps) -> LyapunovEstimate:
     arr = np.asarray(values, dtype=float)
     lam = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
@@ -81,21 +80,20 @@ def _reduce(values, n_steps, kind) -> LyapunovEstimate:
         n_replicas=len(arr),
         ci95_lo=lam - Z95 * se,
         ci95_hi=lam + Z95 * se,
-        estimator_kind=kind,
         replica_values=tuple(float(v) for v in arr),
     )
 
 
-def _check_counts(n_steps, n_replicas, what=GROWTH_RATE, minimum=MIN_GROWTH_STEPS):
+def _check_counts(n_steps, n_replicas, what=GROWTH_RATE):
     """The replica-count and run-length checks every estimator shares."""
     if n_replicas < 1:
         raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
-    if n_steps < minimum:
-        raise ConfigError(f"{what} needs n_steps >= {minimum}, got {n_steps}")
+    if n_steps < MIN_GROWTH_STEPS:
+        raise ConfigError(f"{what} needs n_steps >= {MIN_GROWTH_STEPS}, got {n_steps}")
 
 
-def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kind,
-              *, i0=1.0, n0=1.0, renorm_period=1, workers=1) -> list:
+def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, *, i0=1.0, n0=1.0,
+              renorm_period=1, workers=1) -> list:
     """One estimate per gain policy in ``gains``, from one engine pass per
     group of gains that fits the lane budget.
 
@@ -121,7 +119,7 @@ def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kin
     for (group, _), part in zip(calls, map_ordered(rates, calls, workers)):
         for i, per_gain in zip(group, part):
             values[i] += per_gain
-    return [_reduce(v, n_steps, estimator_kind) for v in values]
+    return [_reduce(v, n_steps) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +128,15 @@ def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, estimator_kin
 
 
 def estimate_lambda(model: CoefficientModel, gains: GainPolicy, n_steps: int,
-                    n_replicas: int, master_seed: int, kind: str = GROWTH_RATE,
-                    **options) -> LyapunovEstimate:
+                    n_replicas: int, master_seed: int, **options) -> LyapunovEstimate:
     """Estimate the top growth rate of the signal recursion under one gain
     policy: ``estimate_lambdas`` with one policy."""
-    [est] = estimate_lambdas(model, (gains,), n_steps, n_replicas, master_seed, kind,
-                             **options)
+    [est] = estimate_lambdas(model, (gains,), n_steps, n_replicas, master_seed, **options)
     return est
 
 
 def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: int,
-                     master_seed: int, kind: str = GROWTH_RATE, *,
-                     burn_in: int | None = None, i0: float = 1.0,
+                     master_seed: int, *, burn_in: int | None = None, i0: float = 1.0,
                      validation: bool = False, renorm_period: int = 1,
                      workers: int = 1) -> list:
     """Estimate the top growth rate of the signal recursion under each gain
@@ -151,18 +146,12 @@ def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: i
     holds as many policies as the engine's lane budget allows.  Each
     policy's estimate is bit for bit the one it gets alone.
 
-    ``growth_rate`` averages (log value[n] - log value[burn]) / (n - burn)
-    over replicas.  ``tail_ratio`` is the same value with burn = floor(n/2),
-    the per-step log ratio over the last ceil(n/2) steps (any other
-    ``burn_in`` is a ConfigError); it is restricted to deterministic
-    models, where convergence is exponential.  Signed
-    validation models are accepted only with ``validation=True``
-    (growth_rate kind, signed arithmetic), and their value is read through
+    The estimate averages (log value[n] - log value[burn]) / (n - burn)
+    over replicas.  Signed validation models are accepted only with
+    ``validation=True`` (signed arithmetic), and their value is read through
     the log of the state's max-norm, log max(|value[n-1]|, |value[n]|),
     whose growth rate is the same top exponent and which is never -inf.
     """
-    if kind not in (GROWTH_RATE, TAIL_RATIO):
-        raise ConfigError(f"unknown estimator kind {kind!r}")
     if model.validation_only and not validation:
         raise ValidationOnlyModelError(
             "validation-only model requires validation=True")
@@ -170,22 +159,13 @@ def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: i
         raise ConfigError("estimate_lambdas needs at least one gain policy")
     for policy in gains:
         policy.require_length(n_steps)
-    if kind == TAIL_RATIO:
-        if not isinstance(model, Deterministic):
-            raise ConfigError("tail_ratio is restricted to deterministic models")
-        _check_counts(n_steps, n_replicas, TAIL_RATIO, minimum=4)
-        burn = n_steps // 2
-        if burn_in not in (None, burn):
-            raise ConfigError(f"burn_in: {TAIL_RATIO} uses n_steps // 2 = {burn}, "
-                              f"got {burn_in}")
-    else:
-        _check_counts(n_steps, n_replicas)
-        burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
-        if not 0 <= burn < n_steps:
-            raise ConfigError(f"burn_in must be in [0, n_steps), got {burn}")
+    _check_counts(n_steps, n_replicas)
+    burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
+    if not 0 <= burn < n_steps:
+        raise ConfigError(f"burn_in must be in [0, n_steps), got {burn}")
     cocycle = SIGNED if model.validation_only else SIGNAL
-    return _estimate(cocycle, model, gains, n_steps, n_replicas, master_seed, burn, kind,
-                     i0=i0, renorm_period=renorm_period, workers=workers)
+    return _estimate(cocycle, model, gains, n_steps, n_replicas, master_seed, burn, i0=i0,
+                     renorm_period=renorm_period, workers=workers)
 
 
 def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int,
@@ -203,7 +183,7 @@ def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int
     if not 1 <= burn < n_steps:
         raise ConfigError(f"burn_in must be in [1, n_steps), got {burn}")
     [est] = _estimate(NOISE, config.model, (config.gains,), n_steps, n_replicas,
-                      config.master_seed, burn, GROWTH_RATE, n0=config.n0,
+                      config.master_seed, burn, n0=config.n0,
                       renorm_period=renorm_period, workers=workers)
     return est
 

@@ -150,11 +150,9 @@ class TestParseConfig:
     _ESTIMATE = {"run.replicas", "run.burn_in"}
 
     @pytest.mark.parametrize("command,flags,keys,burn_in", [
-        ("lyapunov", (), _CHAIN | _ESTIMATE | {"lyapunov.kind", "lyapunov.validation"},
-         100),
-        # the tail ratio estimates with burn-in n // 2 and echoes it
-        ("lyapunov", ("--kind", "tail_ratio"),
-         _CHAIN | _ESTIMATE | {"lyapunov.kind", "lyapunov.validation"}, 500),
+        ("lyapunov", (), _CHAIN | _ESTIMATE | {"lyapunov.validation"}, 100),
+        ("lyapunov", ("--burn-in", "500"), _CHAIN | _ESTIMATE | {"lyapunov.validation"},
+         500),
         ("simulate", (), _CHAIN | {"network.n0", "simulate.trajectories"}, None),
         ("calibrate", (), _ESTIMATE | {"calibrate.tol", "calibrate.g_init",
                                        "calibrate.max_doublings"}, 100),
@@ -162,7 +160,7 @@ class TestParseConfig:
                                              "verify.slope_tol"}, 100),
         ("sweep", ("--gain-grid", "0.5,1"), _ESTIMATE | {"network.i0", "sweep.gain_grid"},
          100),
-    ], ids=("lyapunov", "lyapunov-tail-ratio", "simulate", "calibrate", "verify", "sweep"))
+    ], ids=("lyapunov", "lyapunov-burn-in", "simulate", "calibrate", "verify", "sweep"))
     def test_manifest_round_trips_config(self, command, flags, keys, burn_in, tmp_path,
                                          capsys):
         """The echo holds the keys the command reads but network.gain and
@@ -201,11 +199,11 @@ class TestJson17g:
 class TestCommands:
     def test_lyapunov_stdout_json(self, capsys):
         rc = main(["lyapunov", "--model", "deterministic:c=1", "--gain", "0.5",
-                   "--n", "2000", "--replicas", "2", "--kind", "tail_ratio"])
+                   "--n", "2000", "--replicas", "2", "--burn-in", "1000"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["lambda_hat"] == pytest.approx(0.0, abs=1e-9)
-        assert doc["estimator_kind"] == "tail_ratio"
+        assert doc["estimator_kind"] == "growth_rate"
         assert doc["model_spec"] == "deterministic:c=1"
 
     def test_sweep_values(self, capsys):
@@ -433,8 +431,15 @@ class TestConfigValues:
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"burn_in": True}},
          "run.burn_in"),
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"n": None}}, "run.n"),
+        ("lyapunov", {"network": {"model": "rayleigh:mu=abc"}}, "network.model"),
+        ("lyapunov", {"network": {"model": "rayleigh", "gains": "constant:g=abc"}},
+         "network.gains"),
+        # the estimator kind is retired: its key is unknown
+        ("lyapunov", {"network": {"model": "rayleigh"}, "lyapunov": {"kind": "tail_ratio"}},
+         "lyapunov.kind"),
     ], ids=("gains-list", "model-number", "grid-number", "grid-bool", "grid-nan",
-            "n0-bool", "burn-in-bool", "n-null"))
+            "n0-bool", "burn-in-bool", "n-null", "model-spec-text", "gains-spec-text",
+            "kind-key-retired"))
     def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
         rc, err = self._run(command, config, tmp_path, capsys)
         assert rc == 2
@@ -452,13 +457,9 @@ class TestConfigValues:
         ("lyapunov", ("--n", "abc"), {}, "run.n"),
         ("lyapunov", ("--replicas", "1.5"), {}, "run.replicas"),
         ("lyapunov", ("--gain", "x"), {}, "network.gain"),
-        ("lyapunov", ("--kind", "bogus"), {}, "lyapunov.kind"),
-        # the tail ratio uses burn-in n // 2 and no other
-        ("lyapunov", ("--kind", "tail_ratio", "--burn-in", "7"), {}, "run.burn_in"),
     ], ids=("i0-inf", "n0-inf", "n0-nan", "grid-inf", "n-fraction",
             "replicas-fraction", "seed-fraction", "renorm-period-inf", "n-flag-text",
-            "replicas-flag-fraction", "gain-flag-text", "kind-flag-unknown",
-            "tail-ratio-burn-in"))
+            "replicas-flag-fraction", "gain-flag-text"))
     def test_non_finite_or_non_integral(self, command, flags, run, key, tmp_path,
                                         capsys):
         config = {"network": {"model": "deterministic:c=1"}, "run": run}
@@ -468,7 +469,7 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("command,flag", [
         ("calibrate", "--gain"), ("sweep", "--gains"), ("sweep", "--gain"),
-        ("lyapunov", "--n0"), ("simulate", "--replicas")])
+        ("lyapunov", "--n0"), ("simulate", "--replicas"), ("lyapunov", "--kind")])
     def test_flag_of_a_key_the_command_does_not_read(self, command, flag, tmp_path,
                                                       capsys):
         """Each key is a flag of the commands that read it only: another

@@ -314,8 +314,10 @@ class TestSpecGrammar:
             parse_gains("pernode:h=1,2")
         with pytest.raises(ConfigError):
             parse_gains("constant:g=-1")
-        with pytest.raises(ConfigError, match="'g' repeated"):
+        with pytest.raises(ConfigError, match="gain spec .*'g' repeated"):
             parse_gains("constant:g=1,g=2")
+        with pytest.raises(ConfigError, match="gain spec .*'abc' is not a number"):
+            parse_gains("constant:g=abc")
 
 
 class TestGainPolicies:

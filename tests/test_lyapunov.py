@@ -7,7 +7,6 @@ import pytest
 
 from fibrelay import (
     GROWTH_RATE,
-    TAIL_RATIO,
     CoefficientModel,
     ConfigError,
     ConstantGain,
@@ -105,59 +104,29 @@ class TestGrowthRate:
                                "n_replicas", "estimator_kind", "master_seed",
                                "model_spec", "gain_spec"}
         assert report["ci95"] == [est.ci95_lo, est.ci95_hi]
+        assert report["estimator_kind"] == GROWTH_RATE
 
 
 class TestTailRatio:
+    """The growth rate over the last half of a deterministic chain
+    (burn_in = n // 2) converges exponentially to the closed form."""
+
     def test_golden_ratio_exponential_convergence(self):
         est = estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 1000, 1, SEED,
-                              TAIL_RATIO)
+                              burn_in=500)
         assert abs(est.lambda_hat - LOG_PHI) < 1e-9
 
     @pytest.mark.parametrize("c,g", [(0.2, 1.0), (1.0, 0.5), (2.0, 1.0)])
     def test_matches_closed_form_tightly(self, c, g):
         est = estimate_lambda(Deterministic(c), ConstantGain(g), 1000, 1, SEED,
-                              TAIL_RATIO)
+                              burn_in=500)
         assert abs(est.lambda_hat - lambda_deterministic_closed_form(c, g)) < 1e-9
-
-    def test_restricted_to_deterministic(self):
-        with pytest.raises(ConfigError):
-            estimate_lambda(Rayleigh(1.0), ConstantGain(1.0), 1000, 1, SEED,
-                            TAIL_RATIO)
-
-    @pytest.mark.parametrize("n", [2000, 2001])
-    def test_equals_growth_rate_over_last_half(self, n):
-        """The tail ratio is the growth rate with burn-in floor(n/2): the
-        last ceil(n/2) steps."""
-        model, gains = Deterministic(0.7), ConstantGain(1.3)
-        tail = estimate_lambda(model, gains, n, 3, SEED, TAIL_RATIO)
-        growth = estimate_lambda(model, gains, n, 3, SEED, burn_in=n // 2)
-        assert tail.replica_values == growth.replica_values
-
-    def test_burn_in_other_than_half_rejected(self):
-        """tail_ratio fixes burn = n // 2: that burn_in is accepted, any
-        other is named rather than ignored."""
-        model, gains = Deterministic(0.7), ConstantGain(1.3)
-        same = estimate_lambda(model, gains, 1001, 1, SEED, TAIL_RATIO, burn_in=500)
-        assert same == estimate_lambda(model, gains, 1001, 1, SEED, TAIL_RATIO)
-        for burn_in in (7, 0, 501):
-            with pytest.raises(ConfigError, match="burn_in"):
-                estimate_lambda(model, gains, 1001, 1, SEED, TAIL_RATIO, burn_in=burn_in)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            estimate_lambda(Deterministic(1.0), ConstantGain(1.0), 1000, 1, SEED,
-                            "bogus")
 
 
 class TestSignedValidationMode:
     def test_requires_flag(self):
         with pytest.raises(ValidationOnlyModelError):
             estimate_lambda(SignedBernoulli(0.5), ConstantGain(1.0), 2000, 1, SEED)
-
-    def test_tail_ratio_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_lambda(SignedBernoulli(0.5), ConstantGain(1.0), 2000, 1, SEED,
-                            TAIL_RATIO, validation=True)
 
     def test_signed_growth_constant(self):
         est = estimate_lambda(SignedBernoulli(0.5), ConstantGain(1.0), 200_000, 8,
