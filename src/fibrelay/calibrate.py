@@ -113,8 +113,7 @@ def _bracket(rate, g_init: float, max_doublings: int) -> tuple:
 def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
                             n_steps: int = 10_000, n_replicas: int = 32,
                             master_seed: int = 0, *, g_init: float = 1.0,
-                            burn_in: int | None = None, renorm_period: int = 1,
-                            workers: int = 1,
+                            burn_in: int | None = None, workers: int = 1,
                             max_doublings: int = 60) -> CalibrationResult:
     """Bisection for the gain with zero growth rate, on common random numbers.
 
@@ -144,8 +143,7 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
 
     def estimates(gs):
         return estimate_lambdas(model, [ConstantGain(g) for g in gs], steps, n_replicas,
-                                master_seed, burn_in=burn_in,
-                                renorm_period=renorm_period, workers=workers)
+                                master_seed, burn_in=burn_in, workers=workers)
 
     def rate(g, *ahead):
         """The estimate at g; when g is new, one pass also estimates the
@@ -208,8 +206,7 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
     if converged:
         confirmation = estimate_lambda(
             model, ConstantGain(g_star), steps, n_replicas,
-            (master_seed + 1) & _MASK64, burn_in=burn_in,
-            renorm_period=renorm_period, workers=workers)
+            (master_seed + 1) & _MASK64, burn_in=burn_in, workers=workers)
 
     return CalibrationResult(
         g_star=g_star,

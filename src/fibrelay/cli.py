@@ -107,7 +107,7 @@ def cmd_lyapunov(params: RunParams, output_dir) -> int:
     est = estimate_lambda(
         params.model, params.gains, params.n, params.replicas, params.seed,
         burn_in=params.burn_in, i0=params.i0, validation=params.validation,
-        renorm_period=params.renorm_period, workers=params.workers)
+        workers=params.workers)
     report = dumps_17g(est.to_report(params.model.spec_string(),
                                      params.gains.spec_string(), params.seed))
     _emit(params, output_dir, {"lyapunov.json": report}, report)
@@ -125,8 +125,7 @@ def cmd_simulate(params: RunParams, output_dir) -> int:
     def write(call):
         # the parts of one engine call's trajectories; the parent publishes them
         sids = call[1]
-        _write_trajectories(config, sids, params.renorm_period,
-                            [_part(outdir, names[s]) for s in sids])
+        _write_trajectories(config, sids, [_part(outdir, names[s]) for s in sids])
 
     try:
         map_ordered(write, _calls(config.n_nodes, len(names), params.workers),
@@ -143,8 +142,7 @@ def cmd_calibrate(params: RunParams, output_dir) -> int:
     """find the zero-growth gain"""
     result = find_zero_lyapunov_gain(
         params.model, params.tol, params.n, params.replicas, params.seed,
-        g_init=params.g_init, burn_in=params.burn_in,
-        renorm_period=params.renorm_period, workers=params.workers,
+        g_init=params.g_init, burn_in=params.burn_in, workers=params.workers,
         max_doublings=params.max_doublings)
     report = dumps_17g(result.to_report(params.model.spec_string(), params.tol,
                                         params.replicas, params.seed))
@@ -157,8 +155,7 @@ def cmd_verify(params: RunParams, output_dir) -> int:
     cap, pwr = verify_laws(
         params.network_config(), params.n, params.replicas,
         tolerance_sigma=params.tolerance_sigma, slope_tol=params.slope_tol,
-        burn_in=params.burn_in, renorm_period=params.renorm_period,
-        workers=params.workers)
+        burn_in=params.burn_in, workers=params.workers)
 
     table = io.StringIO()
     table.write(f"{'law':<10}{'predicted':>14}{'measured':>14}{'std_err':>12}"
@@ -190,8 +187,7 @@ def cmd_sweep(params: RunParams, output_dir) -> int:
     grid = params.gain_grid
     ests = estimate_lambdas(params.model, [ConstantGain(g) for g in grid], params.n,
                             params.replicas, params.seed, burn_in=params.burn_in,
-                            i0=params.i0, renorm_period=params.renorm_period,
-                            workers=params.workers)
+                            i0=params.i0, workers=params.workers)
     from ._csv import csv_text
     text = csv_text("g,lambda_hat,std_err",
                     (grid, [e.lambda_hat for e in ests], [e.std_err for e in ests]))

@@ -217,13 +217,10 @@ class _Walk:
     noise kind squares them).
     """
 
-    def __init__(self, kind: str, vec, period: int, n0: float = 0.0):
-        if int(period) != period or period < 1:
-            raise ConfigError(f"renorm_period must be an integer >= 1, got {period}")
+    def __init__(self, kind: str, vec, n0: float = 0.0):
         self.kind = kind
         self.signed = kind == SIGNED
         self.n0 = n0
-        self.period = int(period)
         self.node = 1
         vec = np.array(np.broadcast_arrays(*map(np.atleast_1d, vec)), dtype=float)
         m = np.abs(vec).max(axis=0)
@@ -239,13 +236,10 @@ class _Walk:
                 f"{self.kind} cocycle state at node 1 is not finite and nonzero: the "
                 "source-hop coefficient (magnitude * gain) or i0 left double range; "
                 "change the coefficient scale (model or gain) or i0")
-        advice = (f"lower renorm_period (now {self.period}) or the coefficient scale"
-                  if self.period > 1 else "renorm_period is already 1; change the "
-                  "coefficient scale (model or gain)")
         return NumericalError(
             f"non-finite {self.kind} cocycle state between nodes {self.node} and "
             f"{self.node + k}: values left double range between renormalizations; "
-            f"{advice}")
+            "change the coefficient scale (model or gain)")
 
     def _read(self, v, s, k: int) -> np.ndarray:
         """log |v[1]| + s per replica; the signed kind reads the log of the
@@ -295,23 +289,22 @@ class _Walk:
                 "change the coefficient scale (model or gain)")
         return None
 
-    def _sweep(self, S, K2, K1, visit=None, renorm_last=False):
+    def _sweep(self, S, K2, K1, visit=None):
         """Push lane states through the steps K2[t], K1[t], t = 0..L-1.
 
         ``S`` is components x (basis vectors x) lanes and is updated in
         place; the update shifts components, so ``slots`` relabels rows of S
-        instead of copying them.  Lanes divide by their largest entry every
-        ``period`` steps (and after the last step if ``renorm_last``).
-        Returns the divisors (L x lanes, 1 where none) and the final slots.
+        instead of copying them.  Lanes divide by their largest entry after
+        every step.  Returns the divisors (L x lanes) and the final slots.
         """
         L, lanes = K2.shape
-        divisors = np.ones((L, lanes))
+        divisors = np.empty((L, lanes))
         rows = list(S)
         entries = S.reshape(-1, lanes)
         magnitudes = np.abs(entries) if self.signed else entries
         term = np.empty_like(rows[0])
         slots = list(range(len(rows)))
-        noise, signed, n0, period = self.kind == NOISE, self.signed, self.n0, self.period
+        noise, signed, n0 = self.kind == NOISE, self.signed, self.n0
         for t in range(L):
             p, c = slots[0], slots[1]
             rows[p] *= K2[t]
@@ -321,12 +314,11 @@ class _Walk:
                 rows[p] += term
                 rows[c] += term
             slots[0], slots[1] = c, p
-            if (t + 1) % period == 0 or (renorm_last and t == L - 1):
-                m = divisors[t]
-                if signed:
-                    np.abs(entries, out=magnitudes)
-                np.maximum.reduce(magnitudes, axis=0, out=m)
-                S /= m
+            m = divisors[t]
+            if signed:
+                np.abs(entries, out=magnitudes)
+            np.maximum.reduce(magnitudes, axis=0, out=m)
+            S /= m
             if visit is not None:
                 visit(t, slots)
         return divisors, slots
@@ -367,7 +359,7 @@ class _Walk:
                 lane = (r - 1) // L
                 snaps[r] = (S[slots, :, lane::B], lane, t)
 
-        log_div, slots = self._sweep(S, K2, K1, snapshot, renorm_last=True)
+        log_div, slots = self._sweep(S, K2, K1, snapshot)
         np.log(log_div, out=log_div)
         block_ls = log_div.sum(axis=0)
         if not (np.isfinite(S).all() and np.isfinite(block_ls).all()):
@@ -415,7 +407,7 @@ class _Walk:
         return logs
 
 
-def _start(kind: str, first, i0: float, n0: float, period: int):
+def _start(kind: str, first, i0: float, n0: float):
     """The walk of one cocycle from node 1 over the columns whose
     source-hop coefficients are ``first``, and the node-1 log of each
     column.  ``SIGNAL`` starts from (i0, first * i0), ``SIGNED`` from
@@ -423,17 +415,17 @@ def _start(kind: str, first, i0: float, n0: float, period: int):
     3x3 application deposits exactly n0 (``np.log``, as the records read
     every later node)."""
     if kind == NOISE:
-        walk = _Walk(kind, (0.0, 0.0, np.ones(len(first))), period, n0)
+        walk = _Walk(kind, (0.0, 0.0, np.ones(len(first))), n0)
         return walk, np.full(len(first), np.log(n0))
     if kind == SIGNAL and not (i0 > 0.0):
         raise ConfigError(f"i0 must be positive, got {i0}")
     with np.errstate(over="ignore"):  # an infinite start reads as non-finite
-        walk = _Walk(kind, (1.0, first) if kind == SIGNED else (i0, first * i0), period)
+        walk = _Walk(kind, (1.0, first) if kind == SIGNED else (i0, first * i0))
     return walk, walk.log_value()
 
 
 def logs_at(kind: str, model: CoefficientModel, gains, streams, checkpoints, *,
-            i0: float = 1.0, n0: float = 1.0, renorm_period: int = 1) -> dict:
+            i0: float = 1.0, n0: float = 1.0) -> dict:
     """Log magnitudes of one cocycle at the requested nodes (all >= 1).
 
     Runs one replica per stream in ``streams`` (a sequence of RngStream)
@@ -448,7 +440,7 @@ def logs_at(kind: str, model: CoefficientModel, gains, streams, checkpoints, *,
     state leaves double range.
     """
     rngs = [stream.generator() for stream in streams]
-    walk, node_1 = _start(kind, _first_hops(model, gains, rngs), i0, n0, renorm_period)
+    walk, node_1 = _start(kind, _first_hops(model, gains, rngs), i0, n0)
     want = sorted(set(checkpoints))
     out = {1: node_1} if want[0] == 1 else {}
     for start, k, lanes in _chunks(model, gains, rngs, want[-1]):
@@ -483,14 +475,14 @@ class Trajectory:
                                      self.capacity_nats, self.log_x_sq), first=1)
 
 
-def _records(config: NetworkConfig, stream_ids, renorm_period: int):
+def _records(config: NetworkConfig, stream_ids):
     """Yield (first node, log signal, log noise power) of one engine pass
     over the replicas ``stream_ids``, as replicas x nodes arrays: one
     engine chunk of nodes at a time, node 1 leading the first."""
     rngs = [RngStream(config.master_seed, sid).generator() for sid in stream_ids]
     first = _first_hops(config.model, (config.gains,), rngs)
-    signal, log_i_1 = _start(SIGNAL, first, config.i0, config.n0, renorm_period)
-    noise, log_n2_1 = _start(NOISE, first, config.i0, config.n0, renorm_period)
+    signal, log_i_1 = _start(SIGNAL, first, config.i0, config.n0)
+    noise, log_n2_1 = _start(NOISE, first, config.i0, config.n0)
     for start, k, lanes in _chunks(config.model, (config.gains,), rngs, config.n_nodes):
         lead = int(start == 2)
         log_i = np.empty((len(rngs), lead + k))
@@ -513,26 +505,25 @@ def _columns(log_i, log_n2) -> tuple:
             metrics.transmit_power_log(log_i_sq, log_n2))
 
 
-def _node_logs(config: NetworkConfig, stream_ids, renorm_period: int = 1) -> tuple:
+def _node_logs(config: NetworkConfig, stream_ids) -> tuple:
     """(log signal, log noise power) of each stream id at nodes
     1..n_nodes, as replicas x nodes arrays, all replicas run in one engine
     pass."""
     log_i = np.empty((len(stream_ids), config.n_nodes))
     log_n2 = np.empty((len(stream_ids), config.n_nodes))
-    for start, *logs in _records(config, stream_ids, renorm_period):
+    for start, *logs in _records(config, stream_ids):
         nodes = slice(start - 1, start - 1 + logs[0].shape[1])
         log_i[:, nodes], log_n2[:, nodes] = logs
     return log_i, log_n2
 
 
-def _write_trajectories(config: NetworkConfig, stream_ids, renorm_period: int,
-                        paths) -> None:
-    """Write ``run_trajectory(config, sid, renorm_period).to_csv()`` of each
-    stream id to its file in ``paths``, all replicas run in one engine pass
-    and each chunk's rows appended as soon as it is run, so memory is
-    bounded by the chunk whatever the chain length."""
+def _write_trajectories(config: NetworkConfig, stream_ids, paths) -> None:
+    """Write ``run_trajectory(config, sid).to_csv()`` of each stream id to
+    its file in ``paths``, all replicas run in one engine pass and each
+    chunk's rows appended as soon as it is run, so memory is bounded by the
+    chunk whatever the chain length."""
     from . import _csv  # loaded with the first file written
-    for start, log_i, log_n2 in _records(config, stream_ids, renorm_period):
+    for start, log_i, log_n2 in _records(config, stream_ids):
         for path, *logs in zip(paths, log_i, log_n2):
             # one file open at a time: a pass may run thousands of replicas
             with open(path, "ab" if start > 1 else "wb") as file:
@@ -545,8 +536,7 @@ def _write_trajectories(config: NetworkConfig, stream_ids, renorm_period: int,
         del log_i, log_n2, logs  # as in _records
 
 
-def run_trajectory(config: NetworkConfig, stream_id: int = 0,
-                   renorm_period: int = 1) -> Trajectory:
+def run_trajectory(config: NetworkConfig, stream_id: int = 0) -> Trajectory:
     """Simulate one relay chain end to end.
 
     Draws one coefficient per hop in the fixed order (two-back hop before
@@ -555,5 +545,5 @@ def run_trajectory(config: NetworkConfig, stream_id: int = 0,
     recursion), and fills every per-node column.  Deterministic given
     (config, stream_id); the engine's batch of one replica.
     """
-    [log_i], [log_n2] = _node_logs(config, (stream_id,), renorm_period)
+    [log_i], [log_n2] = _node_logs(config, (stream_id,))
     return Trajectory(*_columns(log_i, log_n2), config=config, stream_id=stream_id)

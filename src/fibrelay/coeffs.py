@@ -369,6 +369,16 @@ def parse_model(spec: str) -> CoefficientModel:
         raise ConfigError(f"model {kind!r} missing parameter {missing[0]!r}") from None
 
 
+def _pernode_gains(values: str, spec: str) -> PerNodeGain:
+    """The per-node gains listed, comma separated, in ``values``; a value
+    that is not a number raises an error quoting ``spec``."""
+    try:
+        gains = tuple(float(v) for v in values.split(","))
+    except ValueError:
+        raise ConfigError(f"malformed pernode gains {spec!r}") from None
+    return PerNodeGain(gains)
+
+
 def parse_gains(spec: str) -> GainPolicy:
     """Parse ``constant:g=0.5``, ``pernode:g=1,2,3`` or a bare number."""
     text = spec.strip()
@@ -383,10 +393,7 @@ def parse_gains(spec: str) -> GainPolicy:
         key, _, vals = body.partition("=")
         if key.strip() != "g":
             raise ConfigError(f"pernode gain spec needs g=..., got {spec!r}")
-        try:
-            return PerNodeGain(tuple(float(v) for v in vals.split(",")))
-        except ValueError:
-            raise ConfigError(f"malformed pernode gains {spec!r}") from None
+        return _pernode_gains(vals, spec)
     try:
         return ConstantGain(float(text))
     except ValueError:

@@ -30,7 +30,8 @@ from dataclasses import make_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .coeffs import CoefficientModel, ConstantGain, GainPolicy, parse_gains, parse_model
+from .coeffs import (CoefficientModel, ConstantGain, GainPolicy, _pernode_gains, parse_gains,
+                     parse_model)
 from .cocycle import NetworkConfig
 from .errors import ConfigError
 from .laws import DEFAULT_SLOPE_TOL, DEFAULT_TOLERANCE_SIGMA, default_burn_in
@@ -133,7 +134,7 @@ KEYS = {
                          "coefficient model spec, e.g. rayleigh:mu=1.0"),
     "network.gain": Key(_CHAIN, 1.0, _positive_float, "constant amplification gain"),
     "network.gains": Key(_CHAIN, None, _spec(
-        lambda t: parse_gains(t if ":" in t else "pernode:g=" + t), GainPolicy, "gain"),
+        lambda t: parse_gains(t) if ":" in t else _pernode_gains(t, t), GainPolicy, "gain"),
         "per-node gains, comma separated"),
     "network.n0": Key(("simulate", "verify"), 1.0, _positive_float,
                       "noise power per reception"),
@@ -145,7 +146,6 @@ KEYS = {
                     "master seed, an integer or 'auto'"),
     "run.burn_in": Key(_ESTIMATE, "auto", _or_auto(partial(_positive_int, minimum=0)),
                        "burn-in nodes or 'auto'"),
-    "run.renorm_period": Key(COMMANDS, 1, _positive_int, "renormalize every k steps"),
     "run.workers": Key(COMMANDS, None, _positive_int,
                        f"replica parallelism (default ${_ENV_WORKERS} or 1)"),
     "lyapunov.validation": Key(("lyapunov",), False, _boolean,
@@ -263,6 +263,11 @@ def resolve(command: str, file_values: dict | None = None,
 
     gain = values.pop("gain")
     values["gains"] = values["gains"] or ConstantGain(gain)
+    if command in KEYS["network.gains"].commands:
+        try:
+            values["gains"].require_length(values["n"])
+        except ConfigError as exc:
+            raise ConfigError(f"network.gains: {exc}") from None
     if values["seed"] is None:
         values["seed"] = secrets.randbits(63)
     if values["burn_in"] is None:

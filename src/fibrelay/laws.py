@@ -132,26 +132,26 @@ class LawReport:
 
 
 def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: int,
-                               *, renorm_period: int = 1, workers: int = 1) -> np.ndarray:
+                               *, workers: int = 1) -> np.ndarray:
     """Replicas-by-nodes matrix of log c_n, for band checks."""
     if n_replicas < 1:
         raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
     cfg = dataclasses.replace(config, n_nodes=int(n_steps))
 
     def capacity(call):
-        log_i, log_n2 = _node_logs(cfg, call[1], renorm_period)
+        log_i, log_n2 = _node_logs(cfg, call[1])
         return metrics.log_capacity_nats(metrics.snr_log(2.0 * log_i, log_n2))
 
     return np.vstack(map_ordered(capacity, _calls(cfg.n_nodes, n_replicas, workers),
                                  workers))
 
 
-def _verify_replicas(config: NetworkConfig, sids, burn: int, period: int) -> list:
+def _verify_replicas(config: NetworkConfig, sids, burn: int) -> list:
     """Growth-rate value and both slope fits of each replica in one
     contiguous range, from one trajectory each."""
     out = []
     # only the trajectory columns the fits read, from the same engine pass
-    for log_i, log_n2 in zip(*_node_logs(config, sids, period)):
+    for log_i, log_n2 in zip(*_node_logs(config, sids)):
         log_i_sq = 2.0 * log_i
         # the growth-rate estimator's replica value at its default burn-in
         # (log_i_sq is twice the log of the signal magnitude)
@@ -196,8 +196,7 @@ def _law_report(law, predicted, pred_se, fits, lam, burn, tolerance_sigma,
 def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
                 *, tolerance_sigma: float = DEFAULT_TOLERANCE_SIGMA,
                 slope_tol: float = DEFAULT_SLOPE_TOL,
-                burn_in: int | None = None, renorm_period: int = 1,
-                workers: int = 1) -> tuple[LawReport, LawReport]:
+                burn_in: int | None = None, workers: int = 1) -> tuple[LawReport, LawReport]:
     """Check both scaling laws; return the (capacity, power) reports.
 
     The fitted slope of log c_n is compared with min{0, 2*lambda_hat} and
@@ -211,7 +210,7 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
     cfg = dataclasses.replace(config, n_nodes=n_steps)
     burn = default_burn_in(n_steps) if burn_in is None else int(burn_in)
     _check_fit(n_steps, burn)
-    parts = map_ordered(lambda call: _verify_replicas(cfg, call[1], burn, renorm_period),
+    parts = map_ordered(lambda call: _verify_replicas(cfg, call[1], burn),
                         _calls(n_steps, n_replicas, workers), workers)
     values, capacity, power = zip(*(r for part in parts for r in part))
     lam = _reduce(values, n_steps)

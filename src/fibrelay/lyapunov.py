@@ -93,7 +93,7 @@ def _check_counts(n_steps, n_replicas, what=GROWTH_RATE):
 
 
 def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, *, i0=1.0, n0=1.0,
-              renorm_period=1, workers=1) -> list:
+              workers=1) -> list:
     """One estimate per gain policy in ``gains``, from one engine pass per
     group of gains that fits the lane budget.
 
@@ -109,8 +109,7 @@ def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, *, i0=1.0, n0
         """The rates of one call's replicas, one list per gain of the call."""
         group, sids = call
         logs = logs_at(kind, model, [gains[i] for i in group],
-                       [RngStream(seed, s) for s in sids], checkpoints,
-                       i0=i0, n0=n0, renorm_period=renorm_period)
+                       [RngStream(seed, s) for s in sids], checkpoints, i0=i0, n0=n0)
         rate = (logs[n_steps] - (0.0 if burn == 0 else logs[burn])) / (n_steps - burn)
         return rate.reshape(len(group), -1).tolist()
 
@@ -137,8 +136,7 @@ def estimate_lambda(model: CoefficientModel, gains: GainPolicy, n_steps: int,
 
 def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: int,
                      master_seed: int, *, burn_in: int | None = None, i0: float = 1.0,
-                     validation: bool = False, renorm_period: int = 1,
-                     workers: int = 1) -> list:
+                     validation: bool = False, workers: int = 1) -> list:
     """Estimate the top growth rate of the signal recursion under each gain
     policy of ``gains``, on the same streams (common random numbers).
 
@@ -165,11 +163,11 @@ def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: i
         raise ConfigError(f"burn_in must be in [0, n_steps), got {burn}")
     cocycle = SIGNED if model.validation_only else SIGNAL
     return _estimate(cocycle, model, gains, n_steps, n_replicas, master_seed, burn, i0=i0,
-                     renorm_period=renorm_period, workers=workers)
+                     workers=workers)
 
 
 def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int,
-                            *, burn_in: int | None = None, renorm_period: int = 1,
+                            *, burn_in: int | None = None,
                             workers: int = 1) -> LyapunovEstimate:
     """Estimate the growth rate of the accumulated noise power.
 
@@ -183,8 +181,7 @@ def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int
     if not 1 <= burn < n_steps:
         raise ConfigError(f"burn_in must be in [1, n_steps), got {burn}")
     [est] = _estimate(NOISE, config.model, (config.gains,), n_steps, n_replicas,
-                      config.master_seed, burn, n0=config.n0,
-                      renorm_period=renorm_period, workers=workers)
+                      config.master_seed, burn, n0=config.n0, workers=workers)
     return est
 
 

@@ -40,25 +40,26 @@ def _hop_coefficients(model, gains, rng, n_nodes):
     return first, np.concatenate(coefs)
 
 
-def sequential_logs(kind, model, gain, stream_id, n, *, i0, n0, period):
+def sequential_logs(kind, model, gain, stream_id, n, *, i0, n0):
     """Logs of nodes 1..n of one cocycle on stream (SEED, stream_id) under
     the constant gain ``gain``: the sequential ``_kernels`` run over the
-    whole chain in one call from the walk ``cocycle._start`` begins with.
+    whole chain in one call, renormalizing after every step, from the walk
+    ``cocycle._start`` begins with.
     For ``SIGNED`` node m reads max(V[m-1], V[m]), the log of the state's
     max-norm, where V holds the per-node value logs and V[0] = 0.  The
     blocked engine is tested against it."""
     rng = RngStream(SEED, stream_id).generator()
     first, coefs = _hop_coefficients(model, ConstantGain(gain), rng, n)
-    walk, node_1 = _start(kind, np.array([first]), i0, n0, period)
+    walk, node_1 = _start(kind, np.array([first]), i0, n0)
     state = (*walk.vec[:, 0].tolist(), float(walk.log_scale[0]))
     c2, c1 = coefs.T
     out = np.empty(n - 1)
     # an exact zero of the signed value logs as -inf
     with np.errstate(divide="ignore"):
         if kind == NOISE:
-            _kernels.noise_steps(c2 * c2, c1 * c1, n0, *state, period, out)
+            _kernels.noise_steps(c2 * c2, c1 * c1, n0, *state, 1, out)
         else:
-            _kernels.info_steps(c2, c1, *state, period, out)
+            _kernels.info_steps(c2, c1, *state, 1, out)
         if kind == SIGNED:
             values = np.concatenate([[0.0, np.log(abs(first))], out])
             return np.maximum(values[:-1], values[1:])

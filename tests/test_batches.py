@@ -58,8 +58,7 @@ def _signed(workers):
 
 def _noise(workers):
     cfg = NetworkConfig(Rayleigh(1.0), ConstantGain(0.8), n0=0.6, master_seed=SEED)
-    return estimate_noise_exponent(cfg, N, R, renorm_period=3,
-                                   workers=workers).replica_values
+    return estimate_noise_exponent(cfg, N, R, workers=workers).replica_values
 
 
 def _verify(workers):
@@ -73,7 +72,7 @@ def _verify(workers):
 def _ensemble(workers):
     cfg = NetworkConfig(Rayleigh(1.0), ConstantGain(0.6), n0=0.7, i0=1.3,
                         master_seed=SEED)
-    return simulate_capacity_ensemble(cfg, N, R, renorm_period=3, workers=workers).ravel()
+    return simulate_capacity_ensemble(cfg, N, R, workers=workers).ravel()
 
 
 MODES = {"signal": _signal, "signed": _signed, "noise": _noise, "verify": _verify,
@@ -220,11 +219,9 @@ def test_run_over_budget_splits_into_calls(monkeypatch, batch_sizes, swept):
 def test_logs_at_batch_equals_single_streams():
     streams = [RngStream(SEED, sid) for sid in (4, 0, 9)]
     nodes = (1, 2, 57, 800, 1201)
-    batch = logs_at(SIGNED, SignedBernoulli(0.3), [ConstantGain(1.0)], streams, nodes,
-                    renorm_period=4)
+    batch = logs_at(SIGNED, SignedBernoulli(0.3), [ConstantGain(1.0)], streams, nodes)
     for q, stream in enumerate(streams):
-        alone = logs_at(SIGNED, SignedBernoulli(0.3), [ConstantGain(1.0)], [stream], nodes,
-                        renorm_period=4)
+        alone = logs_at(SIGNED, SignedBernoulli(0.3), [ConstantGain(1.0)], [stream], nodes)
         assert _hex(batch[c][q] for c in nodes) == _hex(alone[c][0] for c in nodes)
     assert all(np.shape(batch[c]) == (3,) for c in nodes)
 
@@ -294,10 +291,11 @@ def test_gain_lanes_match_oracle():
 
 def test_lane_pads_stay_unit():
     """The padding after a column's last step holds unit coefficients, not
-    its gain: 999 steps leave 36 padded steps in the last lane, where three
-    steps of the gain 1e103 would overflow between renormalizations."""
-    logs = logs_at(SIGNAL, Deterministic(1e-101), [ConstantGain(1e103)], [RngStream(SEED)],
-                   (1000,), renorm_period=3)
+    its gain: 999 steps leave 36 padded steps in the last lane, where the
+    gain 1.5e308, after steps of coefficients near 1, would overflow within
+    a step."""
+    logs = logs_at(SIGNAL, Deterministic(1 / 1.5e308), [ConstantGain(1.5e308)],
+                   [RngStream(SEED)], (1000,))
     assert math.isfinite(logs[1000][0])
 
 
@@ -328,8 +326,8 @@ def test_calibration_draws_each_stream_three_times(passes):
 
 
 _OVERFLOW = ("error: non-finite signal cocycle state between nodes 1 and {}: values "
-             "left double range between renormalizations; renorm_period is already 1; "
-             "change the coefficient scale (model or gain)")
+             "left double range between renormalizations; change the coefficient scale "
+             "(model or gain)")
 _HOP = ("error: a hop coefficient (magnitude * gain) into node {} is not finite: the "
         "model's scale or the gain left double range; change the coefficient scale "
         "(model or gain)")
@@ -342,10 +340,10 @@ _HOP = ("error: a hop coefficient (magnitude * gain) into node {} is not finite:
     ("deterministic:c=1", "5e-324", (), 3, _OVERFLOW.format(100)),
     ("deterministic:c=1", "1e308", (),
      3, "error: no growth-rate sign change within 60 doublings from g_init=1e+308"),
-    # 8e102 overflows at renorm period 3 and 4e102 does not: the search
-    # never reads 8e102, so its look-ahead lane must not end the run
-    ("deterministic:c=1", "4e102", ("--renorm-period", "3", "--max-doublings", "3"),
-     3, "error: no growth-rate sign change within 3 doublings from g_init=4e+102"),
+    # 1e300 times the look-ahead gain 2e8 is infinite: the search never
+    # reads 2e8, so its look-ahead lane must not end the run
+    ("deterministic:c=1e300", "1e8", ("--max-doublings", "3"),
+     3, "error: no growth-rate sign change within 3 doublings from g_init=100000000.0"),
 ], ids=("huge-rayleigh", "tiny-rayleigh", "tiny-deterministic", "huge-deterministic",
         "look-ahead-overflow"))
 def test_extreme_g_init_keeps_exit_and_message(model, g_init, flags, rc, message, capsys):

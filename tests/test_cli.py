@@ -2,8 +2,10 @@
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from fibrelay import (
 )
 from fibrelay import cli
 from fibrelay.cli import main
-from fibrelay.config import parse_config, read_config_file, resolve
+from fibrelay.config import KEYS, parse_config, read_config_file, resolve
 from fibrelay.manifest import canonical_digest, dumps_17g
 
 from conftest import SOURCE_HOP_ERROR, child_env
@@ -145,7 +147,7 @@ class TestParseConfig:
 
     # echoed by every command, and by the commands that run a chain under
     # given gains or estimate over replicas
-    _ECHOED = {"command", "network.model", "run.n", "run.seed", "run.renorm_period"}
+    _ECHOED = {"command", "network.model", "run.n", "run.seed"}
     _CHAIN = {"network.gains", "network.i0"}
     _ESTIMATE = {"run.replicas", "run.burn_in"}
 
@@ -180,6 +182,20 @@ class TestParseConfig:
         assert params.seed == 11
         assert params.gains.g == (0.5 if "network.gains" in keys else 1.0)
         assert params.echo() == echo
+
+    def test_readme_key_table_lists_every_key(self):
+        """The README's table of keys, brace groups such as
+        ``run.{n,seed,workers}`` expanded, lists each key of ``KEYS`` once
+        and no other."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.partition("| keys | commands |\n| --- | --- |\n")[2]
+        listed = []
+        for row in table.split("\n\n")[0].splitlines():
+            for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                prefix, group, rest = name.partition("{")
+                listed += [prefix + item for item in rest.rstrip("}").split(",")] \
+                    if group else [name]
+        assert sorted(listed) == sorted(KEYS)
 
 
 class TestJson17g:
@@ -434,16 +450,33 @@ class TestConfigValues:
         ("lyapunov", {"network": {"model": "rayleigh:mu=abc"}}, "network.model"),
         ("lyapunov", {"network": {"model": "rayleigh", "gains": "constant:g=abc"}},
          "network.gains"),
-        # the estimator kind is retired: its key is unknown
+        # a per-node list shorter than the chain (run.n 2000)
+        ("lyapunov", {"network": {"model": "rayleigh", "gains": "1,2"}}, "network.gains"),
+        # the estimator kind and the renormalization period are retired:
+        # their keys are unknown
         ("lyapunov", {"network": {"model": "rayleigh"}, "lyapunov": {"kind": "tail_ratio"}},
          "lyapunov.kind"),
+        ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"renorm_period": 1}},
+         "run.renorm_period"),
     ], ids=("gains-list", "model-number", "grid-number", "grid-bool", "grid-nan",
             "n0-bool", "burn-in-bool", "n-null", "model-spec-text", "gains-spec-text",
-            "kind-key-retired"))
+            "gains-too-short", "kind-key-retired", "renorm-period-key-retired"))
     def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
         rc, err = self._run(command, config, tmp_path, capsys)
         assert rc == 2
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("gains,message", [
+        ("1,-2", "gains must all be positive"),
+        ("1,abc", "malformed pernode gains '1,abc'"),
+    ], ids=("negative", "not-a-number"))
+    def test_gains_error_keeps_its_cause(self, gains, message, tmp_path, capsys):
+        """A per-node gain list error names the key, says what is wrong and
+        quotes the list as it was given."""
+        config = {"network": {"model": "rayleigh"}}
+        rc, err = self._run("lyapunov", config, tmp_path, capsys, ("--gains", gains))
+        assert rc == 2
+        assert err == f"error: network.gains: {message}\n"
 
     @pytest.mark.parametrize("command,flags,run,key", [
         ("lyapunov", ("--i0", "inf"), {}, "network.i0"),
@@ -453,12 +486,11 @@ class TestConfigValues:
         ("lyapunov", (), {"n": 2000.7}, "run.n"),
         ("lyapunov", (), {"replicas": 1.5}, "run.replicas"),
         ("lyapunov", (), {"seed": 7.5}, "run.seed"),
-        ("lyapunov", (), {"renorm_period": 1e400}, "run.renorm_period"),
         ("lyapunov", ("--n", "abc"), {}, "run.n"),
         ("lyapunov", ("--replicas", "1.5"), {}, "run.replicas"),
         ("lyapunov", ("--gain", "x"), {}, "network.gain"),
     ], ids=("i0-inf", "n0-inf", "n0-nan", "grid-inf", "n-fraction",
-            "replicas-fraction", "seed-fraction", "renorm-period-inf", "n-flag-text",
+            "replicas-fraction", "seed-fraction", "n-flag-text",
             "replicas-flag-fraction", "gain-flag-text"))
     def test_non_finite_or_non_integral(self, command, flags, run, key, tmp_path,
                                         capsys):
@@ -469,7 +501,8 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("command,flag", [
         ("calibrate", "--gain"), ("sweep", "--gains"), ("sweep", "--gain"),
-        ("lyapunov", "--n0"), ("simulate", "--replicas"), ("lyapunov", "--kind")])
+        ("lyapunov", "--n0"), ("simulate", "--replicas"), ("lyapunov", "--kind"),
+        ("lyapunov", "--renorm-period")])
     def test_flag_of_a_key_the_command_does_not_read(self, command, flag, tmp_path,
                                                       capsys):
         """Each key is a flag of the commands that read it only: another
@@ -550,7 +583,7 @@ if pid == 0:
     from fibrelay import ConstantGain, NetworkConfig, Rayleigh, cocycle
     cocycle._CHUNK_STEPS = int(sys.argv[1])
     config = NetworkConfig(Rayleigh(1.0), ConstantGain(0.6), n_nodes=int(sys.argv[2]))
-    for _ in cocycle._records(config, range(1), 1):
+    for _ in cocycle._records(config, range(1)):
         pass
     os._exit(0)
 _, status, usage = os.wait4(pid, 0)
@@ -714,10 +747,10 @@ class TestStreamedOutput:
         log = tmp_path / "passes.txt"
         records = cocycle._records
 
-        def spy(config, stream_ids, renorm_period):
+        def spy(config, stream_ids):
             with open(log, "a") as file:
                 file.write(f"{stream_ids.start} {stream_ids.stop}\n")
-            return records(config, stream_ids, renorm_period)
+            return records(config, stream_ids)
 
         monkeypatch.setattr(cocycle, "_records", spy)
         rc = main(["simulate", "--model", "rayleigh:mu=1.0", "--n", "150",
@@ -769,30 +802,10 @@ class TestNumericalFailures:
         rc = main(args + ["--output-dir", str(tmp_path)])
         return rc, capsys.readouterr().err
 
-    @pytest.mark.parametrize("args", [
-        ["lyapunov", "--model", "deterministic:c=6.2", "--gain", "1", "--n", "5000",
-         "--replicas", "1", "--renorm-period", "1000"],
-        ["simulate", "--model", "deterministic:c=6.2", "--gain", "1", "--n", "3000",
-         "--renorm-period", "2000"],
-    ], ids=("lyapunov", "simulate"))
-    def test_long_renorm_period(self, args, tmp_path, capsys):
-        rc, err = self._run(args, tmp_path, capsys)
-        data = sorted(p for p in tmp_path.iterdir() if p.name != "manifest.json")
-        if rc == 3:
-            assert "renorm_period" in err and not data
-            return
-        assert rc == 0 and data
-        for path in data:
-            if path.suffix == ".csv":
-                values = np.loadtxt(path, delimiter=",", skiprows=1)
-                assert np.all(np.isfinite(values))
-            else:
-                assert math.isfinite(json.loads(path.read_text())["lambda_hat"])
-
     @pytest.mark.parametrize("args,cause", [
-        # a coefficient of 1e300 overflows within three unrenormalized steps
-        (["lyapunov", "--model", "deterministic:c=1e300", "--n", "2000",
-          "--replicas", "1", "--renorm-period", "3"], "renorm_period"),
+        # coefficients of 5e-324 underflow the state to all zeros within a step
+        (["lyapunov", "--model", "deterministic:c=5e-324", "--n", "2000",
+          "--replicas", "1"], "left double range between renormalizations"),
         # a coefficient of 1e200 squares to inf in the noise cocycle, from
         # the first hop on
         (["simulate", "--model", "deterministic:c=1e200", "--n", "50"],
@@ -835,8 +848,8 @@ class TestNumericalFailures:
           "--workers", "2"], 17),
     ], ids=("lyapunov", "simulate-workers-2"))
     def test_infinite_hop_coefficient_names_its_node(self, args, node, tmp_path, capsys):
-        """A hop coefficient infinite when drawn is named by its node, with
-        no renorm_period advice."""
+        """A hop coefficient infinite when drawn is named by its node, not
+        as a state that left double range."""
         rc, err = self._run(args + ["--seed", "6"], tmp_path, capsys)
         assert rc == 3
         assert err.splitlines() == [

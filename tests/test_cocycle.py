@@ -26,10 +26,10 @@ from fibrelay.cocycle import NOISE, SIGNAL, _block_length, _start, _Walk, logs_a
 from conftest import SEED, mp_oracle_logs
 
 
-def _det_logs(kind, c, nodes, i0=1.0, renorm_period=1):
+def _det_logs(kind, c, nodes, i0=1.0):
     """Engine logs at ``nodes`` of a chain whose every coefficient is c."""
     logs = logs_at(kind, Deterministic(c), [ConstantGain(1.0)], [RngStream(SEED, 0)], nodes,
-                   i0=i0, renorm_period=renorm_period)
+                   i0=i0)
     return {node: float(values[0]) for node, values in logs.items()}
 
 
@@ -40,7 +40,7 @@ def _state(walk):
 
 def _signal_start(i0, first):
     """The signal walk of one column whose source-hop coefficient is first."""
-    return _start(SIGNAL, np.array([first]), i0, 1.0, 1)[0]
+    return _start(SIGNAL, np.array([first]), i0, 1.0)[0]
 
 
 def _advance(walk, c2, c1):
@@ -135,7 +135,7 @@ class TestStepNoise:
     def test_zero_noise_floor_stays_degenerate(self):
         """With n0 = 0 (which NetworkConfig rejects) the noise state never
         leaves (0, 0, 1) and has no log to read."""
-        walk = _Walk(NOISE, (0.0, 0.0, 1.0), 1, n0=0.0)
+        walk = _Walk(NOISE, (0.0, 0.0, 1.0), n0=0.0)
         for _ in range(5):
             _advance(walk, np.array([1.3]), np.array([0.7]))
             assert _state(walk)[0] == [0.0, 0.0, 1.0]
@@ -160,7 +160,7 @@ class TestRenormalize:
     """Walk states are scaled so the largest magnitude is 1."""
 
     def test_scales_by_max(self):
-        walk = _Walk(SIGNAL, (2.0, 4.0), 1)
+        walk = _Walk(SIGNAL, (2.0, 4.0))
         assert _state(walk)[0] == [0.5, 1.0]
         assert _state(walk)[1] == pytest.approx(math.log(4.0), abs=1e-15)
         # start (2, 4): the node-1 value is 4
@@ -168,29 +168,21 @@ class TestRenormalize:
             math.log(4.0), abs=1e-15)
 
     def test_identity_case(self):
-        walk = _Walk(SIGNAL, (1.0, 1.0), 1)
+        walk = _Walk(SIGNAL, (1.0, 1.0))
         assert _state(walk) == ([1.0, 1.0], 0.0)
 
     def test_constant_slot_is_max(self):
-        walk = _Walk(NOISE, (0.0, 0.0, 1.0), 1, n0=1.0)
+        walk = _Walk(NOISE, (0.0, 0.0, 1.0), n0=1.0)
         assert _state(walk) == ([0.0, 0.0, 1.0], 0.0)
 
     def test_all_zero_raises(self):
         """A state that underflows to all zeros between renormalizations
-        cannot be renormalized: 1e-200 squared is 0 in double."""
-        with pytest.raises(NumericalError, match="renorm_period"):
-            _det_logs(SIGNAL, 1e-200, [50], renorm_period=3)
+        cannot be renormalized: with coefficients of 5e-324, the smallest
+        positive double, the products of a step round to 0."""
+        with pytest.raises(NumericalError, match="change the coefficient scale"):
+            _det_logs(SIGNAL, 5e-324, [50])
         with pytest.raises(NumericalError):
-            run_trajectory(_det_config(1e-200, 1.0, 50), renorm_period=3)
-
-    def test_preserves_recovered_quantities(self):
-        """Recovered logs do not depend on how often the state is rescaled."""
-        nodes = [1, 2, 7, 50, 333]
-        for kind in (SIGNAL, NOISE):
-            every = _det_logs(kind, 1.3, nodes, renorm_period=1)
-            sparse = _det_logs(kind, 1.3, nodes, renorm_period=5)
-            for n in nodes:
-                assert sparse[n] == pytest.approx(every[n], abs=1e-12)
+            run_trajectory(_det_config(5e-324, 1.0, 50))
 
 
 def _det_config(c, g, n_nodes, n0=1.0, seed=SEED):
@@ -232,16 +224,6 @@ class TestRunTrajectory:
         traj = run_trajectory(NetworkConfig(Rayleigh(1.0), ConstantGain(0.5),
                                             n_nodes=2000, master_seed=SEED))
         assert np.all(np.isfinite(traj.log_i_sq))
-
-    def test_renorm_period_invariance(self):
-        """Renormalizing every step vs every 32 steps shifts logs <= 1e-10 * n."""
-        cfg = NetworkConfig(Rayleigh(1.0), ConstantGain(1.2), n_nodes=2000,
-                            master_seed=SEED)
-        a = run_trajectory(cfg, renorm_period=1)
-        b = run_trajectory(cfg, renorm_period=32)
-        bound = 1e-10 * np.arange(1, cfg.n_nodes + 1)
-        assert np.all(np.abs(a.log_i_sq - b.log_i_sq) <= bound)
-        assert np.all(np.abs(a.log_n_sq - b.log_n_sq) <= bound)
 
     def test_integer_coefficient_matches_float(self):
         ints = run_trajectory(_det_config(1, 0.7, 300))

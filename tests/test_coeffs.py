@@ -318,6 +318,11 @@ class TestSpecGrammar:
             parse_gains("constant:g=1,g=2")
         with pytest.raises(ConfigError, match="gain spec .*'abc' is not a number"):
             parse_gains("constant:g=abc")
+        # a bad gain keeps its cause; a bad number quotes the spec
+        with pytest.raises(ConfigError, match="must all be positive"):
+            parse_gains("pernode:g=1,-2")
+        with pytest.raises(ConfigError, match="malformed pernode gains 'pernode:g=1,abc'"):
+            parse_gains("pernode:g=1,abc")
 
 
 class TestGainPolicies:
