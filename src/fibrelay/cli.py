@@ -105,11 +105,11 @@ def _emit(params: RunParams, output_dir, files: dict, stdout_text: str = "") -> 
 def cmd_lyapunov(params: RunParams, output_dir) -> int:
     """estimate the signal growth rate"""
     est = estimate_lambda(
-        params.model, params.gains, params.n, params.replicas, params.seed,
+        params.model, params.gain, params.n, params.replicas, params.seed,
         burn_in=params.burn_in, i0=params.i0, validation=params.validation,
         workers=params.workers)
     report = dumps_17g(est.to_report(params.model.spec_string(),
-                                     params.gains.spec_string(), params.seed))
+                                     params.gain.spec_string(), params.seed))
     _emit(params, output_dir, {"lyapunov.json": report}, report)
     return EXIT_OK
 
@@ -169,7 +169,7 @@ def cmd_verify(params: RunParams, output_dir) -> int:
     if output_dir is not None:  # the files are built only to be written
         from ._csv import csv_text
         model_spec = params.model.spec_string()
-        gain_spec = params.gains.spec_string()
+        gain_spec = params.gain.spec_string()
         files = {
             "verify_capacity.json": dumps_17g(cap.to_report(model_spec, gain_spec,
                                                             params.seed)),

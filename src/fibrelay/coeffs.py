@@ -237,7 +237,7 @@ class ConstantGain(GainPolicy):
 
     def __post_init__(self):
         if not (self.g > 0.0) or not math.isfinite(self.g):
-            raise ConfigError(f"gain must be positive, got {self.g}")
+            raise ConfigError(f"gain must be positive and finite, got {self.g}")
 
     def node_gains(self, start, count):
         return np.full(count, self.g)
@@ -255,7 +255,7 @@ class PerNodeGain(GainPolicy):
         if not gains:
             raise ConfigError("gains list must not be empty")
         if any(not (g > 0.0) or not math.isfinite(g) for g in gains):
-            raise ConfigError("gains must all be positive")
+            raise ConfigError("gains must all be positive and finite")
         object.__setattr__(self, "gains", gains)
 
     def node_gains(self, start, count):
@@ -369,18 +369,9 @@ def parse_model(spec: str) -> CoefficientModel:
         raise ConfigError(f"model {kind!r} missing parameter {missing[0]!r}") from None
 
 
-def _pernode_gains(values: str, spec: str) -> PerNodeGain:
-    """The per-node gains listed, comma separated, in ``values``; a value
-    that is not a number raises an error quoting ``spec``."""
-    try:
-        gains = tuple(float(v) for v in values.split(","))
-    except ValueError:
-        raise ConfigError(f"malformed pernode gains {spec!r}") from None
-    return PerNodeGain(gains)
-
-
 def parse_gains(spec: str) -> GainPolicy:
-    """Parse ``constant:g=0.5``, ``pernode:g=1,2,3`` or a bare number."""
+    """Parse ``constant:g=0.5``, ``pernode:g=1,2,3``, a bare number (a
+    constant gain) or a bare comma-separated list (one gain per node)."""
     text = spec.strip()
     kind, _, body = text.partition(":")
     kind = kind.strip().lower()
@@ -390,11 +381,17 @@ def parse_gains(spec: str) -> GainPolicy:
             raise ConfigError(f"constant gain spec needs exactly g=..., got {spec!r}")
         return ConstantGain(kv["g"])
     if kind == "pernode":
-        key, _, vals = body.partition("=")
+        key, _, text = body.partition("=")
         if key.strip() != "g":
             raise ConfigError(f"pernode gain spec needs g=..., got {spec!r}")
-        return _pernode_gains(vals, spec)
+    elif ":" in text or "," not in text:  # one number, or a kind that is not known
+        try:
+            g = float(text)
+        except ValueError:
+            raise ConfigError(f"unknown gain spec {spec!r}") from None
+        return ConstantGain(g)
     try:
-        return ConstantGain(float(text))
+        gains = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"unknown gain spec {spec!r}") from None
+        raise ConfigError(f"malformed pernode gains {spec!r}") from None
+    return PerNodeGain(gains)

@@ -14,6 +14,9 @@ a bad one raises ConfigError naming the key.  The file format is flat
     run.n = 10000
     run.seed = 20260809
 
+``network.gain`` takes every gain spec: a number (a constant gain), a
+comma-separated list of one gain per node, ``constant:g=...`` or
+``pernode:g=...``; from the library, also a built ``GainPolicy``.
 JSON is accepted as an alternative encoding (either the same flat keys or
 one nesting level: ``{"network": {"model": ...}}``).  A run manifest is
 also accepted: its ``config_echo`` is used directly, which is how a run is
@@ -30,8 +33,7 @@ from dataclasses import make_dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .coeffs import (CoefficientModel, ConstantGain, GainPolicy, _pernode_gains, parse_gains,
-                     parse_model)
+from .coeffs import CoefficientModel, GainPolicy, parse_gains, parse_model
 from .cocycle import NetworkConfig
 from .errors import ConfigError
 from .laws import DEFAULT_SLOPE_TOL, DEFAULT_TOLERANCE_SIGMA, default_burn_in
@@ -93,15 +95,15 @@ def _or_auto(parse):
 
 
 def _spec(parse, cls, what):
-    """Parse a spec string with ``parse``, naming the key in its errors;
-    pass a built ``cls`` through."""
+    """Parse a spec string, or a number as its text (a JSON gain), with
+    ``parse``, naming the key in its errors; pass a built ``cls`` through."""
     def parse_spec(key, value):
         if isinstance(value, cls):
             return value
-        if not isinstance(value, str):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ConfigError(f"{key}: expected a {what} spec string, got {value!r}")
         try:
-            return parse(value)
+            return parse(str(value))
         except ConfigError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     return parse_spec
@@ -132,10 +134,8 @@ _ESTIMATE = ("lyapunov", "calibrate", "verify", "sweep")
 KEYS = {
     "network.model": Key(COMMANDS, None, _spec(parse_model, CoefficientModel, "model"),
                          "coefficient model spec, e.g. rayleigh:mu=1.0"),
-    "network.gain": Key(_CHAIN, 1.0, _positive_float, "constant amplification gain"),
-    "network.gains": Key(_CHAIN, None, _spec(
-        lambda t: parse_gains(t) if ":" in t else _pernode_gains(t, t), GainPolicy, "gain"),
-        "per-node gains, comma separated"),
+    "network.gain": Key(_CHAIN, 1.0, _spec(parse_gains, GainPolicy, "gain"), "gain: a "
+                        "number, a per-node list g1,g2,..., constant:g=... or pernode:g=..."),
     "network.n0": Key(("simulate", "verify"), 1.0, _positive_float,
                       "noise power per reception"),
     "network.i0": Key((*_CHAIN, "sweep"), 1.0, _positive_float, "source magnitude"),
@@ -165,17 +165,16 @@ KEYS = {
 
 
 def _network_config(self) -> NetworkConfig:
-    return NetworkConfig(model=self.model, gains=self.gains, n0=self.n0,
+    return NetworkConfig(model=self.model, gains=self.gain, n0=self.n0,
                          i0=self.i0, n_nodes=self.n, master_seed=self.seed)
 
 
 def _echo(self) -> dict:
     """Dotted-key view of everything that determines the outputs: the
-    keys the command reads but the worker count, an execution detail,
-    and ``network.gain``, which ``network.gains`` holds."""
+    keys the command reads but the worker count, an execution detail."""
     out = {"command": self.command}
     for key, entry in KEYS.items():
-        if self.command in entry.commands and key not in ("network.gain", "run.workers"):
+        if self.command in entry.commands and key != "run.workers":
             value = getattr(self, key.partition(".")[2])
             if key == "sweep.gain_grid":
                 value = ",".join(f"{g:.17g}" for g in value)
@@ -183,9 +182,9 @@ def _echo(self) -> dict:
     return out
 
 
-# one field per key, named after the dot, network.gain folded into gains
+# one field per key, named after the dot
 RunParams = make_dataclass(
-    "RunParams", ["command", *(key.partition(".")[2] for key in KEYS if key != "network.gain")],
+    "RunParams", ["command", *(key.partition(".")[2] for key in KEYS)],
     frozen=True, namespace={
         "__doc__": "Fully resolved parameters for one command invocation.",
         "__module__": __name__, "network_config": _network_config, "echo": _echo})
@@ -253,21 +252,21 @@ def resolve(command: str, file_values: dict | None = None,
                 raise ConfigError(f"{key}: expected a value, got null")
     if "network.model" not in merged:
         raise ConfigError("network.model is required")
-    if "network.gains" in merged and "network.gain" in merged:
-        raise ConfigError("network.gain and network.gains are mutually exclusive")
 
     values = {}
     for key, entry in KEYS.items():
         value = merged.get(key, entry.default)
         values[key.partition(".")[2]] = None if value is None else entry.parse(key, value)
 
-    gain = values.pop("gain")
-    values["gains"] = values["gains"] or ConstantGain(gain)
-    if command in KEYS["network.gains"].commands:
+    model = values["model"]
+    if model.validation_only and not (command == "lyapunov" and values["validation"]):
+        raise ConfigError(f"network.model: the validation-only model {model.spec_string()} "
+                          "runs only in lyapunov with --validation (lyapunov.validation)")
+    if command in KEYS["network.gain"].commands:
         try:
-            values["gains"].require_length(values["n"])
+            values["gain"].require_length(values["n"])
         except ConfigError as exc:
-            raise ConfigError(f"network.gains: {exc}") from None
+            raise ConfigError(f"network.gain: {exc}") from None
     if values["seed"] is None:
         values["seed"] = secrets.randbits(63)
     if values["burn_in"] is None:

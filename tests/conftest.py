@@ -57,9 +57,9 @@ def sequential_logs(kind, model, gain, stream_id, n, *, i0, n0):
     # an exact zero of the signed value logs as -inf
     with np.errstate(divide="ignore"):
         if kind == NOISE:
-            _kernels.noise_steps(c2 * c2, c1 * c1, n0, *state, 1, out)
+            _kernels.noise_steps(c2 * c2, c1 * c1, n0, *state, out)
         else:
-            _kernels.info_steps(c2, c1, *state, 1, out)
+            _kernels.info_steps(c2, c1, *state, out)
         if kind == SIGNED:
             values = np.concatenate([[0.0, np.log(abs(first))], out])
             return np.maximum(values[:-1], values[1:])

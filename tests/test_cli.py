@@ -34,7 +34,7 @@ class TestParseConfig:
         params = parse_config("lyapunov", overrides={
             "network.model": "deterministic:c=1", "network.gain": 0.5, "run.n": 1000})
         assert params.model.c == 1.0
-        assert params.gains.g == 0.5
+        assert params.gain.g == 0.5
         assert params.n == 1000
         assert params.n0 == 1.0 and params.i0 == 1.0
         assert params.replicas == 32
@@ -60,7 +60,7 @@ class TestParseConfig:
             "run.seed = 7\n")
         params = parse_config("simulate", cfg)
         assert params.model.mu == 1.0
-        assert params.gains.g == 0.6
+        assert params.gain.g == 0.6
         assert params.seed == 7
 
     def test_json_nested_file(self, tmp_path):
@@ -142,13 +142,13 @@ class TestParseConfig:
     def test_built_model_and_gains_accepted(self):
         gains = PerNodeGain((1.0, 2.0, 3.0))
         params = resolve("simulate", {}, {"network.model": Rayleigh(1.0),
-                                          "network.gains": gains, "run.n": 3})
-        assert params.model == Rayleigh(1.0) and params.gains is gains
+                                          "network.gain": gains, "run.n": 3})
+        assert params.model == Rayleigh(1.0) and params.gain is gains
 
     # echoed by every command, and by the commands that run a chain under
     # given gains or estimate over replicas
     _ECHOED = {"command", "network.model", "run.n", "run.seed"}
-    _CHAIN = {"network.gains", "network.i0"}
+    _CHAIN = {"network.gain", "network.i0"}
     _ESTIMATE = {"run.replicas", "run.burn_in"}
 
     @pytest.mark.parametrize("command,flags,keys,burn_in", [
@@ -165,10 +165,9 @@ class TestParseConfig:
     ], ids=("lyapunov", "lyapunov-burn-in", "simulate", "calibrate", "verify", "sweep"))
     def test_manifest_round_trips_config(self, command, flags, keys, burn_in, tmp_path,
                                          capsys):
-        """The echo holds the keys the command reads but network.gain and
-        run.workers, with the burn-in the run used, and reads back to the
-        same parameters."""
-        if "network.gains" in keys:
+        """The echo holds the keys the command reads but run.workers, with
+        the burn-in the run used, and reads back to the same parameters."""
+        if "network.gain" in keys:
             flags += ("--gain", "0.5")
         if "run.replicas" in keys:
             flags += ("--replicas", "1")
@@ -180,7 +179,7 @@ class TestParseConfig:
         assert echo.get("run.burn_in") == burn_in
         params = resolve(command, read_config_file(tmp_path / "manifest.json"))
         assert params.seed == 11
-        assert params.gains.g == (0.5 if "network.gains" in keys else 1.0)
+        assert params.gain.g == (0.5 if "network.gain" in keys else 1.0)
         assert params.echo() == echo
 
     def test_readme_key_table_lists_every_key(self):
@@ -196,6 +195,25 @@ class TestParseConfig:
                 listed += [prefix + item for item in rest.rstrip("}").split(",")] \
                     if group else [name]
         assert sorted(listed) == sorted(KEYS)
+
+    def test_readme_examples_parse(self, tmp_path):
+        """Every ``fibrelay <command> ...`` line of the README's code blocks
+        parses with the CLI's parser, and its ini config example resolves
+        for every command: a retired flag or key cannot stay in the docs."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```(\w*)\n(.*?)```", readme, re.S)
+        parser = cli._build_parser()
+        examples = [line.split() for kind, text in blocks if kind == "sh"
+                    for line in text.replace("\\\n", " ").splitlines()
+                    if line.startswith("fibrelay ")]
+        assert len(examples) >= 5
+        for words in examples:
+            assert parser.parse_args(words[1:]).command == words[1]
+        [ini] = [text for kind, text in blocks if kind == "ini"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(ini)
+        for command in cli._HANDLERS:
+            resolve(command, read_config_file(cfg), {"sweep.gain_grid": "0.5"})
 
 
 class TestJson17g:
@@ -337,6 +355,44 @@ class TestCommands:
                    "--replicas", "1", "--validation"])
         assert rc == 0
 
+    @pytest.mark.parametrize("command,flags", [
+        ("lyapunov", ()), ("simulate", ()), ("calibrate", ()), ("verify", ()),
+        ("sweep", ("--gain-grid", "0.5"))],
+        ids=("lyapunov", "simulate", "calibrate", "verify", "sweep"))
+    def test_validation_only_model_named_by_its_key(self, command, flags, tmp_path, capsys):
+        """A validation-only model exits 2 naming network.model and the
+        flag that admits it, before the output directory is made."""
+        out = tmp_path / "out"
+        rc = main([command, "--model", "signed:p=0.5", "--n", "2000", *flags,
+                   "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err.startswith("error: network.model: ") and "--validation" in err
+
+    def test_bare_gain_number_is_constant(self, capsys):
+        """``--gain 2`` is the constant gain ``constant:g=2``, not a
+        one-node list."""
+        reports = []
+        for gain in ("2", "constant:g=2"):
+            assert main(["lyapunov", "--model", "rayleigh", "--gain", gain, "--n", "1000",
+                         "--replicas", "2"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["gain_spec"] == "constant:g=2"
+
+    def test_gain_list_of_one_value_is_that_constant(self, capsys):
+        """A list of n copies of 0.5 gives the growth rate of ``--gain 0.5``
+        bit for bit."""
+        reports = []
+        for gain in (",".join(["0.5"] * 1000), "0.5"):
+            assert main(["lyapunov", "--model", "rayleigh", "--gain", gain, "--n", "1000",
+                         "--replicas", "3"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        per_node, constant = reports
+        assert per_node["gain_spec"] == "pernode:g=" + ",".join(["0.5"] * 1000)
+        assert per_node["lambda_hat"] == constant["lambda_hat"]
+        assert per_node["std_err"] == constant["std_err"]
+
     def test_entry_point_subprocess(self):
         out = subprocess.run([sys.executable, "-m", "fibrelay", "--version"],
                              capture_output=True, text=True, env=child_env())
@@ -434,8 +490,8 @@ class TestConfigValues:
         return rc, capsys.readouterr().err
 
     @pytest.mark.parametrize("command,config,key", [
-        ("simulate", {"network": {"model": "rayleigh", "gains": [1, 2, 3]}},
-         "network.gains"),
+        ("simulate", {"network": {"model": "rayleigh", "gain": [1, 2, 3]}},
+         "network.gain"),
         ("lyapunov", {"network": {"model": 5}}, "network.model"),
         ("sweep", {"network": {"model": "rayleigh"}, "sweep": {"gain_grid": 0.5}},
          "sweep.gain_grid"),
@@ -448,35 +504,38 @@ class TestConfigValues:
          "run.burn_in"),
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"n": None}}, "run.n"),
         ("lyapunov", {"network": {"model": "rayleigh:mu=abc"}}, "network.model"),
-        ("lyapunov", {"network": {"model": "rayleigh", "gains": "constant:g=abc"}},
-         "network.gains"),
+        ("lyapunov", {"network": {"model": "rayleigh", "gain": "constant:g=abc"}},
+         "network.gain"),
         # a per-node list shorter than the chain (run.n 2000)
-        ("lyapunov", {"network": {"model": "rayleigh", "gains": "1,2"}}, "network.gains"),
-        # the estimator kind and the renormalization period are retired:
-        # their keys are unknown
+        ("lyapunov", {"network": {"model": "rayleigh", "gain": "1,2"}}, "network.gain"),
+        # the estimator kind, the renormalization period and the second
+        # gain key are retired: their keys are unknown
         ("lyapunov", {"network": {"model": "rayleigh"}, "lyapunov": {"kind": "tail_ratio"}},
          "lyapunov.kind"),
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"renorm_period": 1}},
          "run.renorm_period"),
+        ("lyapunov", {"network": {"model": "rayleigh", "gains": "constant:g=0.5"}},
+         "unknown configuration key 'network.gains'"),
     ], ids=("gains-list", "model-number", "grid-number", "grid-bool", "grid-nan",
             "n0-bool", "burn-in-bool", "n-null", "model-spec-text", "gains-spec-text",
-            "gains-too-short", "kind-key-retired", "renorm-period-key-retired"))
+            "gains-too-short", "kind-key-retired", "renorm-period-key-retired",
+            "gains-key-retired"))
     def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
         rc, err = self._run(command, config, tmp_path, capsys)
         assert rc == 2
         assert err.startswith("error:") and key in err
 
     @pytest.mark.parametrize("gains,message", [
-        ("1,-2", "gains must all be positive"),
+        ("1,-2", "gains must all be positive and finite"),
         ("1,abc", "malformed pernode gains '1,abc'"),
     ], ids=("negative", "not-a-number"))
     def test_gains_error_keeps_its_cause(self, gains, message, tmp_path, capsys):
         """A per-node gain list error names the key, says what is wrong and
         quotes the list as it was given."""
         config = {"network": {"model": "rayleigh"}}
-        rc, err = self._run("lyapunov", config, tmp_path, capsys, ("--gains", gains))
+        rc, err = self._run("lyapunov", config, tmp_path, capsys, ("--gain", gains))
         assert rc == 2
-        assert err == f"error: network.gains: {message}\n"
+        assert err == f"error: network.gain: {message}\n"
 
     @pytest.mark.parametrize("command,flags,run,key", [
         ("lyapunov", ("--i0", "inf"), {}, "network.i0"),
@@ -489,9 +548,11 @@ class TestConfigValues:
         ("lyapunov", ("--n", "abc"), {}, "run.n"),
         ("lyapunov", ("--replicas", "1.5"), {}, "run.replicas"),
         ("lyapunov", ("--gain", "x"), {}, "network.gain"),
+        ("lyapunov", ("--gain", "inf"), {}, "network.gain: gain must be positive and finite"),
+        ("lyapunov", ("--gain", "nan"), {}, "network.gain: gain must be positive and finite"),
     ], ids=("i0-inf", "n0-inf", "n0-nan", "grid-inf", "n-fraction",
             "replicas-fraction", "seed-fraction", "n-flag-text",
-            "replicas-flag-fraction", "gain-flag-text"))
+            "replicas-flag-fraction", "gain-flag-text", "gain-inf", "gain-nan"))
     def test_non_finite_or_non_integral(self, command, flags, run, key, tmp_path,
                                         capsys):
         config = {"network": {"model": "deterministic:c=1"}, "run": run}
@@ -502,7 +563,7 @@ class TestConfigValues:
     @pytest.mark.parametrize("command,flag", [
         ("calibrate", "--gain"), ("sweep", "--gains"), ("sweep", "--gain"),
         ("lyapunov", "--n0"), ("simulate", "--replicas"), ("lyapunov", "--kind"),
-        ("lyapunov", "--renorm-period")])
+        ("lyapunov", "--renorm-period"), ("lyapunov", "--gains")])
     def test_flag_of_a_key_the_command_does_not_read(self, command, flag, tmp_path,
                                                       capsys):
         """Each key is a flag of the commands that read it only: another

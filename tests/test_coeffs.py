@@ -310,6 +310,9 @@ class TestSpecGrammar:
         assert parse_gains("constant:g=0.5") == ConstantGain(0.5)
         assert parse_gains("pernode:g=1,2,3") == PerNodeGain((1.0, 2.0, 3.0))
         assert parse_gains("0.7") == ConstantGain(0.7)
+        assert parse_gains(" 1, 2,3 ") == PerNodeGain((1.0, 2.0, 3.0))
+        with pytest.raises(ConfigError, match="unknown gain spec 'linear:1,2'"):
+            parse_gains("linear:1,2")
         with pytest.raises(ConfigError):
             parse_gains("pernode:h=1,2")
         with pytest.raises(ConfigError):
@@ -319,10 +322,14 @@ class TestSpecGrammar:
         with pytest.raises(ConfigError, match="gain spec .*'abc' is not a number"):
             parse_gains("constant:g=abc")
         # a bad gain keeps its cause; a bad number quotes the spec
-        with pytest.raises(ConfigError, match="must all be positive"):
-            parse_gains("pernode:g=1,-2")
-        with pytest.raises(ConfigError, match="malformed pernode gains 'pernode:g=1,abc'"):
-            parse_gains("pernode:g=1,abc")
+        for spec in ("pernode:g=1,-2", "1,inf"):
+            with pytest.raises(ConfigError, match="must all be positive and finite"):
+                parse_gains(spec)
+        with pytest.raises(ConfigError, match="must be positive and finite, got -1.0"):
+            parse_gains("-1")
+        for spec in ("pernode:g=1,abc", "1,abc"):
+            with pytest.raises(ConfigError, match=f"malformed pernode gains '{spec}'"):
+                parse_gains(spec)
 
 
 class TestGainPolicies:
