@@ -12,9 +12,9 @@ One calibration is a geometric bracket expansion from ``g_init`` (halving
 the low edge until its rate is clearly negative, then doubling the high
 edge until its rate is clearly positive, two standard errors clear of
 zero), a bisection of that bracket and a confirmation run on fresh
-streams.  The budget is fixed: at most 200 growth-rate evaluations, with
-``n_steps`` doubled, while the replica CI is too wide to resolve the
-bracket, up to 8 times the requested count.
+streams.  The budget is fixed: at most 60 bracket expansions, at most 200
+growth-rate evaluations, with ``n_steps`` doubled, while the replica CI is
+too wide to resolve the bracket, up to 8 times the requested count.
 
 Gains are estimated in passes of three, one engine pass each with every
 stream drawn once: a gain the search asks for and does not know yet, plus
@@ -38,6 +38,8 @@ _MASK64 = (1 << 64) - 1
 _MAX_EVALUATIONS = 200
 # n_steps doubles at most up to this multiple of the requested count
 _STEPS_CAP_FACTOR = 8
+# bracket expansions before a calibration gives up
+_MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,13 @@ def _clearly_positive(est) -> bool:
     return est.lambda_hat - 2.0 * est.std_err > 0.0
 
 
-def _bracket(rate, g_init: float, max_doublings: int) -> tuple:
+def _bracket(rate, g_init: float) -> tuple:
     """Geometric expansion from g_init to a sign-changing gain bracket.
 
     Halves the low edge until its rate is clearly negative, then doubles the
     high edge until its rate is clearly positive; a probe clearly on the far
     side of zero tightens the other edge.  Raises UnbracketableError after
-    ``max_doublings`` total expansions; that signals a model whose
+    ``_MAX_DOUBLINGS`` total expansions; that signals a model whose
     log-moment assumptions fail numerically.
     """
     spent = 0
@@ -92,9 +94,9 @@ def _bracket(rate, g_init: float, max_doublings: int) -> tuple:
     def expand(g, factor):
         nonlocal spent
         spent += 1
-        if spent > max_doublings:
+        if spent > _MAX_DOUBLINGS:
             raise UnbracketableError(
-                f"no growth-rate sign change within {max_doublings} doublings "
+                f"no growth-rate sign change within {_MAX_DOUBLINGS} doublings "
                 f"from g_init={g_init}")
         return g * factor
 
@@ -113,21 +115,19 @@ def _bracket(rate, g_init: float, max_doublings: int) -> tuple:
 def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
                             n_steps: int = 10_000, n_replicas: int = 32,
                             master_seed: int = 0, *, g_init: float = 1.0,
-                            burn_in: int | None = None, workers: int = 1,
-                            max_doublings: int = 60) -> CalibrationResult:
+                            burn_in: int | None = None, workers: int = 1) -> CalibrationResult:
     """Bisection for the gain with zero growth rate, on common random numbers.
 
     First expands a bracket geometrically from ``g_init``: halving until the
     rate is clearly negative at the low edge and doubling until it is
-    clearly positive at the high edge, raising UnbracketableError after
-    ``max_doublings`` expansions.  Bisection then stops once |rate(g)| is
-    within ``tol`` (and, for stochastic models, within the replica CI of
-    zero, so zero lies inside the reported interval).  If the Monte Carlo
-    CI is too wide to resolve the remaining bracket, the step count doubles
-    adaptively up to 8 * ``n_steps``.  After at most 200 growth-rate
-    evaluations the iterate closest to zero is returned unconverged.  After
-    convergence the gain is re-validated with fresh streams
-    (master_seed + 1).
+    clearly positive at the high edge, raising UnbracketableError after 60
+    expansions.  Bisection then stops once |rate(g)| is within ``tol``
+    (and, for stochastic models, within the replica CI of zero, so zero
+    lies inside the reported interval).  If the Monte Carlo CI is too wide
+    to resolve the remaining bracket, the step count doubles adaptively up
+    to 8 * ``n_steps``.  After at most 200 growth-rate evaluations the
+    iterate closest to zero is returned unconverged.  After convergence the
+    gain is re-validated with fresh streams (master_seed + 1).
     """
     if model.validation_only:
         raise ValidationOnlyModelError("cannot calibrate a validation-only model")
@@ -165,7 +165,7 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
             evaluations += 1
         return cache[g]
 
-    g_lo, g_hi = _bracket(rate, g_init, max_doublings)
+    g_lo, g_hi = _bracket(rate, g_init)
     history = [(g_lo, g_hi)]
 
     best = None  # (abs rate, gain, estimate)

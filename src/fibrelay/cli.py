@@ -142,8 +142,7 @@ def cmd_calibrate(params: RunParams, output_dir) -> int:
     """find the zero-growth gain"""
     result = find_zero_lyapunov_gain(
         params.model, params.tol, params.n, params.replicas, params.seed,
-        g_init=params.g_init, burn_in=params.burn_in, workers=params.workers,
-        max_doublings=params.max_doublings)
+        g_init=params.g_init, burn_in=params.burn_in, workers=params.workers)
     report = dumps_17g(result.to_report(params.model.spec_string(), params.tol,
                                         params.replicas, params.seed))
     _emit(params, output_dir, {"calibration.json": report}, report)
@@ -152,10 +151,8 @@ def cmd_calibrate(params: RunParams, output_dir) -> int:
 
 def cmd_verify(params: RunParams, output_dir) -> int:
     """check the capacity and power scaling laws"""
-    cap, pwr = verify_laws(
-        params.network_config(), params.n, params.replicas,
-        tolerance_sigma=params.tolerance_sigma, slope_tol=params.slope_tol,
-        burn_in=params.burn_in, workers=params.workers)
+    cap, pwr = verify_laws(params.network_config(), params.n, params.replicas,
+                           burn_in=params.burn_in, workers=params.workers)
 
     table = io.StringIO()
     table.write(f"{'law':<10}{'predicted':>14}{'measured':>14}{'std_err':>12}"

@@ -208,11 +208,6 @@ class SignedBernoulli(CoefficientModel):
         raise ValidationOnlyModelError("validation-only model has no log-moment")
 
 
-def _reject_validation_only(model: CoefficientModel, op: str) -> None:
-    if model.validation_only:
-        raise ValidationOnlyModelError(f"validation-only model not accepted by {op}")
-
-
 # ---------------------------------------------------------------------------
 # gain policies
 # ---------------------------------------------------------------------------
@@ -278,7 +273,6 @@ class PerNodeGain(GainPolicy):
 
 def expected_log_eta(model: CoefficientModel, gain: float) -> float:
     """Closed-form E[log coefficient] = E[log magnitude] + log(gain)."""
-    _reject_validation_only(model, "expected_log_eta")
     if not (gain > 0.0):
         raise ConfigError(f"gain must be positive, got {gain}")
     value = model.expected_log_magnitude() + math.log(gain)

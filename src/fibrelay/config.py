@@ -21,7 +21,7 @@ JSON is accepted as an alternative encoding (either the same flat keys or
 one nesting level: ``{"network": {"model": ...}}``).  A run manifest is
 also accepted: its ``config_echo`` is used directly, which is how a run is
 reproduced from its manifest.  A config file that cannot be read or
-parsed raises ConfigError naming its path.
+parsed, or that gives a key twice, raises ConfigError naming its path.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from typing import Callable, NamedTuple
 from .coeffs import CoefficientModel, GainPolicy, parse_gains, parse_model
 from .cocycle import NetworkConfig
 from .errors import ConfigError
-from .laws import DEFAULT_SLOPE_TOL, DEFAULT_TOLERANCE_SIGMA, default_burn_in
-from .lyapunov import DEFAULT_BURN_IN
+from .laws import _check_fit, default_burn_in
+from .lyapunov import DEFAULT_BURN_IN, _check_burn, _check_counts
 
 COMMANDS = ("lyapunov", "simulate", "calibrate", "verify", "sweep")
 
@@ -94,6 +94,14 @@ def _or_auto(parse):
         else parse(key, value)
 
 
+def _named(key, fn, *args):
+    """``fn(*args)``, its ConfigError prefixed with ``key``."""
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _spec(parse, cls, what):
     """Parse a spec string, or a number as its text (a JSON gain), with
     ``parse``, naming the key in its errors; pass a built ``cls`` through."""
@@ -102,10 +110,7 @@ def _spec(parse, cls, what):
             return value
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ConfigError(f"{key}: expected a {what} spec string, got {value!r}")
-        try:
-            return parse(str(value))
-        except ConfigError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+        return _named(key, parse, str(value))
     return parse_spec
 
 
@@ -154,12 +159,6 @@ KEYS = {
                                  "number of trajectories"),
     "calibrate.tol": Key(("calibrate",), 1e-3, _positive_float, "growth-rate tolerance"),
     "calibrate.g_init": Key(("calibrate",), 1.0, _positive_float, "bracket start"),
-    "calibrate.max_doublings": Key(("calibrate",), 60, _positive_int,
-                                   "bracket expansions before giving up"),
-    "verify.tolerance_sigma": Key(("verify",), DEFAULT_TOLERANCE_SIGMA, _positive_float,
-                                  "band half-width in combined standard errors"),
-    "verify.slope_tol": Key(("verify",), DEFAULT_SLOPE_TOL, _positive_float,
-                            "smallest band half-width"),
     "sweep.gain_grid": Key(("sweep",), None, _grid, "comma-separated gains"),
 }
 
@@ -190,13 +189,24 @@ RunParams = make_dataclass(
         "__module__": __name__, "network_config": _network_config, "echo": _echo})
 
 
-def _flatten(obj) -> dict:
+class _Members(list):
+    """A JSON object as its (name, value) members in order, repeats kept."""
+
+    def __repr__(self):  # in error messages, as the object it was given as
+        return repr(dict(self))
+
+
+def _flatten(members, prefix="") -> dict:
+    """Dotted keys of a JSON object, one nesting level folded in; a key
+    given twice, by a repeated member or flat and nested, raises ConfigError."""
     flat = {}
-    for key, value in obj.items():
-        if isinstance(value, dict):
-            flat.update((f"{key}.{sub}", v) for sub, v in value.items())
-        else:
-            flat[str(key)] = value
+    for name, value in members:
+        nested = _flatten(value, f"{name}.") if isinstance(value, _Members) and not prefix \
+            else {prefix + name: value}
+        for key, item in nested.items():
+            if key in flat:
+                raise ConfigError(f"{key}: given twice")
+            flat[key] = item
     return flat
 
 
@@ -210,23 +220,25 @@ def read_config_file(path) -> dict:
         raise ConfigError(f"{path}: cannot read config file: {reason}") from None
     if text.lstrip().startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_Members)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        obj = obj.get("config_echo", obj)
-        if not isinstance(obj, dict):
+        obj = dict(obj).get("config_echo", obj)
+        if not isinstance(obj, _Members):
             raise ConfigError(f"{path}: config_echo must be a JSON object, got {obj!r}")
-        return {k: v for k, v in _flatten(obj).items() if k != "command"}
-    out = {}
+        return {k: v for k, v in _named(path, _flatten, obj).items() if k != "command"}
+    out = {}  # key -> (line number, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}: {key} given twice, on lines {out[key][0]} and {lineno}")
+        out[key] = lineno, value
+    return {key: value for key, (_, value) in out.items()}
 
 
 def resolve(command: str, file_values: dict | None = None,
@@ -263,15 +275,17 @@ def resolve(command: str, file_values: dict | None = None,
         raise ConfigError(f"network.model: the validation-only model {model.spec_string()} "
                           "runs only in lyapunov with --validation (lyapunov.validation)")
     if command in KEYS["network.gain"].commands:
-        try:
-            values["gain"].require_length(values["n"])
-        except ConfigError as exc:
-            raise ConfigError(f"network.gain: {exc}") from None
+        _named("network.gain", values["gain"].require_length, values["n"])
     if values["seed"] is None:
         values["seed"] = secrets.randbits(63)
     if values["burn_in"] is None:
         values["burn_in"] = default_burn_in(values["n"]) if command == "verify" \
             else DEFAULT_BURN_IN
+    if command in _ESTIMATE:
+        # the estimators' own checks, before the output directory is made
+        _named("run.n", _check_counts, values["n"], values["replicas"])
+        _named("run.burn_in", _check_fit if command == "verify" else _check_burn,
+               values["n"], values["burn_in"])
     if values["workers"] is None:
         # named by its source; an empty variable counts as unset
         values["workers"] = _positive_int(_ENV_WORKERS, os.environ.get(_ENV_WORKERS) or 1)

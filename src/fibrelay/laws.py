@@ -5,9 +5,10 @@ signal growth rate: the capacity series log c_n should slope to
 min{0, 2*lambda} and the transmit-power series log X_n^2 to
 max{0, 2*lambda}.  Slopes are fit per replica and averaged (pooled OLS
 would understate the error given within-trajectory correlation), and a
-report is consistent when the measured slope sits within a sigma band of
-the prediction, with an absolute floor so exactly-converged deterministic
-runs (replica spread zero) are judged at a sane tolerance.
+report is consistent when the measured slope sits within
+``TOLERANCE_SIGMA`` combined standard errors of the prediction, with an
+absolute floor ``SLOPE_TOL`` so exactly-converged deterministic runs
+(replica spread zero) are judged at a sane tolerance.
 
 Both predictions rest on one growth rate, so a verification is one pass per
 replica: a single trajectory gives the replica's growth-rate value, its
@@ -28,18 +29,14 @@ from . import metrics
 from ._parallel import map_ordered
 from .cocycle import NetworkConfig, _calls, _node_logs
 from .errors import ConfigError
-from .lyapunov import (
-    DEFAULT_BURN_IN,
-    LyapunovEstimate,
-    _check_counts,
-    _reduce,
-)
+from .lyapunov import DEFAULT_BURN_IN, LyapunovEstimate, _check_counts, _reduce
 
 CAPACITY = "capacity"
 POWER = "power"
 
-DEFAULT_TOLERANCE_SIGMA = 3.0
-DEFAULT_SLOPE_TOL = 0.01
+# the verdict band: this many combined standard errors, at least SLOPE_TOL
+TOLERANCE_SIGMA = 3.0
+SLOPE_TOL = 0.01
 
 
 def default_burn_in(n: int) -> int:
@@ -106,11 +103,7 @@ class LawReport:
     measured: SlopeFit
     lambda_estimate: LyapunovEstimate
     verdict: str
-    tolerance_sigma: float
-    slope_tol: float
-    replica_slopes: tuple = ()
-    # the laws are read in their probabilistic (in-probability) sense
-    order_notation: str = "Theta_P"
+    replica_slopes: tuple
 
     @property
     def consistent(self) -> bool:
@@ -124,9 +117,10 @@ class LawReport:
             "lambda_estimate": self.lambda_estimate.to_report(
                 model_spec, gain_spec, master_seed),
             "verdict": self.verdict,
-            "tolerance_sigma": self.tolerance_sigma,
-            "slope_tol": self.slope_tol,
-            "order_notation": self.order_notation,
+            "tolerance_sigma": TOLERANCE_SIGMA,
+            "slope_tol": SLOPE_TOL,
+            # the laws are read in their probabilistic (in-probability) sense
+            "order_notation": "Theta_P",
             "replica_slopes": list(self.replica_slopes),
         }
 
@@ -166,8 +160,7 @@ def _verify_replicas(config: NetworkConfig, sids, burn: int) -> list:
     return out
 
 
-def _law_report(law, predicted, pred_se, fits, lam, burn, tolerance_sigma,
-                slope_tol) -> LawReport:
+def _law_report(law, predicted, pred_se, fits, lam, burn) -> LawReport:
     slopes = np.array([f.slope for f in fits])
     slope = float(slopes.mean())
     slope_se = float(slopes.std(ddof=1) / math.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
@@ -179,7 +172,7 @@ def _law_report(law, predicted, pred_se, fits, lam, burn, tolerance_sigma,
         burn_in=burn,
     )
     combined = math.hypot(slope_se, pred_se)
-    band = max(tolerance_sigma * combined, slope_tol)
+    band = max(TOLERANCE_SIGMA * combined, SLOPE_TOL)
     verdict = "consistent" if abs(slope - predicted) <= band else "inconsistent"
     return LawReport(
         law=law,
@@ -187,22 +180,19 @@ def _law_report(law, predicted, pred_se, fits, lam, burn, tolerance_sigma,
         measured=measured,
         lambda_estimate=lam,
         verdict=verdict,
-        tolerance_sigma=tolerance_sigma,
-        slope_tol=slope_tol,
         replica_slopes=tuple(float(s) for s in slopes),
     )
 
 
-def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
-                *, tolerance_sigma: float = DEFAULT_TOLERANCE_SIGMA,
-                slope_tol: float = DEFAULT_SLOPE_TOL,
+def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int, *,
                 burn_in: int | None = None, workers: int = 1) -> tuple[LawReport, LawReport]:
     """Check both scaling laws; return the (capacity, power) reports.
 
     The fitted slope of log c_n is compared with min{0, 2*lambda_hat} and
-    that of log X_n^2 with max{0, 2*lambda_hat}.  Each replica runs one
-    trajectory, which gives its growth-rate value (as ``estimate_lambda``
-    with the default burn-in) and both slopes.
+    that of log X_n^2 with max{0, 2*lambda_hat}; a slope is consistent
+    within max(3 combined standard errors, 0.01) of its prediction.  Each
+    replica runs one trajectory, which gives its growth-rate value (as
+    ``estimate_lambda`` with the default burn-in) and both slopes.
     """
     n_steps = int(n_steps)
     _check_counts(n_steps, n_replicas)
@@ -215,12 +205,11 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int,
     values, capacity, power = zip(*(r for part in parts for r in part))
     lam = _reduce(values, n_steps)
     two_lam, two_se = 2.0 * lam.lambda_hat, 2.0 * lam.std_err
-    common = (lam, burn, tolerance_sigma, slope_tol)
     return (
         _law_report(CAPACITY, min(0.0, two_lam), two_se if two_lam < 0.0 else 0.0,
-                    capacity, *common),
+                    capacity, lam, burn),
         _law_report(POWER, max(0.0, two_lam), two_se if two_lam > 0.0 else 0.0,
-                    power, *common),
+                    power, lam, burn),
     )
 
 

@@ -92,6 +92,11 @@ def _check_counts(n_steps, n_replicas, what=GROWTH_RATE):
         raise ConfigError(f"{what} needs n_steps >= {MIN_GROWTH_STEPS}, got {n_steps}")
 
 
+def _check_burn(n_steps, burn, low=0):
+    if not low <= burn < n_steps:
+        raise ConfigError(f"burn_in must be in [{low}, n_steps), got {burn}")
+
+
 def _estimate(kind, model, gains, n_steps, n_replicas, seed, burn, *, i0=1.0, n0=1.0,
               workers=1) -> list:
     """One estimate per gain policy in ``gains``, from one engine pass per
@@ -159,8 +164,7 @@ def estimate_lambdas(model: CoefficientModel, gains, n_steps: int, n_replicas: i
         policy.require_length(n_steps)
     _check_counts(n_steps, n_replicas)
     burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
-    if not 0 <= burn < n_steps:
-        raise ConfigError(f"burn_in must be in [0, n_steps), got {burn}")
+    _check_burn(n_steps, burn)
     cocycle = SIGNED if model.validation_only else SIGNAL
     return _estimate(cocycle, model, gains, n_steps, n_replicas, master_seed, burn, i0=i0,
                      workers=workers)
@@ -178,8 +182,7 @@ def estimate_noise_exponent(config: NetworkConfig, n_steps: int, n_replicas: int
     _check_counts(n_steps, n_replicas, "noise exponent")
     config.gains.require_length(n_steps)
     burn = DEFAULT_BURN_IN if burn_in is None else int(burn_in)
-    if not 1 <= burn < n_steps:
-        raise ConfigError(f"burn_in must be in [1, n_steps), got {burn}")
+    _check_burn(n_steps, burn, 1)
     [est] = _estimate(NOISE, config.model, (config.gains,), n_steps, n_replicas,
                       config.master_seed, burn, n0=config.n0, workers=workers)
     return est

@@ -333,22 +333,22 @@ _HOP = ("error: a hop coefficient (magnitude * gain) into node {} is not finite:
         "(model or gain)")
 
 
-@pytest.mark.parametrize("model,g_init,flags,rc,message", [
+@pytest.mark.parametrize("model,g_init,rc,message", [
     # magnitudes above 1.8 times the gain 1e308 are infinite when drawn
-    ("rayleigh:mu=1.0", "1e308", (), 3, _HOP.format(2)),
-    ("rayleigh:mu=1.0", "5e-324", (), 3, SOURCE_HOP_ERROR),
-    ("deterministic:c=1", "5e-324", (), 3, _OVERFLOW.format(100)),
-    ("deterministic:c=1", "1e308", (),
+    ("rayleigh:mu=1.0", "1e308", 3, _HOP.format(2)),
+    ("rayleigh:mu=1.0", "5e-324", 3, SOURCE_HOP_ERROR),
+    ("deterministic:c=1", "5e-324", 3, _OVERFLOW.format(100)),
+    ("deterministic:c=1", "1e308",
      3, "error: no growth-rate sign change within 60 doublings from g_init=1e+308"),
     # 1e300 times the look-ahead gain 2e8 is infinite: the search never
     # reads 2e8, so its look-ahead lane must not end the run
-    ("deterministic:c=1e300", "1e8", ("--max-doublings", "3"),
-     3, "error: no growth-rate sign change within 3 doublings from g_init=100000000.0"),
+    ("deterministic:c=1e300", "1e8",
+     3, "error: no growth-rate sign change within 60 doublings from g_init=100000000.0"),
 ], ids=("huge-rayleigh", "tiny-rayleigh", "tiny-deterministic", "huge-deterministic",
         "look-ahead-overflow"))
-def test_extreme_g_init_keeps_exit_and_message(model, g_init, flags, rc, message, capsys):
+def test_extreme_g_init_keeps_exit_and_message(model, g_init, rc, message, capsys):
     assert main(["calibrate", "--model", model, "--g-init", g_init, "--n", "2000",
-                 "--replicas", "4", *flags]) == rc
+                 "--replicas", "4"]) == rc
     assert capsys.readouterr().err.strip().splitlines() == [message]
 
 

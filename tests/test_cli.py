@@ -67,10 +67,40 @@ class TestParseConfig:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "network": {"model": "deterministic:c=0.2", "gain": 2.5},
-            "run": {"n": 800}}))
+            "run": {"n": 2000}}))
         params = parse_config("verify", cfg)
         assert params.model.c == 0.2
-        assert params.n == 800
+        assert params.n == 2000
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("run.cfg", "network.model = rayleigh\nrun.n = 2000\n# again\nrun.n = 3000\n",
+         "run.n given twice, on lines 2 and 4"),
+        ("run.json", '{"network.model": "rayleigh", "network": {"model": "uniform"}}',
+         "network.model: given twice"),
+        ("run.json", '{"network": {"model": "rayleigh", "model": "uniform"}}',
+         "network.model: given twice"),
+        ("run.json", '{"run.n": 2000, "network.model": "rayleigh", "run.n": 3000}',
+         "run.n: given twice"),
+        ("manifest.json", '{"config_echo": {"network.model": "rayleigh", "run.n": 2000, '
+         '"run.n": 3000}}', "run.n: given twice"),
+    ], ids=("kv-lines", "json-flat-and-nested", "json-nested-member", "json-flat-member",
+            "manifest-member"))
+    def test_key_given_twice_named(self, name, text, message, tmp_path, capsys,
+                                   monkeypatch):
+        """A key given twice in one config file exits 2 naming it, not
+        taking either value."""
+        monkeypatch.setattr(cli, "estimate_lambda", _must_not_run)
+        path = tmp_path / name
+        path.write_text(text)
+        rc = main(["lyapunov", "--config", str(path), "--replicas", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_deeper_object_quoted_as_given(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"network": {"model": {"kind": "rayleigh"}}}')
+        with pytest.raises(ConfigError, match=r"got \{'kind': 'rayleigh'\}$"):
+            parse_config("lyapunov", cfg)
 
     def test_unknown_key_named(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -156,10 +186,8 @@ class TestParseConfig:
         ("lyapunov", ("--burn-in", "500"), _CHAIN | _ESTIMATE | {"lyapunov.validation"},
          500),
         ("simulate", (), _CHAIN | {"network.n0", "simulate.trajectories"}, None),
-        ("calibrate", (), _ESTIMATE | {"calibrate.tol", "calibrate.g_init",
-                                       "calibrate.max_doublings"}, 100),
-        ("verify", (), _CHAIN | _ESTIMATE | {"network.n0", "verify.tolerance_sigma",
-                                             "verify.slope_tol"}, 100),
+        ("calibrate", (), _ESTIMATE | {"calibrate.tol", "calibrate.g_init"}, 100),
+        ("verify", (), _CHAIN | _ESTIMATE | {"network.n0"}, 100),
         ("sweep", ("--gain-grid", "0.5,1"), _ESTIMATE | {"network.i0", "sweep.gain_grid"},
          100),
     ], ids=("lyapunov", "lyapunov-burn-in", "simulate", "calibrate", "verify", "sweep"))
@@ -316,11 +344,10 @@ class TestCommands:
             f"{sid},{cs:.17g},{ps:.17g}\n" for sid, (cs, ps) in enumerate(rows))
 
     def test_verify_inconsistent_exit_code(self, capsys):
-        # with a vanishing band the growing chain's small-but-nonzero
-        # capacity slope is judged inconsistent
+        # the SNR climbs from 1e-200, so the growing chain's capacity
+        # slope is far from its predicted 0 and judged inconsistent
         rc = main(["verify", "--model", "deterministic:c=1", "--gain", "1",
-                   "--n", "4000", "--replicas", "2", "--slope-tol", "1e-9",
-                   "--tolerance-sigma", "1e-6"])
+                   "--i0", "1e-100", "--n", "2000", "--replicas", "2"])
         assert rc == 1
 
     def test_verify_below_minimum_steps(self, capsys):
@@ -342,10 +369,11 @@ class TestCommands:
         assert main(["no-such-command"]) == 2
 
     def test_unbracketable_exit_code(self, capsys):
-        rc = main(["calibrate", "--model", "deterministic:c=1e-9", "--n", "2000",
-                   "--replicas", "1", "--max-doublings", "2"])
+        # the zero-growth gain is about 2^99, past 60 doublings from 1
+        rc = main(["calibrate", "--model", "deterministic:c=1e-30", "--n", "2000",
+                   "--replicas", "1"])
         assert rc == 3
-        assert "sign change" in capsys.readouterr().err
+        assert "sign change within 60 doublings" in capsys.readouterr().err
 
     def test_validation_flag_gate(self, capsys):
         rc = main(["lyapunov", "--model", "signed:p=0.5", "--n", "2000",
@@ -508,18 +536,26 @@ class TestConfigValues:
          "network.gain"),
         # a per-node list shorter than the chain (run.n 2000)
         ("lyapunov", {"network": {"model": "rayleigh", "gain": "1,2"}}, "network.gain"),
-        # the estimator kind, the renormalization period and the second
-        # gain key are retired: their keys are unknown
+        # the estimator kind, the renormalization period, the second gain
+        # key, the bracket cap and the verdict band are retired: their keys
+        # are unknown
         ("lyapunov", {"network": {"model": "rayleigh"}, "lyapunov": {"kind": "tail_ratio"}},
          "lyapunov.kind"),
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"renorm_period": 1}},
          "run.renorm_period"),
         ("lyapunov", {"network": {"model": "rayleigh", "gains": "constant:g=0.5"}},
          "unknown configuration key 'network.gains'"),
+        ("calibrate", {"network": {"model": "rayleigh"}, "calibrate": {"max_doublings": 3}},
+         "unknown configuration key 'calibrate.max_doublings'"),
+        ("verify", {"network": {"model": "rayleigh"}, "verify": {"tolerance_sigma": 3}},
+         "unknown configuration key 'verify.tolerance_sigma'"),
+        ("verify", {"network": {"model": "rayleigh"}, "verify": {"slope_tol": 0.01}},
+         "unknown configuration key 'verify.slope_tol'"),
     ], ids=("gains-list", "model-number", "grid-number", "grid-bool", "grid-nan",
             "n0-bool", "burn-in-bool", "n-null", "model-spec-text", "gains-spec-text",
             "gains-too-short", "kind-key-retired", "renorm-period-key-retired",
-            "gains-key-retired"))
+            "gains-key-retired", "max-doublings-key-retired",
+            "tolerance-sigma-key-retired", "slope-tol-key-retired"))
     def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
         rc, err = self._run(command, config, tmp_path, capsys)
         assert rc == 2
@@ -563,7 +599,9 @@ class TestConfigValues:
     @pytest.mark.parametrize("command,flag", [
         ("calibrate", "--gain"), ("sweep", "--gains"), ("sweep", "--gain"),
         ("lyapunov", "--n0"), ("simulate", "--replicas"), ("lyapunov", "--kind"),
-        ("lyapunov", "--renorm-period"), ("lyapunov", "--gains")])
+        ("lyapunov", "--renorm-period"), ("lyapunov", "--gains"),
+        ("calibrate", "--max-doublings"), ("verify", "--tolerance-sigma"),
+        ("verify", "--slope-tol")])
     def test_flag_of_a_key_the_command_does_not_read(self, command, flag, tmp_path,
                                                       capsys):
         """Each key is a flag of the commands that read it only: another
@@ -572,6 +610,25 @@ class TestConfigValues:
         rc, err = self._run(command, config, tmp_path, capsys, (flag, "2"))
         assert rc == 2
         assert f"unrecognized arguments: {flag} 2" in err
+
+    @pytest.mark.parametrize("command,flags,message", [
+        *((command, ("--n", "500"), "run.n: growth_rate needs n_steps >= 1000, got 500")
+          for command in ("lyapunov", "calibrate", "verify", "sweep")),
+        *((command, ("--burn-in", "2000"),
+           "run.burn_in: burn_in must be in [0, n_steps), got 2000")
+          for command in ("lyapunov", "calibrate", "sweep")),
+        ("verify", ("--burn-in", "1990"),
+         "run.burn_in: series too short for a slope fit: 2000 points, burn_in 1990"),
+    ], ids=("n-lyapunov", "n-calibrate", "n-verify", "n-sweep", "burn-in-lyapunov",
+            "burn-in-calibrate", "burn-in-sweep", "burn-in-verify"))
+    def test_run_length_named_by_its_key(self, command, flags, message, tmp_path, capsys):
+        """A run too short for the estimators, or a burn-in that leaves
+        too little of it, exits 2 naming its key before the output
+        directory is made."""
+        config = {"network": {"model": "rayleigh"}, "sweep": {"gain_grid": [0.5]}}
+        rc, err = self._run(command, config, tmp_path, capsys, flags)
+        assert rc == 2
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("config,flags", [
         ({"network": {"model": "rayleigh"}}, ("--gain-grid", ",")),

@@ -133,6 +133,8 @@ class TestLawCoupling:
         doc = rep.to_report("deterministic:c=0.2", "constant:g=1", SEED)
         assert doc["law"] == "capacity"
         assert doc["order_notation"] == "Theta_P"
+        # the verdict band is fixed and recorded with the verdict
+        assert (doc["tolerance_sigma"], doc["slope_tol"]) == (3.0, 0.01)
         assert doc["verdict"] in ("consistent", "inconsistent")
         assert set(doc["measured"]) == {"slope", "intercept", "std_err",
                                         "n_points", "burn_in"}
