@@ -7,9 +7,18 @@ With W > 1 workers, payload i runs in stripe i % W.  The calling process
 runs stripe 0 and a forked child runs each other stripe; the child pickles
 its results, up to and including its first failure, back through a pipe
 and leaves with ``os._exit``.
+
+Each stripe starts on its own CPU: with ``cpus`` the sorted affinity
+mask, stripe w moves itself to ``cpus[w % len(cpus)]`` and at once takes
+the whole mask back, which leaves it there but free to move.  A cpuset
+that does not balance load (``cpuset.sched_load_balance`` 0) may never
+move a forked child off its parent's CPU, where two stripes run at about
+twice their CPU time; a stripe that stayed pinned could not move to a CPU
+left idle when stripes outnumber CPUs or other commands run.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 
@@ -26,10 +35,24 @@ def _stripe(fn, payloads) -> tuple:
     return results, None
 
 
-def _child(fn, payloads, read: int, write: int) -> None:
-    """Run one stripe in a forked child, send its outcome, and exit."""
+def _place(cpus: list, w: int) -> None:
+    """Move this process to stripe w's CPU ``cpus[w % len(cpus)]`` and give
+    it back the whole mask ``cpus``.  A mask of one CPU moves nothing, and
+    a move the system refuses is ignored: placement never changes a
+    result."""
+    if len(cpus) > 1:
+        with contextlib.suppress(OSError):
+            try:
+                os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+            finally:
+                os.sched_setaffinity(0, cpus)
+
+
+def _child(fn, payloads, read: int, write: int, cpus: list, w: int) -> None:
+    """Run stripe w in a forked child, send its outcome, and exit."""
     status = 1
     try:
+        _place(cpus, w)
         os.close(read)
         outcome = pickle.dumps(_stripe(fn, payloads))
         with open(write, "wb") as pipe:
@@ -65,6 +88,7 @@ def map_ordered(fn, payloads, workers: int = 1):
     workers = min(workers, len(payloads))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(p) for p in payloads]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     children = []
     outcomes = []
     try:
@@ -77,9 +101,10 @@ def map_ordered(fn, payloads, workers: int = 1):
                 os.close(write)
                 raise
             if pid == 0:
-                _child(fn, payloads[w::workers], read, write)
+                _child(fn, payloads[w::workers], read, write, cpus, w)
             os.close(write)
             children.append((pid, read))
+        _place(cpus, 0)
         outcomes.append(_stripe(fn, payloads[::workers]))
     finally:
         outcomes += [_reap(pid, read) for pid, read in children]

@@ -6,9 +6,10 @@ gain policies (one column per replica and gain), within a budget of
 column-steps (``cocycle._BATCH_STEPS``).  These tests pin the per-replica
 values (compared as float hex, so bit for bit) of the signal, signed and
 noise checkpoint modes and of the verify and capacity-ensemble records
-across batch sizes 1, 3 and all replicas, across worker counts and under a
-budget smaller than the run; and the per-gain values of multi-gain runs against single-gain runs, the lane budget of wide sweeps,
-and the draws a calibration makes.
+across batch sizes 1, 3 and all replicas, across worker counts and under
+a budget smaller than the run; and the per-gain values of multi-gain runs
+against single-gain runs, the lane budget of wide sweeps, and the draws a
+calibration makes.
 """
 import math
 import weakref
@@ -134,7 +135,7 @@ def test_values_do_not_depend_on_batch_size(mode, monkeypatch, batch_sizes):
 def test_values_do_not_depend_on_worker_count(mode):
     run = MODES[mode]
     ref = _hex(run(1))
-    for workers in (2, 8):
+    for workers in (2, 3, 8):
         assert _hex(run(workers)) == ref
 
 
@@ -253,13 +254,13 @@ def passes(monkeypatch):
 @pytest.mark.parametrize("kind", GAIN_POLICIES)
 def test_gain_lanes_equal_single_gain_runs(kind, n_gains, monkeypatch, batch_sizes):
     """Each gain's replica values from one multi-gain run are those of its
-    own run, for batch sizes 1, 3 and all replicas and 1 or 2 workers."""
+    own run, for batch sizes 1, 3 and all replicas and 1, 2 or 3 workers."""
     model = LogNormal(0.0, 0.8)
     gains = GAIN_POLICIES[kind][:n_gains]
     alone = [_hex(estimate_lambda(model, g, N, R, SEED).replica_values) for g in gains]
     for per_call in (1, 3, R):
         monkeypatch.setattr(cocycle, "_BATCH_STEPS", per_call * n_gains * _padded_steps(N))
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             batch_sizes.clear()
             ests = estimate_lambdas(model, gains, N, R, SEED, workers=workers)
             assert [_hex(e.replica_values) for e in ests] == alone

@@ -1,6 +1,8 @@
 """The fan-out: ``map_ordered`` runs stripes of payloads in forked
 children and returns their results in payload order; a failure is raised
-once every child has been reaped, and a run that fails leaves no file."""
+once every child has been reaped, and a run that fails leaves no file.
+Each stripe starts on its own CPU, free to move, and the caller's CPU
+affinity is the same after the call however the call ends."""
 import os
 import signal
 import subprocess
@@ -15,6 +17,10 @@ from fibrelay.cli import main
 from conftest import child_env
 
 PARENT = os.getpid()
+# the CPUs this process may run on, where the platform can move it to one
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+# the masks this process has set since the test began (see `moves`)
+MOVES = []
 
 
 def _square(x):
@@ -38,6 +44,17 @@ def _dies(how):
             os.kill(os.getpid(), signal.SIGKILL)
         return x
     return fn
+
+
+def _interrupted(x):
+    if x == 0:
+        raise KeyboardInterrupt
+    return x
+
+
+def _placement(_):
+    """The masks this stripe's process set, and the mask it runs under."""
+    return list(MOVES), sorted(os.sched_getaffinity(0))
 
 
 def _assert_no_child_left():
@@ -72,6 +89,67 @@ def test_dead_worker_is_child_process_error(how, status):
 def test_serial_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert map_ordered(_square, range(5), 4) == [0, 1, 4, 9, 16]
+
+
+@pytest.mark.skipif(len(CPUS) < 2, reason="needs sched_setaffinity and two allowed CPUs")
+class TestPlacement:
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        """Record in MOVES each mask set, in whichever process sets it."""
+        setaffinity = os.sched_setaffinity
+
+        def record(pid, mask):
+            MOVES.append(sorted(mask))
+            setaffinity(pid, mask)
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+        MOVES.clear()
+        yield MOVES
+        MOVES.clear()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_stripe_starts_on_its_own_cpu(self, workers, moves):
+        """Stripe w moves to CPU w % len(CPUS), round-robin when stripes
+        outnumber CPUs, and runs under the whole mask."""
+        placements = map_ordered(_placement, range(workers), workers)
+        assert placements == [([[CPUS[w % len(CPUS)]], CPUS], CPUS) for w in range(workers)]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("fn,error", [
+        (_square, None), (_fails_at({0}), ValueError), (_fails_at({3}), ValueError),
+        (_interrupted, KeyboardInterrupt), (_dies("exit"), ChildProcessError),
+        (_dies("kill"), ChildProcessError),
+    ], ids=("success", "caller-raises", "child-raises", "interrupted", "child-exits",
+            "child-killed"))
+    def test_caller_mask_unchanged(self, fn, error):
+        """The caller's mask after the call is the one this process started
+        with, so a mask left behind by an earlier test shows too."""
+        assert sorted(os.sched_getaffinity(0)) == CPUS
+        if error is None:
+            assert map_ordered(fn, range(4), 2) == [0, 1, 4, 9]
+        else:
+            with pytest.raises(error):
+                map_ordered(fn, range(4), 2)
+        assert sorted(os.sched_getaffinity(0)) == CPUS
+        _assert_no_child_left()
+
+    def test_one_cpu_moves_nothing(self, moves):
+        """Under a one-CPU mask no stripe sets a mask and the results are
+        unchanged; the test process gets its own mask back."""
+        try:
+            os.sched_setaffinity(0, {CPUS[-1]})
+            moves.clear()
+            placements = map_ordered(_placement, range(3), 3)
+            squares = map_ordered(_square, range(7), 2)
+        finally:
+            os.sched_setaffinity(0, CPUS)
+        assert placements == [([], [CPUS[-1]])] * 3
+        assert squares == [x * x for x in range(7)]
+        _assert_no_child_left()
+
+    def test_unplaced_without_setaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity")
+        assert map_ordered(_placement, range(2), 2) == [([], CPUS)] * 2
+        _assert_no_child_left()
 
 
 class TestCommands:
