@@ -8,13 +8,14 @@ numbers): every coefficient is magnitude * gain with the magnitudes fixed
 per stream, so the estimated rate is a deterministic, strictly increasing
 function of the gain and a plain bisection converges.
 
-One calibration is a geometric bracket expansion from ``g_init`` (halving
-the low edge until its rate is clearly negative, then doubling the high
-edge until its rate is clearly positive, two standard errors clear of
-zero), a bisection of that bracket and a confirmation run on fresh
+One calibration is a geometric bracket expansion from the model's power of
+two (halving the low edge until its rate is clearly negative, then doubling
+the high edge until its rate is clearly positive, two standard errors clear
+of zero), a bisection of that bracket and a confirmation run on fresh
 streams.  The budget is fixed: at most 60 bracket expansions, at most 200
 growth-rate evaluations, with ``n_steps`` doubled, while the replica CI is
-too wide to resolve the bracket, up to 8 times the requested count.
+too wide to resolve the bracket, up to 8 times the requested count; an end
+whose rate changes sign at the new count moves out.
 
 Gains are estimated in passes of three, one engine pass each with every
 stream drawn once: a gain the search asks for and does not know yet, plus
@@ -22,7 +23,8 @@ the two gains its next step can ask for (g / 2 and 2g while expanding, the
 two next midpoints while bisecting).  The search reads the same
 values in the same order as one gain at a time, so it takes the same
 decisions, and ``evaluations`` counts the gains it read.  Doubling
-``n_steps`` forgets every estimate; the confirmation is its own pass.
+``n_steps`` forgets every estimate, so the next pass also reads both ends
+and the gains past them again; the confirmation is its own pass.
 """
 from __future__ import annotations
 
@@ -80,8 +82,8 @@ def _clearly_positive(est) -> bool:
     return est.lambda_hat - 2.0 * est.std_err > 0.0
 
 
-def _bracket(rate, g_init: float) -> tuple:
-    """Geometric expansion from g_init to a sign-changing gain bracket.
+def _bracket(rate, start: float) -> tuple:
+    """Geometric expansion from start to a sign-changing gain bracket.
 
     Halves the low edge until its rate is clearly negative, then doubles the
     high edge until its rate is clearly positive; a probe clearly on the far
@@ -97,10 +99,10 @@ def _bracket(rate, g_init: float) -> tuple:
         if spent > _MAX_DOUBLINGS:
             raise UnbracketableError(
                 f"no growth-rate sign change within {_MAX_DOUBLINGS} doublings "
-                f"from g_init={g_init}")
+                f"from g={start}")
         return g * factor
 
-    g_lo = g_hi = g_init
+    g_lo = g_hi = start
     while not _clearly_negative(rate(g_lo, g_lo * 0.5, g_lo * 2.0)):
         if _clearly_positive(rate(g_lo)):
             g_hi = g_lo
@@ -112,29 +114,29 @@ def _bracket(rate, g_init: float) -> tuple:
     return g_lo, g_hi
 
 
-def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
-                            n_steps: int = 10_000, n_replicas: int = 32,
-                            master_seed: int = 0, *, g_init: float = 1.0,
+def find_zero_lyapunov_gain(model: CoefficientModel, tol: float, n_steps: int = 10_000,
+                            n_replicas: int = 32, master_seed: int = 0, *,
                             burn_in: int | None = None, workers: int = 1) -> CalibrationResult:
     """Bisection for the gain with zero growth rate, on common random numbers.
 
-    First expands a bracket geometrically from ``g_init``: halving until the
-    rate is clearly negative at the low edge and doubling until it is
-    clearly positive at the high edge, raising UnbracketableError after 60
-    expansions.  Bisection then stops once |rate(g)| is within ``tol``
-    (and, for stochastic models, within the replica CI of zero, so zero
-    lies inside the reported interval).  If the Monte Carlo CI is too wide
-    to resolve the remaining bracket, the step count doubles adaptively up
-    to 8 * ``n_steps``.  After at most 200 growth-rate evaluations the
-    iterate closest to zero is returned unconverged.  After convergence the
-    gain is re-validated with fresh streams (master_seed + 1).
+    First expands a bracket geometrically from the power of two nearest
+    exp(-E[log magnitude]), a bound above the zero-growth gain: halving
+    until the rate is clearly negative at the low edge and doubling until
+    it is clearly positive at the high edge, raising UnbracketableError for
+    a start outside double range or after 60 expansions.  Bisection then
+    stops once |rate(g)| is within ``tol`` (and, for stochastic models,
+    within the replica CI of zero, so zero lies inside the reported
+    interval).  If the Monte Carlo CI is too wide to resolve the remaining
+    bracket, the step count doubles adaptively up to 8 * ``n_steps``, and
+    an end whose rate changed sign moves out.  After at most 200
+    growth-rate evaluations the iterate closest to zero is returned
+    unconverged.  After convergence the gain is re-validated with fresh
+    streams (master_seed + 1).
     """
     if model.validation_only:
         raise ValidationOnlyModelError("cannot calibrate a validation-only model")
     if not (tol > 0.0):
         raise ConfigError(f"tol must be positive, got {tol}")
-    if not (g_init > 0.0) or not math.isfinite(g_init):
-        raise ConfigError(f"g_init must be positive, got {g_init}")
     steps = int(n_steps)
     steps_cap = steps * _STEPS_CAP_FACTOR
     cache = {}  # gain -> estimate at the current step count
@@ -165,7 +167,10 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
             evaluations += 1
         return cache[g]
 
-    g_lo, g_hi = _bracket(rate, g_init)
+    exponent = round(-model.expected_log_magnitude() / math.log(2.0))
+    if not -1074 <= exponent <= 1023:
+        raise UnbracketableError(f"the bracket start 2**{exponent} is outside double range")
+    g_lo, g_hi = _bracket(rate, 2.0 ** exponent)
     history = [(g_lo, g_hi)]
 
     best = None  # (abs rate, gain, estimate)
@@ -173,8 +178,11 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
     g_star, est_star = g_hi, rate(g_hi)
     while evaluations < _MAX_EVALUATIONS:
         mid = 0.5 * (g_lo + g_hi)
-        # the next midpoint is one of these two, whatever the sign at mid
-        est = rate(mid, 0.5 * (g_lo + mid), 0.5 * (mid + g_hi))
+        spread = (g_hi / g_lo) ** 2
+        # the next midpoint is one of these two, whatever the sign at mid;
+        # after n_steps doubled, the ends and the gains past them come too
+        ahead = () if g_lo in cache else (g_lo, g_hi, g_hi * spread, g_lo / spread)
+        est = rate(mid, 0.5 * (g_lo + mid), 0.5 * (mid + g_hi), *ahead)
         if best is None or abs(est.lambda_hat) < best[0]:
             best = (abs(est.lambda_hat), mid, est)
         target = min(tol, Z95 * est.std_err) if est.std_err > 0.0 else tol
@@ -192,12 +200,21 @@ def find_zero_lyapunov_gain(model: CoefficientModel, tol: float,
             cache.clear()
             read.clear()
             continue
+        if rate(g_lo).lambda_hat > 0.0 or rate(g_hi).lambda_hat <= 0.0:
+            # an end read at the smaller count changed sign: it becomes the
+            # other edge, and the edge past it moves out by the squared ratio
+            while rate(g_hi).lambda_hat <= 0.0:
+                g_lo, g_hi = g_hi, g_hi * (g_hi / g_lo) ** 2
+            while rate(g_lo).lambda_hat > 0.0:
+                g_lo, g_hi = g_lo / (g_hi / g_lo) ** 2, g_lo
+            history.append((g_lo, g_hi))
+            continue
         if est.lambda_hat > 0.0:
             g_hi = mid
         else:
             g_lo = mid
         history.append((g_lo, g_hi))
-        if g_hi - g_lo <= 1e-15 * max(1.0, g_hi):
+        if g_hi - g_lo <= 1e-15 * g_hi:
             break
     if not converged and best is not None:
         _, g_star, est_star = best

@@ -140,9 +140,8 @@ def cmd_simulate(params: RunParams, output_dir) -> int:
 
 def cmd_calibrate(params: RunParams, output_dir) -> int:
     """find the zero-growth gain"""
-    result = find_zero_lyapunov_gain(
-        params.model, params.tol, params.n, params.replicas, params.seed,
-        g_init=params.g_init, burn_in=params.burn_in, workers=params.workers)
+    result = find_zero_lyapunov_gain(params.model, params.tol, params.n, params.replicas,
+                                     params.seed, burn_in=params.burn_in, workers=params.workers)
     report = dumps_17g(result.to_report(params.model.spec_string(), params.tol,
                                         params.replicas, params.seed))
     _emit(params, output_dir, {"calibration.json": report}, report)

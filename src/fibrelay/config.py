@@ -158,7 +158,6 @@ KEYS = {
     "simulate.trajectories": Key(("simulate",), 1, _positive_int,
                                  "number of trajectories"),
     "calibrate.tol": Key(("calibrate",), 1e-3, _positive_float, "growth-rate tolerance"),
-    "calibrate.g_init": Key(("calibrate",), 1.0, _positive_float, "bracket start"),
     "sweep.gain_grid": Key(("sweep",), None, _grid, "comma-separated gains"),
 }
 

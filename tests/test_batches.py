@@ -36,7 +36,7 @@ from fibrelay import (
     simulate_capacity_ensemble,
     verify_laws,
 )
-from fibrelay import cocycle
+from fibrelay import calibrate, cocycle
 from fibrelay.cli import main
 from fibrelay.cocycle import NOISE, SIGNAL, SIGNED, _block_length, logs_at
 from fibrelay.coeffs import hop_magnitude_chunks
@@ -334,22 +334,25 @@ _HOP = ("error: a hop coefficient (magnitude * gain) into node {} is not finite:
         "(model or gain)")
 
 
-@pytest.mark.parametrize("model,g_init,rc,message", [
+@pytest.mark.parametrize("model,start,message", [
     # magnitudes above 1.8 times the gain 1e308 are infinite when drawn
-    ("rayleigh:mu=1.0", "1e308", 3, _HOP.format(2)),
-    ("rayleigh:mu=1.0", "5e-324", 3, SOURCE_HOP_ERROR),
-    ("deterministic:c=1", "5e-324", 3, _OVERFLOW.format(100)),
-    ("deterministic:c=1", "1e308",
-     3, "error: no growth-rate sign change within 60 doublings from g_init=1e+308"),
+    ("rayleigh:mu=1.0", 1e308, _HOP.format(2)),
+    ("rayleigh:mu=1.0", 5e-324, SOURCE_HOP_ERROR),
+    ("deterministic:c=1", 5e-324, _OVERFLOW.format(100)),
+    ("deterministic:c=1", 1e308,
+     "error: no growth-rate sign change within 60 doublings from g=1e+308"),
     # 1e300 times the look-ahead gain 2e8 is infinite: the search never
     # reads 2e8, so its look-ahead lane must not end the run
-    ("deterministic:c=1e300", "1e8",
-     3, "error: no growth-rate sign change within 60 doublings from g_init=100000000.0"),
+    ("deterministic:c=1e300", 1e8,
+     "error: no growth-rate sign change within 60 doublings from g=100000000.0"),
 ], ids=("huge-rayleigh", "tiny-rayleigh", "tiny-deterministic", "huge-deterministic",
         "look-ahead-overflow"))
-def test_extreme_g_init_keeps_exit_and_message(model, g_init, rc, message, capsys):
-    assert main(["calibrate", "--model", model, "--g-init", g_init, "--n", "2000",
-                 "--replicas", "4"]) == rc
+def test_extreme_g_init_keeps_exit_and_message(model, start, message, capsys, monkeypatch):
+    """A bracket start at the edge of double range, set in place of the
+    model's own, exits 3 with one line naming the cause."""
+    bracket = calibrate._bracket
+    monkeypatch.setattr(calibrate, "_bracket", lambda rate, _start: bracket(rate, start))
+    assert main(["calibrate", "--model", model, "--n", "2000", "--replicas", "4"]) == 3
     assert capsys.readouterr().err.strip().splitlines() == [message]
 
 

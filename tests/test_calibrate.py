@@ -7,9 +7,11 @@ from fibrelay import (
     ConfigError,
     ConstantGain,
     Deterministic,
+    LogNormal,
     NetworkConfig,
     Rayleigh,
     SignedBernoulli,
+    Uniform,
     UnbracketableError,
     ValidationOnlyModelError,
     estimate_lambda,
@@ -21,43 +23,74 @@ from fibrelay import calibrate
 from conftest import SEED
 
 
-def _first_bracket(model, g_init, n_replicas, n_steps=10_000, **kwargs):
-    """The bracket the expansion from g_init hands to the bisection."""
+@pytest.fixture
+def start_at(monkeypatch):
+    """Sets the gain the bracket expansion starts from, for any model."""
+    bracket = calibrate._bracket
+    return lambda g: monkeypatch.setattr(calibrate, "_bracket",
+                                         lambda rate, _start: bracket(rate, g))
+
+
+def _first_bracket(model, n_replicas, n_steps=10_000, **kwargs):
+    """The bracket the expansion from the start hands to the bisection."""
     return find_zero_lyapunov_gain(model, 1e-3, n_steps, n_replicas, SEED,
-                                   g_init=g_init, **kwargs).bracket_history[0]
+                                   **kwargs).bracket_history[0]
 
 
 class TestBracketExpand:
+    @pytest.mark.parametrize("model,start", [
+        (Deterministic(1.0), 1.0), (Rayleigh(1.0), 1.0), (LogNormal(0.0, 1.0), 1.0),
+        (Uniform(0.5, 1.5), 1.0),
+        (Deterministic(0.2), 4.0),  # -log2(0.2) = 2.32
+        (Deterministic(1e-30), 2.0 ** 100),  # log2(1e30) = 99.66
+        (Rayleigh(1e6), 2.0 ** -10),  # (log(1e6) - euler_gamma) / (2 log 2) = 9.55
+        (LogNormal(5.0, 0.5), 2.0 ** -7),  # 5 / log 2 = 7.21
+    ], ids=("deterministic", "rayleigh", "lognormal", "uniform", "deterministic-0.2",
+            "deterministic-1e-30", "rayleigh-1e6", "lognormal-m5"))
+    def test_start_is_the_power_of_two_nearest_zero_mean_log(self, model, start,
+                                                             monkeypatch):
+        """The start is 2**round(-E[log magnitude] / log 2): 1 at every
+        model's default parameters."""
+        starts, bracket = [], calibrate._bracket
+        monkeypatch.setattr(calibrate, "_bracket",
+                            lambda rate, g: starts.append(g) or bracket(rate, g))
+        find_zero_lyapunov_gain(model, 1e-3, 2000, 1, SEED)
+        assert starts == [start]
+
     def test_unit_coefficient_from_above(self):
-        assert _first_bracket(Deterministic(1.0), 1.0, 2) == (0.25, 1.0)
+        assert _first_bracket(Deterministic(1.0), 2) == (0.25, 1.0)
 
-    def test_unit_coefficient_from_far_above(self):
+    def test_unit_coefficient_from_far_above(self, start_at):
         # clearly positive probes on the way down tighten the high edge
-        assert _first_bracket(Deterministic(1.0), 4.0, 2) == (0.25, 1.0)
+        start_at(4.0)
+        assert _first_bracket(Deterministic(1.0), 2) == (0.25, 1.0)
 
-    def test_unit_coefficient_from_the_zero(self):
+    def test_unit_coefficient_from_the_zero(self, start_at):
         # starting exactly at the zero-growth gain expands both ways
-        assert _first_bracket(Deterministic(1.0), 0.5, 2) == (0.25, 1.0)
+        start_at(0.5)
+        assert _first_bracket(Deterministic(1.0), 2) == (0.25, 1.0)
 
-    def test_small_coefficient_from_below(self):
-        lo, hi = _first_bracket(Deterministic(0.2), 1.0, 2)
+    def test_small_coefficient_from_below(self, start_at):
+        start_at(1.0)
+        lo, hi = _first_bracket(Deterministic(0.2), 2)
         assert lo < 2.5 < hi
         assert (lo, hi) == (2.0, 4.0)
 
     def test_bracket_endpoints_have_opposite_signs(self):
-        lo, hi = _first_bracket(Rayleigh(1.0), 1.0, 8)
+        lo, hi = _first_bracket(Rayleigh(1.0), 8)
         lam_lo = estimate_lambda(Rayleigh(1.0), ConstantGain(lo), 10_000, 8, SEED)
         lam_hi = estimate_lambda(Rayleigh(1.0), ConstantGain(hi), 10_000, 8, SEED)
         assert lam_lo.lambda_hat < 0.0 < lam_hi.lambda_hat
 
-    def test_unbracketable(self):
-        with pytest.raises(UnbracketableError):
+    def test_unbracketable(self, start_at):
+        start_at(1.0)
+        with pytest.raises(UnbracketableError, match="within 60 doublings from g=1.0$"):
             # the zero-growth gain is about 2^99, past 60 doublings from 1
-            _first_bracket(Deterministic(1e-30), 1.0, 1, n_steps=2000)
+            _first_bracket(Deterministic(1e-30), 1, n_steps=2000)
 
     def test_rejects_validation_model(self):
         with pytest.raises(ValidationOnlyModelError):
-            _first_bracket(SignedBernoulli(0.5), 1.0, 32)
+            _first_bracket(SignedBernoulli(0.5), 32)
 
 
 class TestFindZeroGain:
@@ -70,9 +103,12 @@ class TestFindZeroGain:
         assert res.evaluations >= 3
         assert res.bracket_history
 
-    @pytest.mark.parametrize("c", [0.2, 0.5, 1.0, 2.0])
+    # 1e14 ends below gain 1e-14, where a bisection stop absolute in the
+    # gain ended the search unconverged; 1e-30 ends past 60 doublings from 1
+    @pytest.mark.parametrize("c", [0.2, 0.5, 1.0, 2.0, 1e14, 1e-30])
     def test_product_with_coefficient_is_half(self, c):
-        """The zero-growth gain satisfies c * g = 0.5 for constant models."""
+        """The zero-growth gain satisfies c * g = 0.5 for constant models,
+        the lower bound 1 / (2 E[magnitude])."""
         res = find_zero_lyapunov_gain(Deterministic(c), 1e-3, 10_000, 1, SEED)
         assert res.converged
         assert abs(res.g_star * c - 0.5) <= 1e-3
@@ -86,6 +122,44 @@ class TestFindZeroGain:
         # independent confirmation on fresh streams
         assert res.confirmation is not None
         assert res.confirmation.ci95_lo <= 0.0 <= res.confirmation.ci95_hi
+
+    @pytest.mark.parametrize("model,mean", [
+        (Rayleigh(1.0), math.sqrt(math.pi) / 2),
+        (Rayleigh(1e6), math.sqrt(math.pi * 1e6) / 2),
+        (Rayleigh(1e-6), math.sqrt(math.pi * 1e-6) / 2),
+        (LogNormal(0.0, 1.0), math.exp(0.5)),
+        (LogNormal(math.log(1e3), 1.0), math.exp(math.log(1e3) + 0.5)),
+        (LogNormal(math.log(1e-3), 1.0), math.exp(math.log(1e-3) + 0.5)),
+        (Uniform(0.5, 1.5), 1.0),
+        (Uniform(0.5e3, 1.5e3), 1e3),
+        (Uniform(0.5e-3, 1.5e-3), 1e-3),
+    ], ids=("rayleigh", "rayleigh-1e6", "rayleigh-1e-6", "lognormal", "lognormal-1e6",
+            "lognormal-1e-6", "uniform", "uniform-1e6", "uniform-1e-6"))
+    def test_g_star_within_moment_bounds(self, model, mean):
+        """1 / (2 E[a]) <= g* <= exp(-E[log a]) for magnitudes a: the growth
+        rate is at least E log(g a) and at most that of the mean recursion,
+        log of its root at g E[a].  Scaled models have their second moment
+        times 1e6 or 1e-6."""
+        res = find_zero_lyapunov_gain(model, 1e-3, 5000, 8, SEED)
+        assert res.converged
+        assert 1.0 / (2.0 * mean) <= res.g_star <= math.exp(-model.expected_log_magnitude())
+
+    @pytest.mark.parametrize("model,n_steps,seed", [
+        (Rayleigh(1.0), 2000, 901749037),
+        (Rayleigh(1.0), 2000, 952158461),
+        (Rayleigh(1e30), 2000, SEED),
+    ], ids=("seed-901749037", "seed-952158461", "rayleigh-1e30"))
+    def test_ends_keep_their_signs_after_doubling(self, model, n_steps, seed):
+        """An end read at a smaller n_steps can change sign when n_steps
+        doubles; the search restores a sign-changing bracket instead of
+        bisecting onto that end."""
+        res = find_zero_lyapunov_gain(model, 1e-3, n_steps, 4, seed)
+        assert res.converged and res.lambda_at_g_star.n_steps > n_steps
+        steps = res.lambda_at_g_star.n_steps
+        lo, hi = res.bracket_history[-1]
+        lam_lo, lam_hi = (estimate_lambda(model, ConstantGain(g), steps, 4, seed).lambda_hat
+                          for g in (lo, hi))
+        assert lam_lo <= 0.0 < lam_hi
 
     def test_bracket_history_all_valid(self):
         """Every recorded bracket straddles the zero under the calibration seed."""
@@ -115,23 +189,24 @@ class TestFindZeroGain:
             find_zero_lyapunov_gain(Deterministic(1.0), 0.0, 2000, 1, SEED)
         with pytest.raises(ValidationOnlyModelError):
             find_zero_lyapunov_gain(SignedBernoulli(0.5), 1e-3, 2000, 1, SEED)
-        for g_init in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ConfigError):
-                find_zero_lyapunov_gain(Deterministic(1.0), 1e-3, 2000, 1, SEED,
-                                        g_init=g_init)
 
-    @pytest.mark.parametrize("model,n_steps,n_replicas,tol,g_init,pinned", [
-        (Deterministic(1.0), 10_000, 2, 1e-3, 1.0, (12, 10_000, 9, "0x1.0040000000000p-1")),
+    @pytest.mark.parametrize("model,n_steps,n_replicas,tol,start,pinned", [
+        (Deterministic(1.0), 10_000, 2, 1e-3, None, (12, 10_000, 9, "0x1.0040000000000p-1")),
         (Deterministic(1.0), 10_000, 2, 1e-3, 0.5, (12, 10_000, 9, "0x1.0040000000000p-1")),
         (Deterministic(0.2), 10_000, 2, 1e-3, 1.0, (5, 10_000, 2, "0x1.4000000000000p+1")),
-        (Rayleigh(1.0), 2000, 4, 1e-4, 1.0, (21, 16_000, 10, "0x1.2fc0000000000p-1")),
+        # the model's start, 4, is above g* = 2.5
+        (Deterministic(0.2), 10_000, 2, 1e-3, None, (4, 10_000, 2, "0x1.4000000000000p+1")),
+        (Rayleigh(1.0), 2000, 4, 1e-4, None, (21, 16_000, 10, "0x1.2fc0000000000p-1")),
     ], ids=("unit-from-above", "unit-from-the-zero", "small-from-below",
-            "rayleigh-doubling"))
-    def test_bookkeeping_pinned(self, model, n_steps, n_replicas, tol, g_init, pinned):
+            "small-from-above", "rayleigh-doubling"))
+    def test_bookkeeping_pinned(self, model, n_steps, n_replicas, tol, start, pinned,
+                                start_at):
         """Evaluation count, final step count, bisection length and g* at
-        SEED; the Rayleigh run doubles n_steps from 2000 to 16000."""
-        res = find_zero_lyapunov_gain(model, tol, n_steps, n_replicas, SEED,
-                                      g_init=g_init)
+        SEED, from the model's start (None) or a given one; the Rayleigh run
+        doubles n_steps from 2000 to 16000."""
+        if start is not None:
+            start_at(start)
+        res = find_zero_lyapunov_gain(model, tol, n_steps, n_replicas, SEED)
         assert res.converged
         assert (res.evaluations, res.lambda_at_g_star.n_steps,
                 len(res.bracket_history), res.g_star.hex()) == pinned

@@ -186,7 +186,7 @@ class TestParseConfig:
         ("lyapunov", ("--burn-in", "500"), _CHAIN | _ESTIMATE | {"lyapunov.validation"},
          500),
         ("simulate", (), _CHAIN | {"network.n0", "simulate.trajectories"}, None),
-        ("calibrate", (), _ESTIMATE | {"calibrate.tol", "calibrate.g_init"}, 100),
+        ("calibrate", (), _ESTIMATE | {"calibrate.tol"}, 100),
         ("verify", (), _CHAIN | _ESTIMATE | {"network.n0"}, 100),
         ("sweep", ("--gain-grid", "0.5,1"), _ESTIMATE | {"network.i0", "sweep.gain_grid"},
          100),
@@ -369,11 +369,22 @@ class TestCommands:
         assert main(["no-such-command"]) == 2
 
     def test_unbracketable_exit_code(self, capsys):
-        # the zero-growth gain is about 2^99, past 60 doublings from 1
-        rc = main(["calibrate", "--model", "deterministic:c=1e-30", "--n", "2000",
+        # the start is exp(-m) = 1; the heavy tail puts the zero-growth gain
+        # near 2^-70, past 60 halvings from it
+        rc = main(["calibrate", "--model", "lognormal:m=0,s=70", "--n", "2000",
                    "--replicas", "1"])
         assert rc == 3
-        assert "sign change within 60 doublings" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no growth-rate sign change within 60 doublings from g=1.0"]
+
+    @pytest.mark.parametrize("model,exponent", [
+        ("deterministic:c=5e-324", 1074), ("lognormal:m=800,s=1", -1154)])
+    def test_start_outside_double_range_exit_code(self, model, exponent, capsys):
+        """A model whose start 2**round(-E[log magnitude] / log 2) is not a
+        double exits 3 with one line."""
+        assert main(["calibrate", "--model", model, "--n", "2000", "--replicas", "4"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the bracket start 2**{exponent} is outside double range"]
 
     def test_validation_flag_gate(self, capsys):
         rc = main(["lyapunov", "--model", "signed:p=0.5", "--n", "2000",
@@ -537,8 +548,8 @@ class TestConfigValues:
         # a per-node list shorter than the chain (run.n 2000)
         ("lyapunov", {"network": {"model": "rayleigh", "gain": "1,2"}}, "network.gain"),
         # the estimator kind, the renormalization period, the second gain
-        # key, the bracket cap and the verdict band are retired: their keys
-        # are unknown
+        # key, the bracket cap, the verdict band and the bracket start are
+        # retired: their keys are unknown
         ("lyapunov", {"network": {"model": "rayleigh"}, "lyapunov": {"kind": "tail_ratio"}},
          "lyapunov.kind"),
         ("lyapunov", {"network": {"model": "rayleigh"}, "run": {"renorm_period": 1}},
@@ -551,11 +562,13 @@ class TestConfigValues:
          "unknown configuration key 'verify.tolerance_sigma'"),
         ("verify", {"network": {"model": "rayleigh"}, "verify": {"slope_tol": 0.01}},
          "unknown configuration key 'verify.slope_tol'"),
+        ("calibrate", {"network": {"model": "rayleigh"}, "calibrate": {"g_init": 2}},
+         "unknown configuration key 'calibrate.g_init'"),
     ], ids=("gains-list", "model-number", "grid-number", "grid-bool", "grid-nan",
             "n0-bool", "burn-in-bool", "n-null", "model-spec-text", "gains-spec-text",
             "gains-too-short", "kind-key-retired", "renorm-period-key-retired",
             "gains-key-retired", "max-doublings-key-retired",
-            "tolerance-sigma-key-retired", "slope-tol-key-retired"))
+            "tolerance-sigma-key-retired", "slope-tol-key-retired", "g-init-key-retired"))
     def test_wrong_json_type(self, command, config, key, tmp_path, capsys):
         rc, err = self._run(command, config, tmp_path, capsys)
         assert rc == 2
@@ -601,7 +614,7 @@ class TestConfigValues:
         ("lyapunov", "--n0"), ("simulate", "--replicas"), ("lyapunov", "--kind"),
         ("lyapunov", "--renorm-period"), ("lyapunov", "--gains"),
         ("calibrate", "--max-doublings"), ("verify", "--tolerance-sigma"),
-        ("verify", "--slope-tol")])
+        ("verify", "--slope-tol"), ("calibrate", "--g-init")])
     def test_flag_of_a_key_the_command_does_not_read(self, command, flag, tmp_path,
                                                       capsys):
         """Each key is a flag of the commands that read it only: another
@@ -945,8 +958,8 @@ class TestNumericalFailures:
         ["lyapunov", "--model", "rayleigh:mu=1", "--gain", "5e-324", "--n", "2000"],
         # exp(1e300 * ndtri(u)) is 0 or inf
         ["lyapunov", "--model", "lognormal:m=0,s=1e300", "--n", "2000"],
-        ["calibrate", "--model", "rayleigh:mu=1", "--g-init", "5e-324", "--n", "2000",
-         "--replicas", "4"],
+        # the start is exp(-m) = 1, and the magnitudes are 0 or inf as above
+        ["calibrate", "--model", "lognormal:m=0,s=1e300", "--n", "2000", "--replicas", "4"],
     ], ids=("infinite", "zero", "lognormal", "calibrate"))
     def test_source_hop_out_of_range_exits_3(self, args, tmp_path, capsys):
         """A source-hop coefficient outside double range is a numerical
