@@ -3,7 +3,8 @@
 Subcommands: lyapunov, simulate, calibrate, verify, sweep.  Besides
 ``--config`` and ``--output-dir``, the flags are the keys of
 ``config.KEYS``.  Exit codes: 0 success, 1 verify verdict failure, 2 usage
-or configuration error (naming the bad key or path), 3 numerical failure
+or configuration error (naming the bad key or path, or the keys that size
+a run too large for memory), 3 numerical failure
 (unbracketable calibration, non-convergence, or a recursion state that
 left double range), 4 a worker process ended without returning its
 results.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import ctypes
 import functools
 import gc
 import io
@@ -34,6 +36,10 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_WORKER = 4
+
+# glibc's mallopt(3) parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,16 +215,43 @@ def run_command(command: str, params: RunParams, output_dir=None) -> int:
 
 
 @functools.cache
-def _register_exit_hook() -> None:
-    """At exit, move every tracked object to the permanent generation so
-    the interpreter's final collections skip it (numpy's import-time heap
-    is most of it).  Registered on the first ``main`` call, not on import;
-    exit handlers registered before that call still run after it."""
+def _setup_process() -> None:
+    """On the first ``main`` call, not on import, register ``gc.freeze``
+    at exit and keep freed memory in the heap.
+
+    Frozen, numpy's import-time heap and every other tracked object are
+    skipped by the interpreter's final collections; exit handlers
+    registered before that call still run after it.  Blocks up to 32 MiB
+    come from the heap, which is trimmed only past 1 GiB free, so the next
+    CSV block or engine call reuses the last one's pages instead of
+    faulting in fresh ones.  Either parameter alone switches off glibc's
+    dynamic mmap threshold and faults more than the defaults, so the trim
+    threshold is set only once the mmap threshold is taken; a libc without
+    ``mallopt``, or one that refuses it, is left alone.  Forked workers
+    inherit the setting.
+    """
     atexit.register(gc.freeze)
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _too_large(params: RunParams) -> ConfigError:
+    """The error of a run whose arrays do not fit in memory, naming the
+    keys that size it."""
+    echo = params.echo()
+    keys = [key for key in ("run.n", "run.replicas", "simulate.trajectories") if key in echo]
+    sizes = ", ".join(f"{key} = {echo[key]}" for key in keys)
+    return ConfigError(f"out of memory at {sizes}; lower {' or '.join(keys)}")
 
 
 def main(argv=None) -> int:
-    _register_exit_hook()
+    _setup_process()
     parser = _build_parser()
     try:
         args = vars(parser.parse_args(argv))
@@ -228,7 +261,10 @@ def main(argv=None) -> int:
         # each flag's destination is its key's suffix
         overrides = {key: args.get(key.partition(".")[2]) for key in KEYS}
         params = parse_config(args["command"], args["config"], overrides)
-        return run_command(args["command"], params, args["output_dir"])
+        try:
+            return run_command(args["command"], params, args["output_dir"])
+        except MemoryError:
+            raise _too_large(params) from None
     except (UnbracketableError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -509,9 +509,10 @@ def _node_logs(config: NetworkConfig, stream_ids) -> tuple:
     """(log signal, log noise power) of each stream id at nodes
     1..n_nodes, as replicas x nodes arrays, all replicas run in one engine
     pass."""
-    log_i = np.empty((len(stream_ids), config.n_nodes))
-    log_n2 = np.empty((len(stream_ids), config.n_nodes))
     for start, *logs in _records(config, stream_ids):
+        if start == 1:  # made after the first chunk, in the memory the engine freed
+            log_i = np.empty((len(stream_ids), config.n_nodes))
+            log_n2 = np.empty_like(log_i)
         nodes = slice(start - 1, start - 1 + logs[0].shape[1])
         log_i[:, nodes], log_n2[:, nodes] = logs
     return log_i, log_n2

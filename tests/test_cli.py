@@ -1,4 +1,5 @@
 """CLI surface: config ingestion, subcommands, manifests, exit codes."""
+import ctypes
 import importlib
 import json
 import math
@@ -27,6 +28,16 @@ from conftest import SOURCE_HOP_ERROR, child_env
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the command ran an estimate")
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):  # no C library to open by that name
+        return False
+
+
+_needs_mallopt = pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
 
 
 class TestParseConfig:
@@ -386,6 +397,19 @@ class TestCommands:
         assert capsys.readouterr().err.splitlines() == [
             f"error: the bracket start 2**{exponent} is outside double range"]
 
+    def test_out_of_memory_names_the_run_size(self, capsys):
+        """A run whose arrays cannot be allocated exits 2 with one line
+        naming the keys that size it: verify at n = 2^50 asks for 8 PiB of
+        node logs, more than a 64-bit address space holds, under any
+        overcommit setting."""
+        n = 1 << 50
+        rc = main(["verify", "--model", "rayleigh:mu=1", "--gain", "0.5", "--n", str(n),
+                   "--replicas", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: out of memory at run.n = {n}, run.replicas = 2; "
+            "lower run.n or run.replicas"]
+
     def test_validation_flag_gate(self, capsys):
         rc = main(["lyapunov", "--model", "signed:p=0.5", "--n", "2000",
                    "--replicas", "1"])
@@ -465,6 +489,84 @@ class TestCommands:
             if hook != "import":
                 runs[hook] = (proc.stdout, (out / "lyapunov.json").read_bytes())
         assert runs["on"] == runs["off"]
+
+    @_needs_mallopt
+    @pytest.mark.parametrize("call_main", [True, False], ids=("main", "import"))
+    def test_freed_memory_stays_in_the_heap(self, call_main):
+        """After ``main``, blocks freed and allocated again reuse the heap's
+        pages: 32 rounds of two 4 MiB arrays and one 1 MiB array take
+        fewer than 5000 minor faults (about 1300; without the policy about
+        40000, a fresh fault per page each round).  Importing the package
+        leaves the allocator as it is."""
+        code = ("import resource, sys\n"
+                "import numpy as np\n"
+                "import fibrelay.cli\n"
+                "if sys.argv[1] == 'main':\n"
+                "    fibrelay.cli.main(['--version'])\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for _ in range(32):\n"
+                "    blocks = [np.ones(1 << 19), np.ones(1 << 19), np.ones(1 << 17)]\n"
+                "    del blocks\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        out = subprocess.run([sys.executable, "-c", code, "main" if call_main else "import"],
+                             capture_output=True, text=True, env=child_env())
+        assert out.returncode == 0, out.stderr
+        faults = int(out.stdout.splitlines()[-1])
+        assert (faults < 5000) == call_main, faults
+
+    @_needs_mallopt
+    def test_kept_heap_leaves_verify_peak(self):
+        """verify makes its node-log arrays after the engine's first chunk,
+        in the memory the engine freed: with freed memory kept in the heap,
+        its own peak RSS stays within 1 MB of a run whose libc has no
+        ``mallopt`` (2 MB above when the arrays were made first)."""
+        peaks = {}
+        for libc in ("real", "missing"):
+            out = subprocess.run(
+                [sys.executable, "-c", _LIBC_PEAK_RSS, libc, "verify", "--model",
+                 "rayleigh:mu=1.0", "--gain", "0.5", "--n", "15000", "--replicas", "8",
+                 "--workers", "1"],
+                capture_output=True, text=True, check=True, env=child_env())
+            status, peak_kb = map(int, out.stdout.splitlines()[-1].split())
+            assert status == 0, out.stderr
+            peaks[libc] = peak_kb / 1024
+        assert peaks["real"] - peaks["missing"] < 1.0, peaks
+
+    def test_libc_without_mallopt_leaves_outputs(self, tmp_path):
+        """Where libc has no ``mallopt``, or refuses the mmap threshold,
+        ``main`` runs as before: the trim threshold is then left alone,
+        since either parameter set alone switches off glibc's dynamic
+        threshold, and stdout and every data file are those of a run that
+        set both."""
+        code = ("import ctypes, sys, types\n"
+                "import fibrelay.cli\n"
+                "calls = []\n"
+                "def mallopt(param, value):\n"
+                "    calls.append((param, value))\n"
+                "    return 0\n"
+                "if sys.argv[1] == 'missing':\n"
+                "    ctypes.CDLL = lambda name: object()\n"
+                "elif sys.argv[1] == 'refused':\n"
+                "    ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)\n"
+                "rc = fibrelay.cli.main(sys.argv[2:])\n"
+                "sys.stderr.write(f'{calls}\\n')\n"
+                "sys.exit(rc)\n")
+        runs = {}
+        for libc in ("missing", "refused", "real"):
+            out = tmp_path / libc
+            proc = subprocess.run(
+                [sys.executable, "-c", code, libc, "simulate", "--model", "rayleigh:mu=1",
+                 "--gain", "0.6", "--n", "1000", "--trajectories", "2", "--workers", "2",
+                 "--output-dir", str(out)],
+                capture_output=True, text=True, env=child_env())
+            assert proc.returncode == 0, proc.stderr
+            refused = [(cli._M_MMAP_THRESHOLD, 32 << 20)] if libc == "refused" else []
+            assert proc.stderr == f"{refused}\n"
+            runs[libc] = (proc.stdout.replace(str(out), "<out>"),
+                          {p.name: p.read_bytes() for p in out.iterdir()
+                           if p.name != "manifest.json"})
+        assert runs["missing"] == runs["refused"] == runs["real"]
+        assert len(runs["real"][1]) == 2
 
     def test_rayleigh_run_leaves_scipy_unimported(self):
         """scipy serves only the lognormal model and is imported on its
@@ -698,6 +800,20 @@ if pid == 0:
     from fibrelay import cocycle
     from fibrelay.cli import main
     cocycle._CHUNK_STEPS = int(sys.argv[1])
+    os._exit(main(sys.argv[2:]))
+_, status, usage = os.wait4(pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
+# Run the CLI (argv after the first) in a child forked like ``_PEAK_RSS``,
+# with libc's ``mallopt`` hidden when the first argument is "missing".
+_LIBC_PEAK_RSS = """
+import ctypes, os, sys
+pid = os.fork()
+if pid == 0:
+    from fibrelay.cli import main
+    if sys.argv[1] == "missing":
+        ctypes.CDLL = lambda name: object()
     os._exit(main(sys.argv[2:]))
 _, status, usage = os.wait4(pid, 0)
 print(status, usage.ru_maxrss)
