@@ -55,7 +55,6 @@ from .laws import (
     ThetaBandCheck,
     check_theta_p,
     default_burn_in,
-    simulate_capacity_ensemble,
     slope_estimate,
     verify_laws,
 )
@@ -79,8 +78,7 @@ __all__ = [
     "ConfigError", "NumericalError", "UnbracketableError",
     "ValidationOnlyModelError",
     "LawReport", "SlopeFit", "ThetaBandCheck", "check_theta_p",
-    "default_burn_in", "simulate_capacity_ensemble", "slope_estimate",
-    "verify_laws",
+    "default_burn_in", "slope_estimate", "verify_laws",
     "GROWTH_RATE", "LyapunovEstimate", "estimate_lambda",
     "estimate_lambdas", "estimate_noise_exponent", "lambda_deterministic_closed_form",
     "capacity_nats", "log_capacity_nats", "snr_log", "transmit_power_log",

@@ -39,8 +39,8 @@ count; ``_BATCH_STEPS`` caps the column-steps of one call.
 Every-node records come out one chunk at a time (``_records``), and
 ``_columns`` derives the five trajectory columns from each chunk.  Two
 consumers read them: ``_node_logs``, the one reader of whole arrays
-(``run_trajectory`` derives every column from them, ``verify`` and the
-capacity ensemble only the columns they read), and ``_write_trajectories``
+(``run_trajectory`` derives every column from them, ``verify`` only the
+columns it reads), and ``_write_trajectories``
 (``simulate``), which appends each chunk's CSV rows to the files as they
 come, deriving the columns one CSV block at a time, so a written range of
 trajectories holds one chunk of records in memory whatever its length.

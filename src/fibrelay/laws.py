@@ -12,10 +12,11 @@ absolute floor ``SLOPE_TOL`` so exactly-converged deterministic runs
 
 Both predictions rest on one growth rate, so a verification is one pass per
 replica: a single trajectory gives the replica's growth-rate value, its
-capacity slope and its power slope.  The trajectories of a contiguous
-range of replicas run as one batch of the cocycle engine, within its
-replica-steps budget; the values do not depend on the batching or on the
-worker count.
+capacity slope and its power slope, and the final values of both series,
+from which each report's in-probability band is read.  The trajectories of
+a contiguous range of replicas run as one batch of the cocycle engine,
+within its replica-steps budget; the values do not depend on the batching
+or on the worker count.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ POWER = "power"
 # the verdict band: this many combined standard errors, at least SLOPE_TOL
 TOLERANCE_SIGMA = 3.0
 SLOPE_TOL = 0.01
+# the Theta_P band: a final value within n**H_EXPONENT of rate * n
+H_EXPONENT = 0.75
 
 
 def default_burn_in(n: int) -> int:
@@ -97,6 +100,39 @@ def slope_estimate(series, burn_in: int) -> SlopeFit:
 
 
 @dataclass(frozen=True)
+class ThetaBandCheck:
+    """Empirical in-probability band fractions at the largest simulated n."""
+
+    upper_fraction: float
+    lower_fraction: float
+    n: int
+    rate: float
+    h_value: float
+
+
+def check_theta_p(finals, rate: float, n: int) -> ThetaBandCheck:
+    """Fraction of replicas inside the slack envelope rate*n +/- n^H_EXPONENT.
+
+    ``finals`` holds each replica's log-domain value at node ``n``.  The
+    upper fraction counts replicas with final value <= rate*n + h(n); the
+    lower fraction counts final value >= rate*n - h(n).
+    """
+    final = np.asarray(finals, dtype=float)
+    if final.ndim != 1 or final.size == 0:
+        raise ConfigError("finals must be a non-empty 1-D array, one value per replica")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    h = float(n) ** H_EXPONENT
+    return ThetaBandCheck(
+        upper_fraction=float(np.mean(final <= rate * n + h)),
+        lower_fraction=float(np.mean(final >= rate * n - h)),
+        n=n,
+        rate=rate,
+        h_value=h,
+    )
+
+
+@dataclass(frozen=True)
 class LawReport:
     law: str
     predicted_exponent: float
@@ -104,6 +140,8 @@ class LawReport:
     lambda_estimate: LyapunovEstimate
     verdict: str
     replica_slopes: tuple
+    replica_finals: tuple
+    band: ThetaBandCheck
 
     @property
     def consistent(self) -> bool:
@@ -122,27 +160,14 @@ class LawReport:
             # the laws are read in their probabilistic (in-probability) sense
             "order_notation": "Theta_P",
             "replica_slopes": list(self.replica_slopes),
+            "theta_p_band": {**dataclasses.asdict(self.band), "h_exponent": H_EXPONENT},
         }
 
 
-def simulate_capacity_ensemble(config: NetworkConfig, n_steps: int, n_replicas: int,
-                               *, workers: int = 1) -> np.ndarray:
-    """Replicas-by-nodes matrix of log c_n, for band checks."""
-    if n_replicas < 1:
-        raise ConfigError(f"n_replicas must be >= 1, got {n_replicas}")
-    cfg = dataclasses.replace(config, n_nodes=int(n_steps))
-
-    def capacity(call):
-        log_i, log_n2 = _node_logs(cfg, call[1])
-        return metrics.log_capacity_nats(metrics.snr_log(2.0 * log_i, log_n2))
-
-    return np.vstack(map_ordered(capacity, _calls(cfg.n_nodes, n_replicas, workers),
-                                 workers))
-
-
 def _verify_replicas(config: NetworkConfig, sids, burn: int) -> list:
-    """Growth-rate value and both slope fits of each replica in one
-    contiguous range, from one trajectory each."""
+    """Growth-rate value and, for each law, the slope fit and the final
+    value of its series, of each replica in one contiguous range, from one
+    trajectory each."""
     out = []
     # only the trajectory columns the fits read, from the same engine pass
     for log_i, log_n2 in zip(*_node_logs(config, sids)):
@@ -153,14 +178,16 @@ def _verify_replicas(config: NetworkConfig, sids, burn: int) -> list:
         lam = 0.5 * rise / (config.n_nodes - DEFAULT_BURN_IN)
         # log of the capacity via the log-domain helper: the raw capacity
         # column underflows once the SNR exponent is strongly negative
-        log_snr = metrics.snr_log(log_i_sq, log_n2)
-        capacity = slope_estimate(metrics.log_capacity_nats(log_snr), burn)
-        power = slope_estimate(metrics.transmit_power_log(log_i_sq, log_n2), burn)
-        out.append((float(lam), capacity, power))
+        capacity = metrics.log_capacity_nats(metrics.snr_log(log_i_sq, log_n2))
+        power = metrics.transmit_power_log(log_i_sq, log_n2)
+        out.append((float(lam), (slope_estimate(capacity, burn), float(capacity[-1])),
+                    (slope_estimate(power, burn), float(power[-1]))))
     return out
 
 
-def _law_report(law, predicted, pred_se, fits, lam, burn) -> LawReport:
+def _law_report(law, predicted, pred_se, series, lam, burn) -> LawReport:
+    """One law's report from the (slope fit, final value) of each replica."""
+    fits, finals = zip(*series)
     slopes = np.array([f.slope for f in fits])
     slope = float(slopes.mean())
     slope_se = float(slopes.std(ddof=1) / math.sqrt(len(slopes))) if len(slopes) > 1 else 0.0
@@ -172,8 +199,8 @@ def _law_report(law, predicted, pred_se, fits, lam, burn) -> LawReport:
         burn_in=burn,
     )
     combined = math.hypot(slope_se, pred_se)
-    band = max(TOLERANCE_SIGMA * combined, SLOPE_TOL)
-    verdict = "consistent" if abs(slope - predicted) <= band else "inconsistent"
+    tolerance = max(TOLERANCE_SIGMA * combined, SLOPE_TOL)
+    verdict = "consistent" if abs(slope - predicted) <= tolerance else "inconsistent"
     return LawReport(
         law=law,
         predicted_exponent=predicted,
@@ -181,6 +208,8 @@ def _law_report(law, predicted, pred_se, fits, lam, burn) -> LawReport:
         lambda_estimate=lam,
         verdict=verdict,
         replica_slopes=tuple(float(s) for s in slopes),
+        replica_finals=finals,
+        band=check_theta_p(finals, predicted, lam.n_steps),
     )
 
 
@@ -191,8 +220,11 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int, *,
     The fitted slope of log c_n is compared with min{0, 2*lambda_hat} and
     that of log X_n^2 with max{0, 2*lambda_hat}; a slope is consistent
     within max(3 combined standard errors, 0.01) of its prediction.  Each
-    replica runs one trajectory, which gives its growth-rate value (as
-    ``estimate_lambda`` with the default burn-in) and both slopes.
+    report also carries its law's in-probability band (``check_theta_p``):
+    the fractions of replicas whose series ends at node n within n^0.75 of
+    the predicted exponent times n.  Each replica runs one trajectory,
+    which gives its growth-rate value (as ``estimate_lambda`` with the
+    default burn-in), both slopes and both final values.
     """
     n_steps = int(n_steps)
     _check_counts(n_steps, n_replicas)
@@ -210,43 +242,4 @@ def verify_laws(config: NetworkConfig, n_steps: int, n_replicas: int, *,
                     capacity, lam, burn),
         _law_report(POWER, max(0.0, two_lam), two_se if two_lam > 0.0 else 0.0,
                     power, lam, burn),
-    )
-
-
-@dataclass(frozen=True)
-class ThetaBandCheck:
-    """Empirical in-probability band fractions at the largest simulated n."""
-
-    upper_fraction: float
-    lower_fraction: float
-    n: int
-    rate: float
-    h_value: float
-
-
-def check_theta_p(ensemble, rate: float, h_exponent: float,
-                  c_h: float = 1.0) -> ThetaBandCheck:
-    """Fraction of replicas inside the slack envelope rate*n +/- c_h*n^h.
-
-    ``ensemble`` is replicas-by-nodes, in log domain.  The upper fraction
-    counts replicas with final value <= rate*n + h(n); the lower fraction
-    counts final value >= rate*n - h(n).  Requires h_exponent in (0, 1) so
-    the envelope is sublinear.
-    """
-    ens = np.asarray(ensemble, dtype=float)
-    if ens.ndim != 2 or ens.size == 0:
-        raise ConfigError("ensemble must be a non-empty replicas-by-nodes array")
-    if not 0.0 < h_exponent < 1.0:
-        raise ConfigError(f"h_exponent must be in (0, 1), got {h_exponent}")
-    if not c_h > 0.0:
-        raise ConfigError(f"c_h must be positive, got {c_h}")
-    n = ens.shape[1]
-    final = ens[:, -1]
-    h = c_h * float(n) ** h_exponent
-    return ThetaBandCheck(
-        upper_fraction=float(np.mean(final <= rate * n + h)),
-        lower_fraction=float(np.mean(final >= rate * n - h)),
-        n=n,
-        rate=rate,
-        h_value=h,
     )

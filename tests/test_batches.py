@@ -5,11 +5,11 @@ The engine runs a contiguous range of replicas per call, under one or more
 gain policies (one column per replica and gain), within a budget of
 column-steps (``cocycle._BATCH_STEPS``).  These tests pin the per-replica
 values (compared as float hex, so bit for bit) of the signal, signed and
-noise checkpoint modes and of the verify and capacity-ensemble records
-across batch sizes 1, 3 and all replicas, across worker counts and under
-a budget smaller than the run; and the per-gain values of multi-gain runs
-against single-gain runs, the lane budget of wide sweeps, and the draws a
-calibration makes.
+noise checkpoint modes and of the verify records (growth rates, slopes and
+the final values the in-probability bands read) across batch sizes 1, 3
+and all replicas, across worker counts and under a budget smaller than the
+run; and the per-gain values of multi-gain runs against single-gain runs,
+the lane budget of wide sweeps, and the draws a calibration makes.
 """
 import math
 import weakref
@@ -33,7 +33,6 @@ from fibrelay import (
     estimate_lambdas,
     estimate_noise_exponent,
     find_zero_lyapunov_gain,
-    simulate_capacity_ensemble,
     verify_laws,
 )
 from fibrelay import calibrate, cocycle
@@ -67,17 +66,11 @@ def _verify(workers):
                         master_seed=SEED)
     cap, pwr = verify_laws(cfg, N, R, workers=workers)
     return (cap.lambda_estimate.replica_values + cap.replica_slopes + pwr.replica_slopes
-            + (cap.measured.intercept, pwr.measured.intercept))
+            + (cap.measured.intercept, pwr.measured.intercept)
+            + cap.replica_finals + pwr.replica_finals)
 
 
-def _ensemble(workers):
-    cfg = NetworkConfig(Rayleigh(1.0), ConstantGain(0.6), n0=0.7, i0=1.3,
-                        master_seed=SEED)
-    return simulate_capacity_ensemble(cfg, N, R, workers=workers).ravel()
-
-
-MODES = {"signal": _signal, "signed": _signed, "noise": _noise, "verify": _verify,
-         "ensemble": _ensemble}
+MODES = {"signal": _signal, "signed": _signed, "noise": _noise, "verify": _verify}
 
 
 def _hex(values):

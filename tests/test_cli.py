@@ -254,6 +254,22 @@ class TestParseConfig:
         for command in cli._HANDLERS:
             resolve(command, read_config_file(cfg), {"sweep.gain_grid": "0.5"})
 
+    def test_readme_library_block_runs(self, capsys):
+        """The python block under "## Library" runs as written, and its
+        verify reports carry their in-probability bands."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        library = readme.partition("\n## Library\n")[2]
+        [code] = re.findall(r"```python\n(.*?)```", library.partition("\n## ")[0], re.S)
+        scope = {}
+        exec(code, scope)
+        for rep in (scope["cap"], scope["pwr"]):
+            assert (rep.band.n, rep.band.rate) == (10_000, rep.predicted_exponent)
+            assert len(rep.replica_finals) == 32
+            assert 0.0 <= rep.band.lower_fraction <= 1.0
+            assert 0.0 <= rep.band.upper_fraction <= 1.0
+        band = scope["cap"].band
+        assert capsys.readouterr().out == f"{band.upper_fraction} {band.lower_fraction}\n"
+
 
 class TestJson17g:
     def test_float_formatting(self):

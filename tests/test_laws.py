@@ -12,7 +12,8 @@ from fibrelay import (
     check_theta_p,
     estimate_lambda,
     lambda_deterministic_closed_form,
-    simulate_capacity_ensemble,
+    log_capacity_nats,
+    run_trajectory,
     slope_estimate,
     verify_laws,
 )
@@ -63,10 +64,9 @@ class TestSlopeEstimate:
     def test_capacity_decay_slope(self):
         """log capacity for a decaying deterministic chain slopes at twice
         the growth rate."""
-        series = simulate_capacity_ensemble(
-            NetworkConfig(Deterministic(0.2), ConstantGain(1.0), master_seed=SEED),
-            5000, 1)[0]
-        fit = slope_estimate(series, burn_in=default_burn_in(5000))
+        traj = run_trajectory(NetworkConfig(Deterministic(0.2), ConstantGain(1.0),
+                                            n_nodes=5000, master_seed=SEED))
+        fit = slope_estimate(log_capacity_nats(traj.log_snr), burn_in=default_burn_in(5000))
         assert fit.slope == pytest.approx(TWO_LAM_02, abs=1e-6)
 
 
@@ -139,6 +139,12 @@ class TestLawCoupling:
         assert set(doc["measured"]) == {"slope", "intercept", "std_err",
                                         "n_points", "burn_in"}
         assert len(doc["replica_slopes"]) == 2
+        # the band around the predicted exponent at n = 2000
+        assert doc["theta_p_band"] == {
+            "upper_fraction": rep.band.upper_fraction,
+            "lower_fraction": rep.band.lower_fraction,
+            "n": 2000, "rate": rep.predicted_exponent,
+            "h_value": 2000 ** 0.75, "h_exponent": 0.75}
 
 
 class TestVerifyLaws:
@@ -153,6 +159,10 @@ class TestVerifyLaws:
         got = np.array(cap.lambda_estimate.replica_values)
         assert np.all(np.abs(got - np.array(est.replica_values)) <= 1e-15)
 
+    def test_needs_a_replica(self):
+        with pytest.raises(ConfigError, match="n_replicas"):
+            verify_laws(_cfg(Rayleigh(1.0), 0.6), 2000, 0)
+
     @pytest.mark.parametrize("burn_in,match", [(-5, "burn_in"),
                                                (1995, "series too short for a slope fit")])
     def test_bad_burn_in_fails_before_any_replica(self, burn_in, match, monkeypatch):
@@ -166,15 +176,14 @@ class TestVerifyLaws:
 class TestThetaBand:
     def test_exact_rate_series(self):
         n = 500
-        ens = np.tile(0.3 * np.arange(1, n + 1), (5, 1))
-        chk = check_theta_p(ens, rate=0.3, h_exponent=0.75)
+        chk = check_theta_p(np.full(5, 0.3 * n), rate=0.3, n=n)
         assert chk.upper_fraction == 1.0
         assert chk.lower_fraction == 1.0
+        assert chk.h_value == n ** 0.75
 
     def test_grossly_wrong_rate(self):
         n = 500
-        ens = np.tile(0.3 * np.arange(1, n + 1), (5, 1))
-        chk = check_theta_p(ens, rate=1.3, h_exponent=0.75)
+        chk = check_theta_p(np.full(5, 0.3 * n), rate=1.3, n=n)
         assert chk.upper_fraction == 1.0
         assert chk.lower_fraction == 0.0
 
@@ -183,26 +192,34 @@ class TestThetaBand:
         envelope and fewer above the lower one."""
         rng = np.random.default_rng(SEED)
         n = 400
-        ens = np.cumsum(rng.normal(0.1, 1.0, size=(40, n)), axis=1)
+        finals = np.cumsum(rng.normal(0.1, 1.0, size=(40, n)), axis=1)[:, -1]
         rates = np.linspace(-0.2, 0.4, 13)
-        uppers = [check_theta_p(ens, r, 0.6).upper_fraction for r in rates]
-        lowers = [check_theta_p(ens, r, 0.6).lower_fraction for r in rates]
+        uppers = [check_theta_p(finals, r, n).upper_fraction for r in rates]
+        lowers = [check_theta_p(finals, r, n).lower_fraction for r in rates]
         assert all(a <= b + 1e-12 for a, b in zip(uppers, uppers[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(lowers, lowers[1:]))
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            check_theta_p(np.empty((0, 5)), 0.0, 0.75)
-        with pytest.raises(ConfigError):
-            check_theta_p(np.ones((2, 5)), 0.0, 1.0)
-        with pytest.raises(ConfigError):
-            check_theta_p(np.ones((2, 5)), 0.0, 0.75, c_h=0.0)
+        with pytest.raises(ConfigError, match="non-empty 1-D"):
+            check_theta_p(np.empty(0), 0.0, 5)
+        with pytest.raises(ConfigError, match="non-empty 1-D"):
+            check_theta_p(np.ones((2, 5)), 0.0, 5)
+        with pytest.raises(ConfigError, match="n must be >= 1"):
+            check_theta_p(np.ones(2), 0.0, 0)
 
-    def test_ensemble_simulation_shape(self):
-        ens = simulate_capacity_ensemble(_cfg(Rayleigh(1.0), 0.6), 300, 7)
-        assert ens.shape == (7, 300)
-        assert np.all(np.isfinite(ens))
-
-    def test_ensemble_needs_a_replica(self):
-        with pytest.raises(ConfigError, match="n_replicas"):
-            simulate_capacity_ensemble(_cfg(Rayleigh(1.0), 0.6), 300, 0)
+    @pytest.mark.parametrize("model,g", [(Rayleigh(1.0), 0.6), (Deterministic(0.2), 1.0),
+                                         (Deterministic(1.0), 1.0)],
+                             ids=("rayleigh", "decaying", "growing"))
+    def test_verify_band_matches_trajectory_finals(self, model, g):
+        """verify's band for each law is ``check_theta_p`` of each replica's
+        series at node n, as ``run_trajectory`` gives it, around the law's
+        predicted exponent."""
+        n, n_replicas = 1500, 7
+        cap, pwr = verify_laws(_cfg(model, g), n, n_replicas)
+        cfg = NetworkConfig(model, ConstantGain(g), n_nodes=n, master_seed=SEED)
+        trajs = [run_trajectory(cfg, sid) for sid in range(n_replicas)]
+        for rep, want in ((cap, [log_capacity_nats(t.log_snr)[-1] for t in trajs]),
+                          (pwr, [t.log_x_sq[-1] for t in trajs])):
+            assert rep.replica_finals == tuple(want)
+            assert np.all(np.isfinite(rep.replica_finals))
+            assert rep.band == check_theta_p(want, rep.predicted_exponent, n)

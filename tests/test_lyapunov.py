@@ -22,6 +22,7 @@ from fibrelay import (
     estimate_noise_exponent,
     lambda_deterministic_closed_form,
 )
+from fibrelay.coeffs import first_hop_magnitude, hop_magnitude_chunks
 
 from conftest import SEED
 
@@ -298,6 +299,28 @@ class TestEstimatorProperties:
                             burn_in=0, i0=7.0)
         assert (b.lambda_hat - a.lambda_hat) == pytest.approx(math.log(7.0) / n,
                                                               abs=1e-12)
+
+    @pytest.mark.parametrize("g", [0.3, 0.6, 2.0])
+    @pytest.mark.parametrize("model", [Rayleigh(1.0), Rayleigh(1e6), LogNormal(0.0, 1.0),
+                                       Uniform(0.5, 1.5), Deterministic(0.7)],
+                             ids=("rayleigh", "rayleigh-mu1e6", "lognormal", "uniform",
+                                  "deterministic"))
+    def test_pathwise_lower_bound(self, model, g):
+        """Every term of the recursion is positive, so value[m] >=
+        g * a_m * value[m-1], a_m being the one-back magnitude into node m:
+        each replica's value is at least log g plus that replica's mean of
+        log a_m over nodes burn+1..n, up to rounding and with no Monte
+        Carlo tolerance."""
+        n, n_replicas, burn = 5000, 6, 100
+        est = estimate_lambda(model, ConstantGain(g), n, n_replicas, SEED, burn_in=burn)
+        for q, value in enumerate(est.replica_values):
+            rng = RngStream(SEED, q).generator()
+            first_hop_magnitude(model, rng)
+            # column 1 holds the one-back magnitudes, node m at index m - 2
+            one_back = np.concatenate([mags[:, 1] for _, mags in
+                                       hop_magnitude_chunks(model, rng, n, n)])
+            bound = math.log(g) + float(np.mean(np.log(one_back[burn - 1:])))
+            assert value >= bound - 1e-12
 
     def test_workers_do_not_change_results(self):
         one = estimate_lambda(Rayleigh(1.0), ConstantGain(1.0), 2000, 4, SEED)
